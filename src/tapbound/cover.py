@@ -47,27 +47,31 @@ _GRID_DUST = 1e-9
 # Grid and rounding
 # ---------------------------------------------------------------------------
 
-def round_down_index(x: float, epsilon: float) -> int:
-    """Integer t with round_down(x, eps) = t * eps.
+def round_down_indices(x, epsilon: float) -> np.ndarray:
+    """Integers t with round_down(x, eps) = t * eps, elementwise over `x`.
 
     Rounds toward zero onto the grid: positive x lands in (t*eps, (t+1)*eps],
     negative x in [(t-1)*eps, t*eps), and exact grid points move strictly
-    toward zero. Grid hits are snapped within a relative 1e-9 dust tolerance.
+    toward zero. Grid hits are snapped within a relative 1e-9 dust tolerance,
+    and whatever snaps to zero (or is a signed zero) maps to 0.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    if x == 0.0:
-        return 0
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DomainError("cannot round a non-finite projection")
     r = x / epsilon
-    nearest = round(r)
-    if abs(r - nearest) <= _GRID_DUST * max(1.0, abs(r)):
-        r = float(nearest)
-    if r == 0.0:
-        # indistinguishable from zero at working precision: the x = 0 case
-        return 0
-    if x > 0:
-        return int(r) - 1 if r == int(r) else int(math.floor(r))
-    return int(r) + 1 if r == int(r) else int(math.ceil(r))
+    nearest = np.rint(r)
+    r = np.where(np.abs(r - nearest) <= _GRID_DUST * np.maximum(1.0, np.abs(r)),
+                 nearest, r)
+    # ceil(r) - 1 is floor(r) off the grid and r - 1 on it; mirrored below 0
+    t = np.where(x > 0, np.ceil(r) - 1.0, np.floor(r) + 1.0)
+    return np.where(r == 0.0, 0.0, t).astype(np.int64)
+
+
+def round_down_index(x: float, epsilon: float) -> int:
+    """Scalar round_down_indices."""
+    return int(round_down_indices((x,), epsilon)[0])
 
 
 def round_down(x: float, epsilon: float) -> float:
@@ -418,30 +422,34 @@ def classify(disorder, measure, field, sigma, epsilon: float, eta: float,
         sigma, eta)
 
 
-def membership(node: CoverNode, sigma: np.ndarray, epsilon: Optional[float] = None,
-               eta: Optional[float] = None) -> Membership:
-    """Literal evaluation of the two region conditions for one unit vector."""
-    sigma = np.asarray(sigma, dtype=np.float64)
+def region_masks(node: CoverNode, block: np.ndarray,
+                 epsilon: Optional[float] = None, eta: Optional[float] = None):
+    """(in D_alpha, in E_alpha) boolean masks over the rows of `block`.
+
+    D_alpha rounds each row's projection onto every level-1..k direction
+    with round_down_indices and compares it with alpha; E_alpha adds
+    |projection| <= eta + 1e-12 on the final pair.
+    """
     eps = node.alpha.epsilon if epsilon is None else epsilon
     et = node.eta if eta is None else eta
     if et is None:
         raise DomainError("eta needed: none stored on node, none supplied")
-    in_d = True
-    values = node.alpha.blocks
-    for l, level_rows in enumerate(node.levels[:-1]):
-        for j, u in enumerate(level_rows):
-            if round_down_index(inner(u, sigma), eps) != values[l][j]:
-                in_d = False
-                break
-        if not in_d:
-            break
-    in_e = in_d
-    if in_d:
-        for u in node.final_pair:
-            if abs(inner(u, sigma)) > et + 1e-12:
-                in_e = False
-                break
-    return Membership(in_d=in_d, in_e=in_e)
+    in_d = np.ones(len(block), dtype=bool)
+    for level_rows, targets in zip(node.levels[:-1], node.alpha.blocks):
+        for u, target in zip(np.atleast_2d(level_rows), targets):
+            in_d &= round_down_indices(block @ u / node.n, eps) == target
+    in_e = in_d.copy()
+    for u in np.atleast_2d(node.final_pair) if len(node.final_pair) else []:
+        in_e &= np.abs(block @ u / node.n) <= et + 1e-12
+    return in_d, in_e
+
+
+def membership(node: CoverNode, sigma: np.ndarray, epsilon: Optional[float] = None,
+               eta: Optional[float] = None) -> Membership:
+    """The two region conditions for one unit vector (one row of region_masks)."""
+    in_d, in_e = region_masks(node, np.asarray(sigma, dtype=np.float64)[None, :],
+                              epsilon, eta)
+    return Membership(in_d=bool(in_d[0]), in_e=bool(in_e[0]))
 
 
 def thin_projection(node: CoverNode, sigma: np.ndarray) -> np.ndarray:

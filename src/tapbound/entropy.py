@@ -33,6 +33,9 @@ LOG2 = float(np.log(2.0))
 ISING_ENUM_MAX_N = 22
 
 _ATOM_CACHE: dict[int, np.ndarray] = {}
+# Atoms per block in the batched half-space sums: caps their scratch memory
+# at a few MB whatever N, the support size and the number of directions.
+_ATOM_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +55,8 @@ class ReferenceMeasure:
         if self.kind not in ("ising", "sphere", "point_cloud"):
             raise DomainError(f"unknown measure kind {self.kind!r}")
         if self.kind == "point_cloud":
-            pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
+            pts = np.ascontiguousarray(np.atleast_2d(
+                np.asarray(self.points, dtype=np.float64)))
             w = np.asarray(self.weights, dtype=np.float64)
             if len(pts) != len(w) or len(pts) == 0:
                 raise DomainError("point cloud needs matching points and weights")
@@ -197,10 +201,40 @@ def halfspace_log_mass(E: ReferenceMeasure, lam: np.ndarray, m: np.ndarray,
 def _halfspace_log_mass_many(E: ReferenceMeasure, lams: np.ndarray,
                              m: np.ndarray, delta: float) -> np.ndarray:
     """Batched r_delta over the rows of `lams` (atomic measures only)."""
-    pts, w = E.atoms()
-    proj = (pts.astype(np.float64) @ lams.T) / E.n
-    thresholds = (lams @ m) / E.n - delta
-    masses = np.where(proj >= thresholds[None, :] - 1e-12, w[:, None], 0.0).sum(axis=0)
+    return _log_mass_above(E, lams, (lams @ m) / E.n - delta)
+
+
+def _log_mass_above(E: ReferenceMeasure, lams: np.ndarray,
+                    thresholds: np.ndarray) -> np.ndarray:
+    """log E[<lams_j, sigma> >= thresholds_j - 1e-12] for each row j.
+
+    Atoms are visited _ATOM_CHUNK at a time, so scratch memory is bounded
+    by the chunk, not by the support size. The uniform Ising mass is the hit
+    count times 2^-N, which equals the weighted sum exactly: every partial
+    sum is a multiple of 2^-N below 1. Point clouds sum their weights.
+    """
+    cut = thresholds - 1e-12
+    if E.kind == "ising":
+        atoms = _ising_atoms(E.n)
+        hits = np.zeros(len(lams), dtype=np.int64)
+        for start in range(0, len(atoms), _ATOM_CHUNK):
+            block = atoms[start:start + _ATOM_CHUNK].astype(np.float64)
+            # One row per direction, so each count runs over contiguous memory
+            proj = lams @ block.T
+            proj /= E.n
+            hit = proj >= cut[:, None]
+            hits += [np.count_nonzero(row) for row in hit]
+        masses = hits * 2.0 ** (-E.n)
+    else:
+        pts, w = E.atoms()
+        masses = np.zeros(len(lams))
+        for start in range(0, len(pts), _ATOM_CHUNK):
+            proj = pts[start:start + _ATOM_CHUNK] @ lams.T
+            proj /= E.n
+            hit_w = np.where(proj >= cut, w[start:start + _ATOM_CHUNK, None], 0.0)
+            # Stacking the running total on top continues numpy's row-by-row
+            # column sum, so the result equals one sum over the whole cloud.
+            masses = np.vstack((masses, hit_w)).sum(axis=0)
     with np.errstate(divide="ignore"):
         return np.log(masses)
 
@@ -251,7 +285,16 @@ def lambda_min_entropy(E: ReferenceMeasure, m: np.ndarray, delta: float,
     Atomic: best of a fixed candidate list (clipped-atanh direction, m itself,
     supplied extra directions, signed standard directions) refined by
     coordinate-wise perturbation descent with shrinking step, re-normalized to
-    the unit sphere each move.
+    the unit sphere each move. Iteration `it` probes lam +- step along
+    coordinate it % N and moves to the better probe if it lowers r_delta by
+    more than 1e-15; N failures in a row halve the step.
+
+    A failed probe leaves lam and the step unchanged, so the descent is
+    evaluated a window at a time: the next min(N, iterations left) probes
+    are all scored against the current lam in one batched pass, the first
+    success in iteration order is taken and the next window starts after
+    it, and a window without success halves the step. This visits the same
+    lams with the same arithmetic as probing one iteration at a time.
     """
     m = np.asarray(m, dtype=np.float64)
     n = E.n
@@ -271,26 +314,33 @@ def lambda_min_entropy(E: ReferenceMeasure, m: np.ndarray, delta: float,
 
     step = LOCAL_SEARCH_STEP
     scale = np.sqrt(n)
-    failures = 0
-    for it in range(LOCAL_SEARCH_ITERATIONS):
-        i = it % n
-        probe = np.zeros(n)
-        probe[i] = scale * step
-        trial = np.array([normalize(lam + probe), normalize(lam - probe)])
-        vals = _halfspace_log_mass_many(E, trial, m, delta)
-        j = int(np.argmin(vals))
-        if vals[j] < best - 1e-15:
-            lam, best = trial[j], float(vals[j])
-            failures = 0
+    it = 0
+    while it < LOCAL_SEARCH_ITERATIONS:
+        width = min(n, LOCAL_SEARCH_ITERATIONS - it)
+        trials = np.empty((width, 2, n))
+        for k in range(width):
+            probe = np.zeros(n)
+            probe[(it + k) % n] = scale * step
+            trials[k] = (normalize(lam + probe), normalize(lam - probe))
+        # Thresholds pair by pair: a (2, N) product rounds differently from
+        # the same rows inside a taller one.
+        thresholds = np.concatenate([(pair @ m) / n - delta for pair in trials])
+        vals = _log_mass_above(E, trials.reshape(2 * width, n),
+                               thresholds).reshape(width, 2)
+        j = np.argmin(vals, axis=1)
+        pair_best = vals[np.arange(width), j]
+        better = np.flatnonzero(pair_best < best - 1e-15)
+        if len(better):
+            k = int(better[0])
+            lam, best = trials[k, j[k]].copy(), float(pair_best[k])
+            it += k + 1
             if best == -np.inf:
                 break
         else:
-            failures += 1
-            if failures >= n:
-                step *= 0.5
-                failures = 0
-                if step < LOCAL_SEARCH_MIN_STEP:
-                    break
+            it += width
+            step *= 0.5
+            if step < LOCAL_SEARCH_MIN_STEP:
+                break
     return lam
 
 

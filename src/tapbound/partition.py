@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cover import CoverNode, thin_projection
+from .cover import CoverNode, region_masks, thin_projection
 from .entropy import ReferenceMeasure, point_cloud
 from .errors import DomainError, ResourceBudgetError
 from .hamiltonian import DisorderSample, ExternalField, energy_many
@@ -295,24 +295,13 @@ class SliceMeasures:
 
 def node_member_mask(node: CoverNode, block: np.ndarray,
                      eta: Optional[float] = None) -> np.ndarray:
-    """Vectorized E_alpha membership over rows of `block`."""
-    from .cover import round_down_index
-    eps = node.alpha.epsilon
-    et = node.eta if eta is None else eta
-    if et is None:
-        raise DomainError("eta needed for slice membership")
-    n = node.n
-    mask = np.ones(len(block), dtype=bool)
-    for l, level_rows in enumerate(node.levels[:-1]):
-        targets = node.alpha.blocks[l]
-        for j, u in enumerate(np.atleast_2d(level_rows)):
-            proj = block @ u / n
-            rounded = np.array([round_down_index(p, eps) for p in proj])
-            mask &= rounded == targets[j]
-    for u in np.atleast_2d(node.final_pair) if len(node.final_pair) else []:
-        proj = block @ u / n
-        mask &= np.abs(proj) <= et + 1e-12
-    return mask
+    """E_alpha membership over the rows of `block`.
+
+    The level projections of all rows are rounded as whole columns by the
+    array grid rounding (cover.round_down_indices), the same test that
+    cover.membership applies to a single vector.
+    """
+    return region_masks(node, block, eta=eta)[1]
 
 
 def slice_measures(E: ReferenceMeasure, node: CoverNode,

@@ -15,14 +15,17 @@ from tapbound.cover import (
     level_cardinality_bound,
     max_levels,
     membership,
+    region_masks,
     round_down,
     round_down_index,
+    round_down_indices,
     thin_projection,
 )
 from tapbound.entropy import ising_uniform, sphere_uniform
 from tapbound.errors import DomainError
 from tapbound.geometry import inner, inner_many, norm, normalize
 from tapbound.hamiltonian import MixedModel, field_linear, gradient, sample_disorder
+from tapbound.partition import node_member_mask
 
 XI2 = CovarianceSeries((0.0, 0.0, 1.0))
 
@@ -82,6 +85,48 @@ class TestRounding:
             got = round_down_index(x, eps)
             expect = 0 if t == 0 else (t - 1 if t > 0 else t + 1)
             assert got == expect
+
+
+def reference_round_down_index(x, epsilon):
+    """The scalar grid rounding rule that round_down_indices vectorizes."""
+    if x == 0.0:
+        return 0
+    r = x / epsilon
+    nearest = round(r)
+    if abs(r - nearest) <= 1e-9 * max(1.0, abs(r)):
+        r = float(nearest)
+    if r == 0.0:
+        return 0
+    if x > 0:
+        return int(r) - 1 if r == int(r) else int(math.floor(r))
+    return int(r) + 1 if r == int(r) else int(math.ceil(r))
+
+
+class TestArrayRounding:
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 1 / 3])
+    def test_matches_scalar_rule(self, eps):
+        rng = np.random.default_rng(17)
+        t = np.arange(-math.ceil(1 / eps), math.ceil(1 / eps) + 1)
+        grid_points = t * eps
+        near_grid = np.concatenate(
+            [grid_points * (1 + s) for s in (0.0, 1e-10, -1e-10)]
+            + [grid_points + s for s in (1e-12, -1e-12)])
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                         1e-310, -1e-310])
+        xs = np.concatenate([rng.uniform(-1.5, 1.5, size=200_000), near_grid, tiny])
+        expect = np.array([reference_round_down_index(float(x), eps) for x in xs])
+        assert np.array_equal(round_down_indices(xs, eps), expect)
+        for x in np.concatenate([near_grid, tiny]):
+            assert round_down_index(float(x), eps) == reference_round_down_index(
+                float(x), eps)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            round_down_indices(np.array([0.1]), 0.0)
+        with pytest.raises(DomainError):
+            round_down_indices(np.array([0.1, np.nan]), 0.1)
+        with pytest.raises(DomainError):
+            round_down_index(math.inf, 0.1)
 
 
 class TestGrid:
@@ -286,6 +331,40 @@ class TestClassify:
             chk = membership(node, sigma)
             if chk.in_e:
                 assert chk.in_d
+
+
+def reference_membership(node, sigma, eta):
+    """Scalar D_alpha/E_alpha test, one direction at a time."""
+    eps = node.alpha.epsilon
+    for l, level_rows in enumerate(node.levels[:-1]):
+        for j, u in enumerate(level_rows):
+            if reference_round_down_index(inner(u, sigma), eps) != node.alpha.blocks[l][j]:
+                return False, False
+    in_e = all(abs(inner(u, sigma)) <= eta + 1e-12 for u in node.final_pair)
+    return True, in_e
+
+
+class TestMembershipExhaustive:
+    def test_all_atoms_match_scalar_reference(self):
+        n, eta = 12, 0.4
+        b = make_builder(n=n, epsilon=0.05, seed=5)
+        atoms = (1.0 - 2.0 * ((np.arange(2 ** n)[:, None]
+                               >> np.arange(n)[None, :]) & 1)).astype(np.float64)
+        rng = np.random.default_rng(16)
+        seen = {"d_only": 0, "e": 0}
+        for idx in rng.choice(len(atoms), size=4, replace=False):
+            _, node = b.classify(atoms[idx], eta)
+            expect = np.array([reference_membership(node, s, eta) for s in atoms])
+            got = np.array([(c.in_d, c.in_e) for c in (membership(node, s) for s in atoms)])
+            assert np.array_equal(got, expect)
+            in_d, in_e = region_masks(node, atoms)
+            assert np.array_equal(in_d, expect[:, 0])
+            assert np.array_equal(in_e, expect[:, 1])
+            assert np.array_equal(node_member_mask(node, atoms), expect[:, 1])
+            seen["d_only"] += int((expect[:, 0] & ~expect[:, 1]).sum())
+            seen["e"] += int(expect[:, 1].sum())
+        # both conditions decide some atoms, so each is exercised
+        assert seen["d_only"] > 0 and seen["e"] > 0
 
 
 class TestRegionGeometry:

@@ -1,11 +1,17 @@
 """Entropy functionals, half-space masses, and the hyperplane-normal rule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tapbound.entropy import (
+    LOCAL_SEARCH_ITERATIONS,
+    LOCAL_SEARCH_MIN_STEP,
+    LOCAL_SEARCH_STEP,
+    _candidate_directions,
+    _ising_atoms,
     binary_entropy,
     general_entropy_upper,
     halfspace_log_mass,
@@ -260,3 +266,151 @@ class TestPointCloud:
     def test_off_sphere_atom_rejected(self):
         with pytest.raises(DomainError):
             point_cloud(np.array([[1.0, 0.0]]), np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# Reference local search: one probe at a time, each half-space mass a masked
+# weighted sum over the whole support. lambda_min_entropy must return the
+# identical lambda.
+# ---------------------------------------------------------------------------
+
+def reference_log_mass_many(E, lams, m, delta):
+    pts, w = E.atoms()
+    proj = (pts.astype(np.float64) @ lams.T) / E.n
+    thresholds = (lams @ m) / E.n - delta
+    masses = np.where(proj >= thresholds[None, :] - 1e-12, w[:, None], 0.0).sum(axis=0)
+    with np.errstate(divide="ignore"):
+        return np.log(masses)
+
+
+def reference_lambda_min_entropy(E, m, delta, extra_directions=()):
+    """(lambda, exit) where exit names the rule that ended the search."""
+    m = np.asarray(m, dtype=np.float64)
+    n = E.n
+    cands = np.array(_candidate_directions(E, m, delta, extra_directions))
+    values = reference_log_mass_many(E, cands, m, delta)
+    best_idx = int(np.argmin(values))
+    lam, best = cands[best_idx], float(values[best_idx])
+    if best == -np.inf:
+        return lam, "candidate"
+    step = LOCAL_SEARCH_STEP
+    scale = np.sqrt(n)
+    failures = 0
+    for it in range(LOCAL_SEARCH_ITERATIONS):
+        probe = np.zeros(n)
+        probe[it % n] = scale * step
+        trial = np.array([normalize(lam + probe), normalize(lam - probe)])
+        vals = reference_log_mass_many(E, trial, m, delta)
+        j = int(np.argmin(vals))
+        if vals[j] < best - 1e-15:
+            lam, best = trial[j], float(vals[j])
+            failures = 0
+            if best == -np.inf:
+                return lam, "-inf"
+        else:
+            failures += 1
+            if failures >= n:
+                step *= 0.5
+                failures = 0
+                if step < LOCAL_SEARCH_MIN_STEP:
+                    return lam, "min_step"
+    return lam, "iterations"
+
+
+def magnetization(kind, n, delta, rng):
+    if kind == "zero":
+        return np.zeros(n)
+    m = rng.uniform(-0.9, 0.9, size=n)
+    if kind == "outside":
+        # outside [-1, 1]^N by less than the box distance that empties the
+        # half-space, so the local search runs
+        m[0] = 1.0 + 0.5 * delta
+    return m
+
+
+def random_cloud(seed, n, count):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, n))
+    pts /= np.sqrt((pts ** 2).sum(axis=1) / n)[:, None]
+    return point_cloud(pts, rng.uniform(0.5, 1.5, count))
+
+
+class TestLocalSearchMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    @pytest.mark.parametrize("kind", ["zero", "inside", "outside"])
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_ising(self, n, kind, delta, extra):
+        rng = np.random.default_rng(100 * n + 7)
+        m = magnetization(kind, n, delta, rng)
+        extra_directions = [rng.standard_normal(n)] if extra else ()
+        E = ising_uniform(n)
+        expect, _ = reference_lambda_min_entropy(E, m, delta, extra_directions)
+        assert np.array_equal(lambda_min_entropy(E, m, delta, extra_directions),
+                              expect)
+
+    @pytest.mark.parametrize("kind", ["zero", "inside", "outside"])
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_point_cloud(self, kind, delta, extra):
+        n = 6
+        E = random_cloud(3, n, 60)
+        rng = np.random.default_rng(4)
+        m = magnetization(kind, n, delta, rng)
+        extra_directions = [rng.standard_normal(n)] if extra else ()
+        expect, _ = reference_lambda_min_entropy(E, m, delta, extra_directions)
+        assert np.array_equal(lambda_min_entropy(E, m, delta, extra_directions),
+                              expect)
+
+    @pytest.mark.parametrize("cloud", [False, True])
+    def test_support_spanning_several_chunks(self, cloud):
+        # 2^15 atoms: the batched sums run over more than one chunk
+        n = 15
+        E = ising_uniform(n)
+        if cloud:
+            pts, _ = E.atoms()
+            E = point_cloud(pts, np.random.default_rng(5).uniform(0.5, 1.5, len(pts)))
+        m = np.random.default_rng(6).uniform(-0.5, 0.5, size=n)
+        expect, _ = reference_lambda_min_entropy(E, m, 0.2)
+        assert np.array_equal(lambda_min_entropy(E, m, 0.2), expect)
+
+    @pytest.mark.parametrize("seed, delta, exit_rule", [
+        (7, 0.05, "min_step"),
+        (18, 0.05, "-inf"),
+        (21, 0.2, "-inf"),
+    ])
+    def test_search_exits(self, seed, delta, exit_rule):
+        # a magnetization off the cloud's hull: no candidate separates it,
+        # and the local search either empties the half-space or stalls
+        E = random_cloud(seed, 4, 8)
+        m = 1.2 * E.points[0] + 0.4 * E.points[1]
+        expect, rule = reference_lambda_min_entropy(E, m, delta)
+        assert rule == exit_rule
+        got = lambda_min_entropy(E, m, delta)
+        assert np.array_equal(got, expect)
+        if exit_rule == "-inf":
+            assert halfspace_log_mass(E, got, m, delta) == -np.inf
+
+    def test_candidate_exit(self):
+        n, delta = 8, 0.1
+        m = np.zeros(n)
+        m[0] = 1.0 + 1.5 * delta * np.sqrt(n)
+        E = ising_uniform(n)
+        expect, rule = reference_lambda_min_entropy(E, m, delta)
+        assert rule == "candidate"
+        assert np.array_equal(lambda_min_entropy(E, m, delta), expect)
+
+
+def test_local_search_memory_is_bounded_by_the_chunk():
+    # A float copy of all 2^18 atoms alone is 38 MB, and one window of
+    # 2N projections per atom 75 MB; the chunked sums stay far below.
+    n = 18
+    _ising_atoms(n)  # the cached int8 support is not scratch
+    m = np.random.default_rng(8).uniform(-0.5, 0.5, size=n)
+    tracemalloc.start()
+    try:
+        lambda_min_entropy(ising_uniform(n), m, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
