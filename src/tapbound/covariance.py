@@ -16,7 +16,7 @@ which satisfies On(q) = xi_q(1 - q) on [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -39,12 +39,18 @@ class CovarianceSeries:
     """Finite mixture xi(x) = sum_p coefficients[p] * x^p with a_p >= 0."""
 
     coefficients: tuple[float, ...]
+    # derivative_coefficients(k) for every k below len(coefficients)
+    _derivatives: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
         if any(not np.isfinite(c) or c < 0.0 for c in coeffs):
             raise DomainError("coefficients must be finite and nonnegative")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_derivatives", tuple(
+            tuple(coeffs[j + k] * prod(range(j + 1, j + k + 1))
+                  for j in range(len(coeffs) - k))
+            for k in range(len(coeffs))))
 
     @property
     def degree(self) -> int:
@@ -58,11 +64,7 @@ class CovarianceSeries:
         """Coefficients of xi^(order): b_j = a_{j+order} (j+order)!/j!."""
         if order < 0:
             raise DomainError("derivative order must be >= 0")
-        a = self.coefficients
-        return tuple(
-            a[j + order] * prod(range(j + 1, j + order + 1))
-            for j in range(len(a) - order)
-        )
+        return self._derivatives[order] if order < len(self._derivatives) else ()
 
     def evaluate(self, x: float, order: int = 0) -> float:
         """xi^(order)(x) for |x| <= 1, by Horner evaluation."""

@@ -78,7 +78,8 @@ class ReferenceMeasure:
             return self.points, self.weights
         if self.kind == "ising":
             atoms = _ising_atoms(self.n)
-            return atoms, np.full(len(atoms), 2.0 ** (-self.n))
+            # A read-only broadcast of one scalar: no 2^N vector per call
+            return atoms, np.broadcast_to(2.0 ** (-self.n), len(atoms))
         raise DomainError("sphere measure has no atom list")
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,17 +186,14 @@ def halfspace_log_mass(E: ReferenceMeasure, lam: np.ndarray, m: np.ndarray,
     """r_delta(m, lambda) = log E[<lambda, sigma - m> >= -delta]; may be -inf.
 
     Atomic measures are summed exactly (closed inequality, with a 1e-12
-    tie guard); the sphere uses the cap quadrature.
+    tie guard) over chunks of the support; the sphere uses the cap quadrature.
     """
     lam = _check_unit_lambda(lam)
     m = np.asarray(m, dtype=np.float64)
     threshold = inner(lam, m) - delta
     if E.kind == "sphere":
         return _cap_log_mass(E.n, threshold)
-    pts, w = E.atoms()
-    proj = (pts @ lam) / E.n
-    mass = float(w[proj >= threshold - 1e-12].sum())
-    return float(np.log(mass)) if mass > 0.0 else -np.inf
+    return float(_log_mass_above(E, lam[None, :], np.array([threshold]))[0])
 
 
 def _halfspace_log_mass_many(E: ReferenceMeasure, lams: np.ndarray,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,6 +179,13 @@ class DisorderSample:
     def n(self) -> int:
         return self.model.n
 
+    @cached_property
+    def terms(self) -> tuple:
+        """(degree, sqrt(a_p) N^{(1-p)/2}, tensor) for every active degree."""
+        a = self.model.series.coefficients
+        return tuple((p, np.sqrt(a[p]) * self.n ** ((1 - p) / 2), g)
+                     for p, g in self.tensors.items())
+
 
 def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
     """Draw coupling tensors; deterministic in (model, seed).
@@ -217,47 +225,65 @@ def _check_ball(sigma: np.ndarray, n: int, open_ball: bool = False) -> np.ndarra
     return sigma
 
 
+# Rows per block in energy_many: keeps the (rows x N^{p-1}) scratch of the
+# contraction flat whatever the batch size.
+_ROW_CHUNK = 1 << 13
+
+
+def _kron_powers(sigma: np.ndarray, top: int) -> list:
+    """[None, sigma, sigma^{tensor 2}, ..., sigma^{tensor top}], flattened."""
+    powers = [None, sigma]
+    while len(powers) <= top:
+        powers.append(np.multiply.outer(powers[-1], sigma).ravel())
+    return powers
+
+
+def _partial(g: np.ndarray, powers: list, k: int) -> np.ndarray:
+    """Contraction of g with sigma at every axis but position k.
+
+    Reshapes of the C-ordered tensor turn both sides into plain matvecs:
+    (sigma^{tensor k} @ g.reshape(N^k, -1)).reshape(N, -1) @ sigma^{tensor p-1-k}.
+    """
+    n = len(powers[1])
+    rest = g.ndim - 1 - k
+    if k:
+        g = powers[k] @ g.reshape(n ** k, -1)
+    return g.reshape(n, -1) @ powers[rest] if rest else g
+
+
+def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """<g, x^{tensor p}> for every row x of X, for p = g.ndim >= 1.
+
+    One matmul contracts the first axis; each remaining axis is a
+    reshape-multiply-sum against the rows.
+    """
+    n = X.shape[1]
+    out = np.empty(len(X))
+    for start in range(0, len(X), _ROW_CHUNK):
+        x = X[start:start + _ROW_CHUNK]
+        t = x @ g.reshape(n, -1)
+        for _ in range(g.ndim - 1):
+            t = (t.reshape(len(x), n, -1) * x[:, :, None]).sum(axis=1)
+        out[start:start + len(x)] = t[:, 0]
+    return out
+
+
 def energy(d: DisorderSample, sigma: np.ndarray) -> float:
     """H(sigma) = sum_p sqrt(a_p) N^{(1-p)/2} <g_p, sigma^{tensor p}>."""
     sigma = _check_ball(sigma, d.n)
-    a = d.model.series.coefficients
-    n = d.n
+    powers = _kron_powers(sigma, max(d.tensors, default=0) - 1)
     total = 0.0
-    for p, g in d.tensors.items():
-        scale = np.sqrt(a[p]) * n ** ((1 - p) / 2)
-        if p == 0:
-            contr = g
-        elif p == 1:
-            contr = g @ sigma
-        elif p == 2:
-            contr = sigma @ g @ sigma
-        elif p == 3:
-            contr = np.einsum("abc,a,b,c->", g, sigma, sigma, sigma)
-        else:
-            contr = np.einsum("abcd,a,b,c,d->", g, sigma, sigma, sigma, sigma)
-        total += scale * contr
+    for p, scale, g in d.terms:
+        total += scale * (g if p == 0 else _partial(g, powers, p - 1) @ sigma)
     return float(total)
 
 
 def energy_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     """Vectorized H over the rows of `sigmas` (no per-row domain check)."""
     X = np.asarray(sigmas, dtype=np.float64)
-    a = d.model.series.coefficients
-    n = d.n
     total = np.zeros(len(X))
-    for p, g in d.tensors.items():
-        scale = np.sqrt(a[p]) * n ** ((1 - p) / 2)
-        if p == 0:
-            contr = np.full(len(X), g)
-        elif p == 1:
-            contr = X @ g
-        elif p == 2:
-            contr = np.einsum("ri,ij,rj->r", X, g, X)
-        elif p == 3:
-            contr = np.einsum("abc,ra,rb,rc->r", g, X, X, X)
-        else:
-            contr = np.einsum("abcd,ra,rb,rc,rd->r", g, X, X, X, X)
-        total += scale * contr
+    for p, scale, g in d.terms:
+        total += scale * (g if p == 0 else _contract_rows(g, X))
     return total
 
 
@@ -268,30 +294,14 @@ def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
     contractions with index i placed at each position.
     """
     sigma = _check_ball(sigma, d.n, open_ball=True)
-    a = d.model.series.coefficients
-    n = d.n
-    grad = np.zeros(n)
-    for p, g in d.tensors.items():
-        if p == 0:
-            continue
-        scale = np.sqrt(a[p]) * n ** ((1 - p) / 2)
-        if p == 1:
-            grad += scale * g
-        elif p == 2:
-            grad += scale * (g @ sigma + g.T @ sigma)
-        elif p == 3:
-            grad += scale * (
-                np.einsum("ibc,b,c->i", g, sigma, sigma)
-                + np.einsum("aic,a,c->i", g, sigma, sigma)
-                + np.einsum("abi,a,b->i", g, sigma, sigma)
-            )
-        else:
-            grad += scale * (
-                np.einsum("ibcd,b,c,d->i", g, sigma, sigma, sigma)
-                + np.einsum("aicd,a,c,d->i", g, sigma, sigma, sigma)
-                + np.einsum("abid,a,b,d->i", g, sigma, sigma, sigma)
-                + np.einsum("abci,a,b,c->i", g, sigma, sigma, sigma)
-            )
+    powers = _kron_powers(sigma, max(d.tensors, default=0) - 1)
+    grad = np.zeros(d.n)
+    for p, scale, g in d.terms:
+        if p:
+            part = _partial(g, powers, 0)
+            for k in range(1, p):
+                part = part + _partial(g, powers, k)
+            grad += scale * part
     return grad
 
 
@@ -372,21 +382,31 @@ def save_disorder(d: DisorderSample, path) -> None:
             fh.write(arr.tobytes(order="C"))
 
 
+def _read_exact(fh, size: int) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise DomainError("truncated disorder file")
+    return raw
+
+
 def load_disorder(path, model: MixedModel) -> DisorderSample:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise DomainError("not a disorder file (bad magic)")
-        version, n, seed, ndeg = struct.unpack("<IIQI", fh.read(20))
+        version, n, seed, ndeg = struct.unpack("<IIQI", _read_exact(fh, 20))
         if version != _FORMAT_VERSION:
             raise DomainError(f"unsupported disorder file version {version}")
         if n != model.n:
             raise DomainError(f"file dimension {n} does not match model {model.n}")
-        degrees = [struct.unpack("<I", fh.read(4))[0] for _ in range(ndeg)]
+        if ndeg != len(model.active_degrees):
+            raise DomainError("file degree list does not match model series")
+        degrees = list(struct.unpack(f"<{ndeg}I", _read_exact(fh, 4 * ndeg)))
+        if sorted(degrees) != list(model.active_degrees):
+            raise DomainError("file degree list does not match model series")
         tensors = {}
         for p in degrees:
-            count = n ** p
-            raw = np.frombuffer(fh.read(8 * count), dtype="<f8")
+            raw = np.frombuffer(_read_exact(fh, 8 * n ** p), dtype="<f8")
             tensors[p] = float(raw[0]) if p == 0 else raw.reshape((n,) * p).copy()
-    if set(degrees) != set(model.active_degrees):
-        raise DomainError("file degree list does not match model series")
+        if fh.read(1):
+            raise DomainError("trailing bytes after the last disorder tensor")
     return DisorderSample(model, int(seed), tensors)

@@ -491,6 +491,33 @@ def run_onsager_markov(cfg: ExperimentConfig) -> ExperimentReport:
 # 9a/9b. bound-ising / bound-sphere: free energy vs the TAP sup surrogate
 # ---------------------------------------------------------------------------
 
+def _maximizer_diagnostics(sup, n: int) -> tuple:
+    """(converged, per-start iteration counts, starts within 1e-6 N of the best).
+
+    A start's iterations are its trace rows and its final value is its last
+    row's value, the definitions perfbench/tracer.py counts maximize_tap
+    calls by, so the two can be cross-checked.
+    """
+    iterations, final = {}, {}
+    for row in sup.trace:
+        iterations[row.start] = iterations.get(row.start, 0) + 1
+        final[row.start] = row.value
+    at_best = sum(1 for v in final.values() if v >= sup.value - 1e-6 * n)
+    return bool(sup.converged), list(iterations.values()), at_best
+
+
+def _maximizer_aggregates(diagnostics) -> dict:
+    iterations = [k for _, counts, _ in diagnostics for k in counts]
+    return {
+        "maximizer_converged_fraction":
+            sum(c for c, _, _ in diagnostics) / len(diagnostics),
+        "maximizer_iterations_median": float(np.median(iterations)),
+        "maximizer_iterations_max": max(iterations),
+        "maximizer_starts_at_best_fraction":
+            sum(b for _, _, b in diagnostics) / len(iterations),
+    }
+
+
 def _bound_ising_replica(args):
     master, r, n, xi, beta, h, starts = args
     series = CovarianceSeries(xi)
@@ -499,7 +526,8 @@ def _bound_ising_replica(args):
     log_z = log_partition_exact_ising(d, model.field, beta).log_value
     sup = maximize_tap(TapProblem(model, d, "ising"), starts=starts,
                        rng_seed=derive_seed(master, STREAM_STARTS, r))
-    return [beta, h, r, log_z, sup.value, (log_z - sup.value) / n]
+    return ([beta, h, r, log_z, sup.value, (log_z - sup.value) / n],
+            _maximizer_diagnostics(sup, n))
 
 
 def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
@@ -511,7 +539,7 @@ def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
                 args.append((cfg.seed, r, cfg.n, tuple(cfg.xi), beta, h,
                              cfg.starts))
                 r += 1
-    rows = _map_replicas(_bound_ising_replica, args, cfg.workers)
+    rows, diagnostics = zip(*_map_replicas(_bound_ising_replica, args, cfg.workers))
     gaps = np.array([row[5] for row in rows])
     crit = Criterion("gap-bound", bool(np.all(gaps <= cfg.delta_check)),
                      float(gaps.max()), cfg.delta_check,
@@ -519,10 +547,11 @@ def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
                      "(sup surrogate: multi-start ascent)", len(rows))
     return ExperimentReport(cfg.experiment, cfg.asdict(),
                             ["beta", "h", "replica", "log_z", "tap_sup", "gap"],
-                            rows, [crit],
+                            list(rows), [crit],
                             {"max_gap": float(gaps.max()),
                              "mean_gap": float(gaps.mean()),
-                             "gap_histogram_values": [float(g) for g in gaps]})
+                             "gap_histogram_values": [float(g) for g in gaps],
+                             **_maximizer_aggregates(diagnostics)})
 
 
 def _bound_sphere_replica(args):
@@ -535,7 +564,8 @@ def _bound_sphere_replica(args):
     sup = maximize_tap(TapProblem(model, d, "spherical"), starts=starts,
                        rng_seed=derive_seed(master, STREAM_STARTS, r))
     gap = (est.log_value - sup.value) / n
-    return [beta, h, r, est.log_value, est.std_error, sup.value, gap]
+    return ([beta, h, r, est.log_value, est.std_error, sup.value, gap],
+            _maximizer_diagnostics(sup, n))
 
 
 def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
@@ -547,7 +577,7 @@ def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
                 args.append((cfg.seed, r, cfg.n, tuple(cfg.xi), beta, h,
                              cfg.starts, cfg.mc_samples))
                 r += 1
-    rows = _map_replicas(_bound_sphere_replica, args, cfg.workers)
+    rows, diagnostics = zip(*_map_replicas(_bound_sphere_replica, args, cfg.workers))
     gaps = np.array([row[6] for row in rows])
     slack = np.array([3 * row[4] / cfg.n for row in rows])
     adjusted = gaps - slack
@@ -558,9 +588,10 @@ def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.experiment, cfg.asdict(),
                             ["beta", "h", "replica", "log_z", "log_z_se",
                              "tap_sup", "gap"],
-                            rows, [crit],
+                            list(rows), [crit],
                             {"max_gap": float(gaps.max()),
-                             "gap_histogram_values": [float(g) for g in gaps]})
+                             "gap_histogram_values": [float(g) for g in gaps],
+                             **_maximizer_aggregates(diagnostics)})
 
 
 # ---------------------------------------------------------------------------

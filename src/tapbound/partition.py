@@ -1,9 +1,10 @@
 """Partition functions: exact Ising enumeration, sphere Monte Carlo, restrictions.
 
-The exact Ising value walks {-1, 1}^N in reflected Gray-code order, updating
-the energy in O(N^{p-1}) work per spin flip and accumulating a streaming
-log-sum-exp in that fixed order. Sphere estimates draw normalized Gaussians
-from a counter-based (Philox) stream, so replica streams are independent and
+The exact Ising value enumerates {-1, 1}^N in blocks of up to 2^12
+configurations: a fixed block of the low spins, completed by each pattern of
+the high spins, is scored by one batched energy call and folded into a
+running log-sum-exp. Sphere estimates draw normalized Gaussians from a
+counter-based (Philox) stream, so replica streams are independent and
 reproducible. All accumulation is in the log domain; -inf is a first-class
 value for empty restrictions.
 """
@@ -18,11 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cover import CoverNode, region_masks, thin_projection
-from .entropy import ReferenceMeasure, point_cloud
+from .entropy import ReferenceMeasure, _ising_atoms, point_cloud
 from .errors import DomainError, ResourceBudgetError
 from .hamiltonian import DisorderSample, ExternalField, energy_many
 
 ENUM_LIMITS = {2: 24, 3: 16}  # max N per highest interacting degree
+# Spins enumerated together as one fixed block by the exact Ising sum.
+_LOW_SPINS = 12
 
 
 @dataclass(frozen=True)
@@ -48,26 +51,19 @@ class PartitionEstimate:
         }, sort_keys=True)
 
 
-class _StreamingLogSumExp:
-    """Running log(sum exp(x_i)) in a fixed arrival order."""
+def _lse_merge(acc: tuple, x: np.ndarray) -> tuple:
+    """Fold the values x into a running (max, scaled sum) log-sum-exp."""
+    top, total = acc
+    m = float(x.max())
+    if m > top:
+        total = total * math.exp(top - m) if top > -np.inf else 0.0
+        top = m
+    return top, total + float(np.exp(x - top).sum())
 
-    def __init__(self):
-        self.max = -np.inf
-        self.sum = 0.0
 
-    def add(self, x: float) -> None:
-        if x == -np.inf:
-            return
-        if x > self.max:
-            self.sum = self.sum * math.exp(self.max - x) + 1.0 if self.max > -np.inf else 1.0
-            self.max = x
-        else:
-            self.sum += math.exp(x - self.max)
-
-    def value(self) -> float:
-        if self.max == -np.inf:
-            return -np.inf
-        return self.max + math.log(self.sum)
+def _lse_value(acc: tuple) -> float:
+    top, total = acc
+    return top + math.log(total) if top > -np.inf else -np.inf
 
 
 def _check_enum_budget(d: DisorderSample) -> None:
@@ -82,125 +78,26 @@ def _check_enum_budget(d: DisorderSample) -> None:
             required=2 ** d.n)
 
 
-class _GrayEnergy:
-    """Energy of the current configuration, updated per Gray-code flip.
-
-    Degree 2 recomputes one row/column contraction per flip; degree 3 keeps
-    the precomputed index-pair diagonals so a flip costs one matrix-vector
-    product plus O(N) corrections.
-    """
-
-    def __init__(self, d: DisorderSample):
-        a = d.model.series.coefficients
-        n = d.n
-        self.n = n
-        self.sigma = -np.ones(n)
-        self.scales = {p: math.sqrt(a[p]) * n ** ((1 - p) / 2) for p in d.tensors}
-        self.const = self.scales[0] * d.tensors[0] if 0 in d.tensors else 0.0
-        self.g1 = d.tensors.get(1)
-        self.value = self.const
-        if self.g1 is not None:
-            self.value += self.scales[1] * float(self.g1 @ self.sigma)
-        self.g2 = d.tensors.get(2)
-        if self.g2 is not None:
-            self.rc2 = self.g2 + self.g2.T
-            self.diag2 = np.diag(self.g2).copy()
-            self.value += self.scales[2] * float(self.sigma @ self.g2 @ self.sigma)
-        self.g3 = d.tensors.get(3)
-        if self.g3 is not None:
-            g3 = self.g3
-            self.t3_a = g3                      # slice [i, :, :]
-            self.t3_b = np.ascontiguousarray(g3.transpose(1, 0, 2))
-            self.t3_c = np.ascontiguousarray(g3.transpose(2, 0, 1))
-            self.d12 = np.array([g3[i, i, :] for i in range(n)])
-            self.d13 = np.array([g3[i, :, i] for i in range(n)])
-            self.d23 = np.array([g3[:, i, i] for i in range(n)])
-            self.diag3 = np.array([g3[i, i, i] for i in range(n)])
-            s = self.sigma
-            self.value += self.scales[3] * float(np.einsum("abc,a,b,c->", g3, s, s, s))
-
-    def flip(self, i: int) -> float:
-        s = self.sigma
-        old = s[i]
-        dlt = -2.0 * old
-        if self.g1 is not None:
-            self.value += self.scales[1] * self.g1[i] * dlt
-        if self.g2 is not None:
-            self.value += self.scales[2] * (
-                dlt * float(self.rc2[i] @ s) + dlt * dlt * self.diag2[i])
-        if self.g3 is not None:
-            lin = (float(s @ self.t3_a[i] @ s) + float(s @ self.t3_b[i] @ s)
-                   + float(s @ self.t3_c[i] @ s))
-            quad = (float(self.d12[i] @ s) + float(self.d13[i] @ s)
-                    + float(self.d23[i] @ s))
-            self.value += self.scales[3] * (
-                dlt * lin + dlt * dlt * quad + dlt ** 3 * self.diag3[i])
-        s[i] = -old
-        return self.value
-
-
-def _gray_flip_order(n: int):
-    for t in range(1, 2 ** n):
-        yield (t & -t).bit_length() - 1
-
-
 def log_partition_exact_ising(d: DisorderSample, f: ExternalField,
                               beta: float) -> PartitionEstimate:
     """log 2^{-N} sum_sigma exp(beta (H + f)(sigma)), exact up to float64.
 
-    Gray-code enumeration with incremental energy updates and a streaming
-    log-sum-exp; the linear and spike fields update in O(1) via the running
-    spin sum.
+    The low b = min(N, 12) spins form one fixed block of all their sign
+    patterns; each pattern of the high N - b spins completes it to 2^b
+    configurations, scored by one energy_many call and folded into a running
+    log-sum-exp, so memory stays flat in N. Configurations are visited in
+    index order, bit j of the index giving spin j the sign (-1)^bit.
     """
     _check_enum_budget(d)
     n = d.n
-    state = _GrayEnergy(d)
-    lse = _StreamingLogSumExp()
-    if f.kind in ("none", "linear", "quadratic_spike"):
-        spin_sum = float(state.sigma.sum())
-        h = f.h
-
-        def field_of(_):
-            if f.kind == "none":
-                return 0.0
-            if f.kind == "linear":
-                return h * spin_sum
-            return h / n * spin_sum ** 2
-    else:
-        def field_of(s):
-            return f.value(s)
-        spin_sum = None
-    lse.add(beta * (state.value + field_of(state.sigma)))
-    for i in _gray_flip_order(n):
-        old = state.sigma[i]
-        e = state.flip(i)
-        if spin_sum is not None:
-            spin_sum -= 2.0 * old
-        lse.add(beta * (e + field_of(state.sigma)))
-    return PartitionEstimate(lse.value() - n * math.log(2.0), 0.0,
-                             "exact_enumeration", 2 ** n)
-
-
-def _ising_configurations(n: int, chunk: int = 1 << 13):
-    for start in range(0, 2 ** n, chunk):
-        idx = np.arange(start, min(start + chunk, 2 ** n), dtype=np.uint32)
-        bits = (idx[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
-        yield 1.0 - 2.0 * bits.astype(np.float64)
-
-
-def log_partition_naive_ising(d: DisorderSample, f: ExternalField,
-                              beta: float) -> PartitionEstimate:
-    """Independent non-incremental enumerator (oracle for the Gray-code path)."""
-    _check_enum_budget(d)
-    n = d.n
-    pieces = []
-    for block in _ising_configurations(n):
-        x = beta * (energy_many(d, block) + f.value_many(block))
-        pieces.append(x)
-    allx = np.concatenate(pieces)
-    m = float(allx.max())
-    log_sum = m + math.log(float(np.exp(allx - m).sum()))
-    return PartitionEstimate(log_sum - n * math.log(2.0), 0.0,
+    low = min(n, _LOW_SPINS)
+    block = np.empty((2 ** low, n))
+    block[:, :low] = _ising_atoms(low)
+    acc = (-np.inf, 0.0)
+    for spins in _ising_atoms(n - low):
+        block[:, low:] = spins
+        acc = _lse_merge(acc, beta * (energy_many(d, block) + f.value_many(block)))
+    return PartitionEstimate(_lse_value(acc) - n * math.log(2.0), 0.0,
                              "exact_enumeration", 2 ** n)
 
 
@@ -243,8 +140,7 @@ def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
     """
     if E.is_atomic:
         pts, wts = E.atoms()
-        lse_max = -np.inf
-        total = 0.0
+        acc = (-np.inf, 0.0)
         hits = 0
         chunk = 1 << 13
         for start in range(0, len(pts), chunk):
@@ -255,15 +151,9 @@ def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
                 continue
             hits += int(mask.sum())
             x = beta * (energy_many(d, block[mask]) + f.value_many(block[mask]))
-            x = x + np.log(w[mask])
-            m = float(x.max())
-            if m > lse_max:
-                total = total * math.exp(lse_max - m) if lse_max > -np.inf else 0.0
-                lse_max = m
-            total += float(np.exp(x - lse_max).sum())
-        log_val = lse_max + math.log(total) if lse_max > -np.inf else -np.inf
-        return PartitionEstimate(log_val, 0.0, "exact_enumeration", len(pts),
-                                 effective_count=hits)
+            acc = _lse_merge(acc, x + np.log(w[mask]))
+        return PartitionEstimate(_lse_value(acc), 0.0, "exact_enumeration",
+                                 len(pts), effective_count=hits)
     pts = _sphere_samples(E.n, mc_samples, rng_seed)
     mask = np.asarray(predicate(pts), dtype=bool)
     hits = int(mask.sum())

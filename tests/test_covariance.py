@@ -1,5 +1,7 @@
 """Exact arithmetic tests for the mixture series, recentering, and Onsager term."""
 
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,22 @@ class TestEvaluation:
     def test_order_beyond_degree_is_zero(self):
         xi = CovarianceSeries((0.0, 0.0, 1.0))
         assert xi.evaluate(0.3, order=5) == 0.0
+
+    def test_precomputed_derivative_coefficients_unchanged(self):
+        # b_j = a_{j+k} (j+k)!/j!, rebuilt per call as before the precompute
+        rng = np.random.default_rng(21)
+        for xi in [CovarianceSeries(()), CovarianceSeries((0.0,)),
+                   CovarianceSeries((0.0, 0.0, 1.0, 0.5))] + [
+                       random_series(rng, 8) for _ in range(20)]:
+            a = xi.coefficients
+            for k in range(len(a) + 3):
+                expect = tuple(a[j + k] * prod(range(j + 1, j + k + 1))
+                               for j in range(len(a) - k))
+                got = xi.derivative_coefficients(k)
+                assert got == expect
+                assert all(type(g) is type(e) for g, e in zip(got, expect))
+            with pytest.raises(DomainError):
+                xi.derivative_coefficients(-1)
 
     def test_domain_error_outside_unit_interval(self):
         xi = CovarianceSeries((0.0, 1.0))

@@ -414,3 +414,32 @@ def test_local_search_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+def test_halfspace_log_mass_memory_is_bounded_by_the_chunk():
+    # A float copy of all 2^18 int8 atoms is 38 MB and the weight vector
+    # 2 MB; the chunked count needs neither.
+    n = 18
+    E = ising_uniform(n)
+    _ising_atoms(n)
+    rng = np.random.default_rng(9)
+    lam = normalize(rng.standard_normal(n))
+    m = rng.uniform(-0.5, 0.5, size=n)
+    tracemalloc.start()
+    try:
+        value = halfspace_log_mass(E, lam, m, 0.1)
+        E.atoms()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    atoms = _ising_atoms(n).astype(np.float64)
+    hits = np.count_nonzero((atoms @ lam) / n >= (lam @ m) / n - 0.1 - 1e-12)
+    assert value == math.log(hits * 2.0 ** -n)
+
+
+def test_ising_weights_are_one_shared_scalar():
+    pts, w = ising_uniform(10).atoms()
+    assert w.shape == (len(pts),) and w.strides == (0,)
+    assert not w.flags.writeable
+    assert np.all(w == 2.0 ** -10)

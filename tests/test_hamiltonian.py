@@ -1,5 +1,7 @@
 """Law and mechanics of the Gaussian field: sampling, energies, gradients, recentering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from tapbound.hamiltonian import (
     sample_disorder,
     save_disorder,
 )
+
+from oracles import oracle_energy, oracle_energy_many, oracle_gradient
 
 XI2 = CovarianceSeries((0.0, 0.0, 1.0))
 XI23 = CovarianceSeries((0.0, 0.0, 1.0, 0.5))
@@ -119,6 +123,73 @@ class TestEnergyAndGradient:
         batch = energy_many(d, X)
         single = np.array([energy(d, x) for x in X])
         assert np.allclose(batch, single, rtol=1e-12, atol=1e-12)
+
+
+SERIES = {
+    "p0": (1.3,),
+    "p1": (0.0, 1.0),
+    "p2": (0.0, 0.0, 1.0),
+    "p3": (0.0, 0.0, 0.0, 1.0),
+    "p4": (0.0, 0.0, 0.0, 0.0, 1.0),
+    "mixed-2-3": (0.0, 0.0, 1.0, 0.5),
+    "mixed-all": (0.4, 0.3, 1.0, 0.5, 0.25),
+}
+
+
+def ball_rows(rng, rows, n, on_sphere):
+    z = rng.standard_normal((rows, n))
+    radii = 1.0 if on_sphere else rng.uniform(0.05, 0.99, size=(rows, 1))
+    return z * radii / np.sqrt((z ** 2).sum(axis=1, keepdims=True) / n)
+
+
+def assert_rel_close(got, expect, rel=1e-12):
+    scale = max(1.0, float(np.abs(expect).max()))
+    assert float(np.abs(np.asarray(got) - expect).max()) <= rel * scale
+
+
+class TestKernelMatchesEinsumOracle:
+    """The degree-generic contraction against per-degree einsum contractions."""
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("rows", [1, 20, 8192, 8193])
+    @pytest.mark.parametrize("on_sphere", [False, True])
+    def test_energy_many(self, name, rows, on_sphere):
+        n = 5 if rows > 20 and name in ("p4", "mixed-all") else 7
+        d = sample_disorder(MixedModel(n, CovarianceSeries(SERIES[name])), rows)
+        X = ball_rows(np.random.default_rng(rows), rows, n, on_sphere)
+        assert_rel_close(energy_many(d, X), oracle_energy_many(d, X))
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("on_sphere", [False, True])
+    def test_energy_and_gradient(self, name, on_sphere):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 6, 9):
+            d = sample_disorder(MixedModel(n, CovarianceSeries(SERIES[name])), n)
+            for sigma in ball_rows(rng, 8, n, on_sphere):
+                assert_rel_close(energy(d, sigma), oracle_energy(d, sigma))
+                if not on_sphere:  # the gradient is defined inside the ball
+                    assert_rel_close(gradient(d, sigma), oracle_gradient(d, sigma))
+
+    def test_degree_two_gradient_is_bit_identical(self):
+        # Two plain matvecs, g @ sigma and sigma @ g, as before the kernel
+        rng = np.random.default_rng(3)
+        for n in (3, 12, 16):
+            d = sample_disorder(MixedModel(n, XI2), n)
+            for sigma in ball_rows(rng, 20, n, on_sphere=False):
+                assert np.array_equal(gradient(d, sigma), oracle_gradient(d, sigma))
+
+    def test_energy_many_memory_is_chunked(self):
+        # An unchunked 1e5 x 16 contraction holds two 12.8 MB temporaries
+        n = 16
+        d = sample_disorder(MixedModel(n, XI2), 5)
+        X = ball_rows(np.random.default_rng(5), 100000, n, on_sphere=True)
+        tracemalloc.start()
+        try:
+            energy_many(d, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
 
 class TestCovarianceLaw:
@@ -336,6 +407,38 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
+        with pytest.raises(DomainError):
+            load_disorder(path, MixedModel(5, XI2))
+
+
+    def _saved(self, tmp_path):
+        model = MixedModel(5, XI23)
+        path = tmp_path / "d.bin"
+        save_disorder(sample_disorder(model, 7), path)
+        return model, path
+
+    @pytest.mark.parametrize("keep", [10, 23, 30])
+    def test_truncated_header_rejected(self, tmp_path, keep):
+        # 24-byte header, then one u32 per degree
+        model, path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DomainError):
+            load_disorder(path, model)
+
+    def test_truncated_tensor_rejected(self, tmp_path):
+        model, path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DomainError):
+            load_disorder(path, model)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model, path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DomainError):
+            load_disorder(path, model)
+
+    def test_degree_list_mismatch_rejected(self, tmp_path):
+        model, path = self._saved(tmp_path)
         with pytest.raises(DomainError):
             load_disorder(path, MixedModel(5, XI2))
 

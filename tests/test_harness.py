@@ -90,6 +90,42 @@ class TestRunAndArtifacts:
         csv_head = (tmp_path / "runs" / "bound-ising.rows.csv").read_text().splitlines()[0]
         assert csv_head == "beta,h,replica,log_z,tap_sup,gap"
 
+    @pytest.mark.parametrize("experiment", ["bound-ising", "bound-sphere"])
+    def test_maximizer_diagnostics_in_aggregates(self, experiment, tmp_path):
+        # Recomputed from maximize_tap with the benchmark tracer's definitions
+        from tapbound.harness.experiments import (
+            STREAM_DISORDER, STREAM_STARTS, derive_seed, make_field)
+        from tapbound.covariance import CovarianceSeries
+        from tapbound.hamiltonian import MixedModel, sample_disorder
+        from tapbound.tap import TapProblem, maximize_tap
+        cfg = build_config(experiment, dict(replicas=1, n=8, mc_samples=1000,
+                                            out=str(tmp_path)))
+        rep = run(cfg)
+        flavor = "ising" if experiment == "bound-ising" else "spherical"
+        converged, iterations, at_best, starts = [], [], 0, 0
+        r = 0
+        for beta in cfg.beta:
+            for h in cfg.h:
+                model = MixedModel(cfg.n, CovarianceSeries(cfg.xi), beta=beta,
+                                   field=make_field("linear", h, cfg.n))
+                d = sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, r))
+                sup = maximize_tap(TapProblem(model, d, flavor), starts=cfg.starts,
+                                   rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
+                converged.append(sup.converged)
+                final = {}
+                for row in sup.trace:
+                    final[row.start] = row.value
+                iterations += [sum(1 for row in sup.trace if row.start == s)
+                               for s in range(cfg.starts)]
+                at_best += sum(v >= sup.value - 1e-6 * cfg.n for v in final.values())
+                starts += cfg.starts
+                r += 1
+        agg = rep.aggregates
+        assert agg["maximizer_converged_fraction"] == sum(converged) / r
+        assert agg["maximizer_iterations_median"] == float(np.median(iterations))
+        assert agg["maximizer_iterations_max"] == max(iterations)
+        assert agg["maximizer_starts_at_best_fraction"] == at_best / starts
+
     def test_reports_byte_identical_and_worker_independent(self, tmp_path):
         # onsager-markov maps its replicas over the process pool when
         # workers > 1, so the cover and slice code also runs in workers

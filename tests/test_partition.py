@@ -1,7 +1,9 @@
 """Exact and Monte Carlo partition functions, restrictions, slice measures."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,18 +17,21 @@ from tapbound.errors import DomainError, ResourceBudgetError
 from tapbound.geometry import normalize
 from tapbound.hamiltonian import (
     MixedModel,
+    field_custom,
     field_linear,
     field_none,
+    field_quadratic_spike,
     sample_disorder,
 )
 from tapbound.partition import (
     PartitionEstimate,
     log_partition_exact_ising,
     log_partition_mc_sphere,
-    log_partition_naive_ising,
     restricted_log_partition,
     slice_measures,
 )
+
+from oracles import oracle_energy_many, oracle_log_partition_ising
 
 XI0 = CovarianceSeries((0.0,))
 XI2 = CovarianceSeries((0.0, 0.0, 1.0))
@@ -47,29 +52,28 @@ class TestExactIsing:
         assert est.log_value == pytest.approx(n * math.log(math.cosh(beta * h)),
                                               abs=1e-10)
 
-    def test_gray_matches_naive_enumeration(self):
+    def test_blocked_matches_naive_enumeration(self):
         n = 12
         d = sample_disorder(MixedModel(n, XI2), 2024)
         f = field_linear(0.3, n)
         fast = log_partition_exact_ising(d, f, 0.35)
-        slow = log_partition_naive_ising(d, f, 0.35)
-        assert fast.log_value == pytest.approx(slow.log_value, abs=1e-10)
+        slow = oracle_log_partition_ising(d, f, 0.35)
+        assert fast.log_value == pytest.approx(slow, abs=1e-10)
 
-    def test_gray_matches_naive_with_cubic_term(self):
+    def test_blocked_matches_naive_with_cubic_term(self):
         n = 8
         d = sample_disorder(MixedModel(n, XI23), 11)
         fast = log_partition_exact_ising(d, field_none(n), 0.25)
-        slow = log_partition_naive_ising(d, field_none(n), 0.25)
-        assert fast.log_value == pytest.approx(slow.log_value, abs=1e-10)
+        slow = oracle_log_partition_ising(d, field_none(n), 0.25)
+        assert fast.log_value == pytest.approx(slow, abs=1e-10)
 
     def test_spike_field_incremental(self):
         n = 9
         d = sample_disorder(MixedModel(n, XI2), 5)
-        from tapbound.hamiltonian import field_quadratic_spike
         f = field_quadratic_spike(0.4, n)
         fast = log_partition_exact_ising(d, f, 0.3)
-        slow = log_partition_naive_ising(d, f, 0.3)
-        assert fast.log_value == pytest.approx(slow.log_value, abs=1e-10)
+        slow = oracle_log_partition_ising(d, f, 0.3)
+        assert fast.log_value == pytest.approx(slow, abs=1e-10)
 
     def test_budget_errors(self):
         d = sample_disorder(MixedModel(18, XI23), 0)
@@ -82,15 +86,68 @@ class TestExactIsing:
         d = sample_disorder(MixedModel(n, XI2), 9)
         f = field_linear(0.2, n)
         streaming = log_partition_exact_ising(d, f, 0.4).log_value
-        from tapbound.hamiltonian import energy_many
-        from tapbound.partition import _ising_configurations
-        xs = np.concatenate([
-            0.4 * (energy_many(d, blk) + f.value_many(blk))
-            for blk in _ising_configurations(n)])
+        configs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        xs = 0.4 * (oracle_energy_many(d, configs) + f.value_many(configs))
         xs.sort()
         m = xs[-1]
         sorted_lse = m + math.log(np.exp(xs - m).sum()) - n * math.log(2)
         assert streaming == pytest.approx(sorted_lse, abs=1e-12)
+
+
+def custom_field(n):
+    u = np.ones(n)
+    return field_custom(u[None, :], lambda t: 0.7 * n * math.tanh(3.0 * t[0]))
+
+
+FIELDS = {"none": field_none, "linear": lambda n: field_linear(0.3, n),
+          "spike": lambda n: field_quadratic_spike(0.4, n), "custom": custom_field}
+
+
+class TestBlockedEnumeratorMatchesOracle:
+    """The blocked sum against the one-configuration-at-a-time oracle."""
+
+    @pytest.mark.parametrize("xi", [
+        (0.0, 0.0, 1.0),                 # p = 2
+        (0.0, 0.0, 0.0, 1.0),            # p = 3
+        (0.0, 0.0, 0.7, 0.4),            # mixed 2 + 3
+        (0.3, 0.8),                      # p <= 1 only
+        (0.2, 0.5, 0.6, 0.3),            # every degree up to 3
+    ])
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_log_partition(self, xi, kind, n):
+        d = sample_disorder(MixedModel(n, CovarianceSeries(xi)), 100 + n)
+        f = FIELDS[kind](n)
+        got = log_partition_exact_ising(d, f, 0.45).log_value
+        assert got == pytest.approx(oracle_log_partition_ising(d, f, 0.45),
+                                    abs=1e-10)
+
+    def test_above_one_block(self):
+        # N = 14: four blocks of the 2^12 low-spin patterns
+        n = 14
+        d = sample_disorder(MixedModel(n, XI23), 3)
+        f = field_linear(0.2, n)
+        configs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        xs = 0.3 * (oracle_energy_many(d, configs) + f.value_many(configs))
+        top = float(xs.max())
+        expect = top + math.log(math.fsum(np.exp(xs - top))) - n * math.log(2.0)
+        got = log_partition_exact_ising(d, f, 0.3).log_value
+        assert got == pytest.approx(expect, abs=1e-10)
+
+
+def test_enumeration_memory_does_not_grow_with_2_to_the_n():
+    # All 2^20 exponents side by side would alone take 8 MiB.
+    n = 20
+    d = sample_disorder(MixedModel(n, XI2), 4)
+    f = field_linear(0.3, n)
+    log_partition_exact_ising(d, f, 0.4)  # caches the int8 sign blocks
+    tracemalloc.start()
+    try:
+        log_partition_exact_ising(d, f, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 class TestSphereMonteCarlo:
