@@ -1,6 +1,6 @@
 """Desk-scale numerical verification of TAP upper bounds for mixed p-spin models."""
 
-from .covariance import CovarianceSeries, RecenteredSeries, onsager, xi_eval, xi_recenter
+from .covariance import CovarianceSeries, RecenteredSeries
 from .entropy import (
     binary_entropy,
     general_entropy_upper,
@@ -23,7 +23,6 @@ from .hamiltonian import (
     DisorderSample,
     ExternalField,
     MixedModel,
-    effective_field,
     energy,
     field_custom,
     field_linear,

@@ -141,15 +141,3 @@ class RecenteredSeries:
         """(xi_q)_{q'} = xi_{q+q'}; composition stays exact."""
         return self.base.recenter(self.q + q_extra)
 
-
-def xi_eval(series: CovarianceSeries, k: int, x: float) -> float:
-    """Module-level alias for series.evaluate(x, k)."""
-    return series.evaluate(x, k)
-
-
-def xi_recenter(series: CovarianceSeries, q: float) -> RecenteredSeries:
-    return series.recenter(q)
-
-
-def onsager(series: CovarianceSeries, q: float) -> float:
-    return series.onsager(q)

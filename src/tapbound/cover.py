@@ -35,7 +35,7 @@ import numpy as np
 
 from .entropy import ReferenceMeasure, lambda_min_entropy
 from .errors import DomainError, InvariantViolationError
-from .geometry import inner, inner_many, norm, orthonormal_extension
+from .geometry import inner, norm, orthonormal_extension, project_off
 from .hamiltonian import DisorderSample, ExternalField, gradient
 
 ORTHONORMALITY_TOL = 1e-10
@@ -233,11 +233,7 @@ class CoverNode:
 
     def project_out(self, sigma: np.ndarray) -> np.ndarray:
         """Projection onto the complement of all built directions."""
-        rows = self.basis_rows
-        if len(rows) == 0:
-            return np.asarray(sigma, dtype=np.float64).copy()
-        coeffs = inner_many(rows, sigma)
-        return np.asarray(sigma, dtype=np.float64) - coeffs @ rows
+        return project_off(sigma, self.basis_rows)
 
     def to_json(self) -> str:
         payload = {
@@ -407,12 +403,6 @@ class CoverBuilder:
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
-
-def build_node(disorder, measure, field, alpha: IncrementIndex, delta: float,
-               eta: Optional[float] = None) -> CoverNode:
-    return CoverBuilder(disorder, measure, field, alpha.epsilon, delta).build(
-        alpha, eta=eta)
-
 
 def classify(disorder, measure, field, sigma, epsilon: float, eta: float,
              delta: float):

@@ -11,9 +11,9 @@ sphere, plus finite weighted point clouds. Entropy functionals:
   general_entropy_upper   r_delta at the chosen direction; an upper bound of
                           inf_{||lambda||=1} r_delta(m, lambda)
 
-The sphere half-space mass is the 1-D cap integral with density
-(1/sqrt(pi)) Gamma(N/2)/Gamma((N-1)/2) (1 - x^2)^{(N-3)/2}, evaluated by
-adaptive quadrature to 1e-12 absolute on the probability; log taken after.
+The sphere half-space mass is the cap mass of <sigma, u>, whose density is
+proportional to (1 - x^2)^{(N-3)/2}: in closed form the regularized incomplete
+beta function (1/2) I_{1-t^2}((N-1)/2, 1/2) for t >= 0, complemented for t < 0.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, xlogy
+from scipy.special import betainc, xlogy
 
 from .errors import DomainError
 from .geometry import inner, norm, normalize
@@ -160,18 +159,19 @@ def spherical_entropy(m: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _cap_log_mass(n: int, threshold: float) -> float:
-    """log of the uniform-sphere mass of {<sigma, u> >= threshold}."""
+    """log of the uniform-sphere mass of {<sigma, u> >= threshold}.
+
+    For t >= 0 the mass is (1/2) I_{1-t^2}((N-1)/2, 1/2), and 1 minus that
+    at -t for t < 0; at N = 1 (the two points +-1) it is 1/2 on (-1, 1).
+    -inf where the mass underflows float64.
+    """
     if threshold <= -1.0:
         return 0.0
     if threshold > 1.0:
         return -np.inf
-    log_c = -0.5 * np.log(np.pi) + gammaln(n / 2.0) - gammaln((n - 1) / 2.0)
-    c = np.exp(log_c)
-    mass, _ = quad(lambda x: c * (1.0 - x * x) ** ((n - 3) / 2.0),
-                   threshold, 1.0, epsabs=1e-12, limit=200)
-    if mass <= 0.0:
-        return -np.inf
-    return float(np.log(min(mass, 1.0)))
+    half = 0.5 * betainc((n - 1) / 2.0, 0.5, 1.0 - threshold * threshold)
+    with np.errstate(divide="ignore"):
+        return float(np.log(half) if threshold >= 0.0 else np.log1p(-half))
 
 
 def _check_unit_lambda(lam: np.ndarray) -> np.ndarray:
@@ -186,7 +186,8 @@ def halfspace_log_mass(E: ReferenceMeasure, lam: np.ndarray, m: np.ndarray,
     """r_delta(m, lambda) = log E[<lambda, sigma - m> >= -delta]; may be -inf.
 
     Atomic measures are summed exactly (closed inequality, with a 1e-12
-    tie guard) over chunks of the support; the sphere uses the cap quadrature.
+    tie guard) over chunks of the support; the sphere uses the closed-form
+    cap mass.
     """
     lam = _check_unit_lambda(lam)
     m = np.asarray(m, dtype=np.float64)

@@ -305,19 +305,10 @@ def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
     return grad
 
 
-def effective_field(d: DisorderSample, m: np.ndarray) -> np.ndarray:
-    """The effective external field after recentering at m: grad H(m)."""
-    return gradient(d, m)
-
-
 def field_value(f: ExternalField, sigma: np.ndarray) -> float:
     if norm(np.asarray(sigma, dtype=np.float64)) > 1.0 + NORM_TOLERANCE:
         raise DomainError("sigma outside the unit ball")
     return f.value(np.asarray(sigma, dtype=np.float64))
-
-
-def energy_with_field(d: DisorderSample, f: ExternalField, sigma: np.ndarray) -> float:
-    return energy(d, sigma) + field_value(f, sigma)
 
 
 def recentered_energy(d: DisorderSample, m: np.ndarray, sigma_hat: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 from .config import (
@@ -23,14 +24,12 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     report = EXPERIMENTS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - started
     if cfg.out:
-        paths = write_report(report, cfg.out, elapsed_seconds=elapsed)
+        write_report(report, cfg.out, elapsed_seconds=elapsed)
         _write_plots(report, cfg.out)
-        report.aggregates.setdefault("artifacts", sorted(paths.values()))
     return report
 
 
 def _write_plots(report: ExperimentReport, out_dir: str) -> None:
-    import os
     base = os.path.join(out_dir, report.experiment)
     gaps = report.aggregates.get("gap_histogram_values")
     if gaps:

@@ -11,16 +11,18 @@ points, 2 maximizer starts, 3 Monte Carlo, 4 atom picks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from ..covariance import CovarianceSeries
-from ..cover import CoverBuilder, max_levels
+from ..cover import CoverBuilder, max_levels, membership, thin_projection
 from ..entropy import (
     binary_entropy,
     general_entropy_upper,
+    halfspace_log_mass,
     ising_entropy,
     ising_uniform,
     sphere_uniform,
@@ -41,6 +43,7 @@ from ..partition import (
     log_partition_exact_ising,
     log_partition_mc_sphere,
     node_member_mask,
+    slice_measures,
 )
 from ..tap import TapProblem, maximize_tap, tap_energy
 from .config import ExperimentConfig
@@ -59,8 +62,8 @@ def derive_seed(master: int, stream: int, index: int) -> int:
 
 
 def make_field(kind: str, h: float, n: int):
-    if kind == "none" or h == 0.0:
-        return field_none(n) if kind == "none" else field_linear(h, n)
+    if kind == "none":
+        return field_none(n)
     if kind == "linear":
         return field_linear(h, n)
     if kind == "quadratic_spike":
@@ -68,40 +71,45 @@ def make_field(kind: str, h: float, n: int):
     raise ConfigError([f"unknown field kind {kind!r}"])
 
 
-def _map_replicas(func, args_list, workers: int):
-    """Order-preserving map; a process pool when workers > 1."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [func(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, args_list, chunksize=max(1, len(args_list) // (4 * workers))))
+def _disorder(cfg: ExperimentConfig, r: int, xi, beta: float, field):
+    """Replica r's disorder (its model attached), drawn from the disorder stream."""
+    model = MixedModel(field.n, CovarianceSeries(xi), beta=beta, field=field)
+    return sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, r))
+
+
+def _replicas(cfg: ExperimentConfig) -> list:
+    return [(r,) for r in range(cfg.replicas)]
+
+
+def _map_replicas(func, cfg: ExperimentConfig, tasks: list) -> list:
+    """[func(cfg, *task) for task in tasks], in order; a process pool when
+    cfg.workers > 1."""
+    if cfg.workers <= 1 or len(tasks) <= 1:
+        return [func(cfg, *task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(func, itertools.repeat(cfg, len(tasks)), *zip(*tasks),
+                             chunksize=max(1, len(tasks) // (4 * cfg.workers))))
 
 
 # ---------------------------------------------------------------------------
 # 1. beta0-exact: at beta = 0 the bound is an identity
 # ---------------------------------------------------------------------------
 
-def _beta0_case(args):
-    n, xi, master, r = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=0.0, field=field_none(n))
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
-    log_z = log_partition_exact_ising(d, model.field, 0.0).log_value
-    problem = TapProblem(model, d, "ising")
-    sup = maximize_tap(problem, starts=2,
-                       rng_seed=derive_seed(master, STREAM_STARTS, r))
+def _beta0_case(cfg, r, n, xi):
+    d = _disorder(cfg, r, xi, 0.0, field_none(n))
+    log_z = log_partition_exact_ising(d, d.model.field, 0.0).log_value
+    sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=2,
+                       rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
     gap = (log_z - sup.value) / n
     return [n, repr(list(xi)), r, log_z, sup.value, gap]
 
 
 def run_beta0_exact(cfg: ExperimentConfig) -> ExperimentReport:
-    cases = []
-    r = 0
-    for n, xi in ((4, (0.0,)), (4, (0.3, 0.2, 1.0, 0.5)), (9, tuple(cfg.xi)),
-                  (min(cfg.n, 16), tuple(cfg.xi))):
-        for _ in range(max(1, cfg.replicas // 4)):
-            cases.append((n, xi, cfg.seed, r))
-            r += 1
-    rows = _map_replicas(_beta0_case, cases, cfg.workers)
+    sizes = ((4, (0.0,)), (4, (0.3, 0.2, 1.0, 0.5)), (9, cfg.xi),
+             (min(cfg.n, 16), cfg.xi))
+    cases = [size for size in sizes for _ in range(max(1, cfg.replicas // 4))]
+    rows = _map_replicas(_beta0_case, cfg,
+                         [(r, n, xi) for r, (n, xi) in enumerate(cases)])
     gaps = np.array([abs(row[5]) for row in rows])
     crit = Criterion("beta0-gap", bool(np.all(gaps <= 1e-10)), float(gaps.max()),
                      1e-10, "per-spin |log Z - sup| <= 1e-10 at beta=0", len(rows))
@@ -117,16 +125,14 @@ def run_beta0_exact(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_zero_disorder(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n
-    series = CovarianceSeries((0.0,))
     rows = []
     z_errs, tap_errs = [], []
     for i, h in enumerate(cfg.h):
         for b in cfg.beta:
-            model = MixedModel(n, series, beta=b, field=field_linear(h, n))
-            d = sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, i))
+            d = _disorder(cfg, i, (0.0,), b, field_linear(h, n))
             target = n * math.log(math.cosh(b * h))
-            log_z = log_partition_exact_ising(d, model.field, b).log_value
-            sup = maximize_tap(TapProblem(model, d, "ising"), starts=cfg.starts,
+            log_z = log_partition_exact_ising(d, d.model.field, b).log_value
+            sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=cfg.starts,
                                rng_seed=derive_seed(cfg.seed, STREAM_STARTS, i))
             z_errs.append(abs(log_z - target))
             tap_errs.append(abs(sup.value - target))
@@ -159,12 +165,26 @@ def _gaussian_law_probes(n, master):
     return pairs, m, mp
 
 
-def _gaussian_law_replica(args):
-    master, r, n, xi = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=1.0, field=field_none(n))
-    pairs, m, mp = _gaussian_law_probes(n, master)
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
+def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
+                    aggregates) -> ExperimentReport:
+    """Replica means of the features against their expected values: passes
+    when every mean lies within 5 standard errors."""
+    feats = np.array(_map_replicas(replica, cfg, _replicas(cfg)))
+    means = feats.mean(axis=0)
+    ses = feats.std(axis=0, ddof=1) / math.sqrt(len(feats))
+    zs = np.abs(means - np.array(expected)) / np.maximum(ses, 1e-300)
+    rows = [[nm, float(mu), float(ex), float(se), float(z)]
+            for nm, mu, ex, se, z in zip(names, means, expected, ses, zs)]
+    crit = Criterion(criterion, bool(np.all(zs <= 5.0)), float(zs.max()),
+                     5.0, tolerance, cfg.replicas)
+    return ExperimentReport(cfg.experiment, cfg.asdict(),
+                            ["statistic", "empirical", "expected", "se", "z"],
+                            rows, [crit], {"max_z": float(zs.max()), **aggregates})
+
+
+def _gaussian_law_replica(cfg, r):
+    pairs, m, mp = _gaussian_law_probes(cfg.n, cfg.seed)
+    d = _disorder(cfg, r, cfg.xi, 1.0, field_none(cfg.n))
     pts = np.array([p for ab in pairs for p in ab])
     vals = energy_many(d, pts)
     gm = gradient(d, m)
@@ -180,11 +200,9 @@ def _gaussian_law_replica(args):
 
 
 def run_gaussian_law(cfg: ExperimentConfig) -> ExperimentReport:
-    n, xi = cfg.n, tuple(cfg.xi)
-    series = CovarianceSeries(xi)
+    n = cfg.n
+    series = CovarianceSeries(cfg.xi)
     pairs, m, mp = _gaussian_law_probes(n, cfg.seed)
-    args = [(cfg.seed, r, n, xi) for r in range(cfg.replicas)]
-    feats = np.array(_map_replicas(_gaussian_law_replica, args, cfg.workers))
     names, expected = [], []
     for k, (a, b) in enumerate(pairs):
         names.append(f"cov-energy-pair{k}")
@@ -199,16 +217,9 @@ def run_gaussian_law(cfg: ExperimentConfig) -> ExperimentReport:
     for i in (0, 2, 5):
         names.append(f"cov-energy-grad{i}")
         expected.append(a0[i] * xi1_cross)
-    means = feats.mean(axis=0)
-    ses = feats.std(axis=0, ddof=1) / math.sqrt(len(feats))
-    zs = np.abs(means - np.array(expected)) / np.maximum(ses, 1e-300)
-    rows = [[nm, float(mu), float(ex), float(se), float(z)]
-            for nm, mu, ex, se, z in zip(names, means, expected, ses, zs)]
-    crit = Criterion("covariance-5se", bool(np.all(zs <= 5.0)), float(zs.max()),
-                     5.0, "all empirical covariances within 5 SE", cfg.replicas)
-    return ExperimentReport(cfg.experiment, cfg.asdict(),
-                            ["statistic", "empirical", "expected", "se", "z"],
-                            rows, [crit], {"max_z": float(zs.max())})
+    return _five_se_report(cfg, _gaussian_law_replica, names, expected,
+                           "covariance-5se", "all empirical covariances within 5 SE",
+                           {})
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +242,9 @@ def _recentering_probes(n, master):
     return m, (s1, s2, s3), w
 
 
-def _recentering_replica(args):
-    master, r, n, xi = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=1.0, field=field_none(n))
-    m, (s1, s2, s3), w = _recentering_probes(n, master)
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
+def _recentering_replica(cfg, r):
+    m, (s1, s2, s3), w = _recentering_probes(cfg.n, cfg.seed)
+    d = _disorder(cfg, r, cfg.xi, 1.0, field_none(cfg.n))
     g = gradient(d, m)
     hm = energy(d, m)
     pts = np.array([m + s1, m + s2, m + s3])
@@ -250,28 +258,18 @@ def _recentering_replica(args):
 
 
 def run_recentering_law(cfg: ExperimentConfig) -> ExperimentReport:
-    n, xi = cfg.n, tuple(cfg.xi)
-    series = CovarianceSeries(xi)
+    n = cfg.n
     m, (s1, s2, s3), w = _recentering_probes(n, cfg.seed)
     q = inner(m, m)
-    xi_q = series.recenter(q)
-    args = [(cfg.seed, r, n, xi) for r in range(cfg.replicas)]
-    feats = np.array(_map_replicas(_recentering_replica, args, cfg.workers))
+    xi_q = CovarianceSeries(cfg.xi).recenter(q)
     names = ["cov-rec-12", "cov-rec-13", "var-rec-1",
              "cross-rec-energy", "cross-rec-gradperp", "cross-energy-gradperp"]
     expected = [n * xi_q(inner(s1, s2)), n * xi_q(inner(s1, s3)),
                 n * xi_q(inner(s1, s1)), 0.0, 0.0, 0.0]
-    means = feats.mean(axis=0)
-    ses = feats.std(axis=0, ddof=1) / math.sqrt(len(feats))
-    zs = np.abs(means - np.array(expected)) / np.maximum(ses, 1e-300)
-    rows = [[nm, float(mu), float(ex), float(se), float(z)]
-            for nm, mu, ex, se, z in zip(names, means, expected, ses, zs)]
-    crit = Criterion("recentering-5se", bool(np.all(zs <= 5.0)), float(zs.max()),
-                     5.0, "recentered covariances and cross terms within 5 SE",
-                     cfg.replicas)
-    return ExperimentReport(cfg.experiment, cfg.asdict(),
-                            ["statistic", "empirical", "expected", "se", "z"],
-                            rows, [crit], {"max_z": float(zs.max()), "q": q})
+    return _five_se_report(cfg, _recentering_replica, names, expected,
+                           "recentering-5se",
+                           "recentered covariances and cross terms within 5 SE",
+                           {"q": q})
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +279,12 @@ def run_recentering_law(cfg: ExperimentConfig) -> ExperimentReport:
 def run_gradient_check(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 2)))
-    series = CovarianceSeries(cfg.xi)
     step = 1e-5
     rows = []
     worst = 0.0
     for trial in range(cfg.replicas):
         n = int(rng.integers(4, 10))
-        model = MixedModel(n, series, beta=1.0, field=field_none(n))
-        d = sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, trial))
+        d = _disorder(cfg, trial, cfg.xi, 1.0, field_none(n))
         sigma = rng.uniform(0.2, 0.9) * normalize(rng.standard_normal(n))
         g = gradient(d, sigma)
         fd = np.empty(n)
@@ -310,24 +306,25 @@ def run_gradient_check(cfg: ExperimentConfig) -> ExperimentReport:
 # 6. cover-property: classification covers the sphere with controlled geometry
 # ---------------------------------------------------------------------------
 
-def _cover_sphere_replica(args):
-    (master, r, n, xi, eps, eta, delta, h, count) = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=1.0, field=field_linear(h, n))
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
-    builder = CoverBuilder(d, sphere_uniform(n), model.field, eps, delta)
+def _cover_h(cfg: ExperimentConfig) -> float:
+    return cfg.h[0] if cfg.h else 0.3
+
+
+def _cover_sphere_replica(cfg, r):
+    n = cfg.n
+    d = _disorder(cfg, r, cfg.xi, 1.0, field_linear(_cover_h(cfg), n))
+    builder = CoverBuilder(d, sphere_uniform(n), d.model.field, cfg.epsilon, cfg.delta)
     rng = np.random.default_rng(
-        np.random.SeedSequence(master, spawn_key=(STREAM_PROBE, r)))
+        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, r)))
     out = []
-    for _ in range(count):
+    for _ in range(max(1, cfg.points // cfg.replicas)):
         sigma = normalize(rng.standard_normal(n))
-        alpha, node = builder.classify(sigma, eta)
+        alpha, node = builder.classify(sigma, cfg.eta)
         sigma_hat = sigma - node.m
         rows = node.basis_rows
         proj_u = inner_many(rows, sigma_hat) @ rows
         heff = gradient(d, node.m)
         resid = node.project_out(sigma)
-        from ..cover import membership, thin_projection
         chk = membership(node, sigma)
         tau = thin_projection(node, sigma)
         out.append([r, alpha.k, int(chk.in_e), norm(proj_u),
@@ -338,12 +335,8 @@ def _cover_sphere_replica(args):
 
 
 def run_cover_property(cfg: ExperimentConfig) -> ExperimentReport:
-    n, eps, eta, delta = cfg.n, cfg.epsilon, cfg.eta, cfg.delta
-    h = cfg.h[0] if cfg.h else 0.3
-    per = max(1, cfg.points // cfg.replicas)
-    args = [(cfg.seed, r, n, tuple(cfg.xi), eps, eta, delta, h, per)
-            for r in range(cfg.replicas)]
-    chunks = _map_replicas(_cover_sphere_replica, args, cfg.workers)
+    eta = cfg.eta
+    chunks = _map_replicas(_cover_sphere_replica, cfg, _replicas(cfg))
     rows = [row for chunk in chunks for row in chunk]
     arr = np.array([row[1:] for row in rows], dtype=np.float64)
     k_cap = math.floor(5.0 / eta ** 2)
@@ -369,19 +362,16 @@ def run_cover_property(cfg: ExperimentConfig) -> ExperimentReport:
     # exhaustive check over all ising atoms at a smaller size; eta is widened
     # so the stopping rule can fire before the dimensions run out
     n2, eta2 = 12, 0.8
-    model2 = MixedModel(n2, CovarianceSeries(cfg.xi), beta=1.0,
-                        field=field_linear(h, n2))
-    d2 = sample_disorder(model2, derive_seed(cfg.seed, STREAM_DISORDER, 10**6))
+    d2 = _disorder(cfg, 10**6, cfg.xi, 1.0, field_linear(_cover_h(cfg), n2))
     E2 = ising_uniform(n2)
-    builder2 = CoverBuilder(d2, E2, model2.field, eps, delta)
+    builder2 = CoverBuilder(d2, E2, d2.model.field, cfg.epsilon, cfg.delta)
     atoms, _ = E2.atoms()
     ok = 0
     kmax2 = 0
-    from ..cover import membership as _membership
     for sigma in atoms.astype(np.float64):
         alpha, node = builder2.classify(sigma, eta2)
         kmax2 = max(kmax2, alpha.k)
-        if _membership(node, sigma).in_e:
+        if membership(node, sigma).in_e:
             ok += 1
     crits.append(Criterion("exhaustive-ising-atoms", ok == len(atoms),
                            ok / len(atoms), 1.0,
@@ -402,30 +392,34 @@ def run_cover_property(cfg: ExperimentConfig) -> ExperimentReport:
 # 7. slice-entropy: region mass vs the entropy surrogate at its center
 # ---------------------------------------------------------------------------
 
-def _slice_entropy_replica(args):
-    master, r, n, xi, eps, eta, delta, h = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=1.0, field=field_linear(h, n))
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
+def _classified_atom(cfg, r, beta):
+    """Replica r's Ising cover builder and the (alpha, node) of one uniformly
+    drawn atom."""
+    n = cfg.n
+    d = _disorder(cfg, r, cfg.xi, beta, field_linear(_cover_h(cfg), n))
     E = ising_uniform(n)
-    builder = CoverBuilder(d, E, model.field, eps, delta)
+    builder = CoverBuilder(d, E, d.model.field, cfg.epsilon, cfg.delta)
     atoms, _ = E.atoms()
     rng = np.random.default_rng(
-        np.random.SeedSequence(master, spawn_key=(STREAM_ATOM, r)))
+        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_ATOM, r)))
     sigma = atoms[int(rng.integers(len(atoms)))].astype(np.float64)
-    alpha, node = builder.classify(sigma, eta)
-    mask = node_member_mask(node, atoms.astype(np.float64))
+    alpha, node = builder.classify(sigma, cfg.eta)
+    return builder, alpha, node
+
+
+def _slice_entropy_replica(cfg, r):
+    builder, alpha, node = _classified_atom(cfg, r, 1.0)
+    E, delta = builder.measure, cfg.delta
+    mask = node_member_mask(node, E.atoms()[0].astype(np.float64))
     mass = mask.mean()  # uniform atoms
     upper = general_entropy_upper(E, node.m, delta,
-                                  extra_directions=model.field.basis)
+                                  extra_directions=builder.field.basis)
     log_mass = math.log(mass) if mass > 0 else -math.inf
     return [r, alpha.k, mass, log_mass, upper, float(log_mass <= upper + delta + 1e-10)]
 
 
 def run_slice_entropy(cfg: ExperimentConfig) -> ExperimentReport:
-    args = [(cfg.seed, r, cfg.n, tuple(cfg.xi), cfg.epsilon, cfg.eta, cfg.delta,
-             cfg.h[0] if cfg.h else 0.3) for r in range(cfg.replicas)]
-    rows = _map_replicas(_slice_entropy_replica, args, cfg.workers)
+    rows = _map_replicas(_slice_entropy_replica, cfg, _replicas(cfg))
     ok = all(row[5] == 1.0 for row in rows)
     exceptions = sum(1 for row in rows if row[5] != 1.0)
     crit = Criterion("slice-entropy-bound", ok, float(exceptions), 0.0,
@@ -441,39 +435,24 @@ def run_slice_entropy(cfg: ExperimentConfig) -> ExperimentReport:
 # 8. onsager-markov: slice partition functions vs the Onsager exponent
 # ---------------------------------------------------------------------------
 
-def _onsager_replica(args):
-    master, r, n, xi, beta, eps, eta, delta, h = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=beta, field=field_linear(h, n))
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
-    E = ising_uniform(n)
-    builder = CoverBuilder(d, E, model.field, eps, delta)
-    atoms, _ = E.atoms()
-    rng = np.random.default_rng(
-        np.random.SeedSequence(master, spawn_key=(STREAM_ATOM, r)))
-    sigma = atoms[int(rng.integers(len(atoms)))].astype(np.float64)
-    alpha, node = builder.classify(sigma, eta)
-    mask = node_member_mask(node, atoms.astype(np.float64))
-    members = atoms[mask].astype(np.float64)
-    # thin-slice pushforward then the recentered Hamiltonian on it
-    from ..cover import thin_projection
-    taus = np.array([thin_projection(node, s) for s in members])
+def _onsager_replica(cfg, r):
+    n, beta = cfg.n, cfg.beta[0]
+    builder, alpha, node = _classified_atom(cfg, r, beta)
+    d = builder.disorder
+    # the recentered Hamiltonian on the thin-slice image of the region
+    taus = slice_measures(builder.measure, node).thin_pushforward.points
     g = gradient(d, node.m)
     hm = energy(d, node.m)
     vals = beta * (energy_many(d, node.m + taus) - taus @ g - hm)
     mx = float(vals.max())
     log_mean = mx + math.log(float(np.exp(vals - mx).mean()))
-    threshold = 0.5 * beta ** 2 * n * series.onsager(node.q) + delta * n
-    return [r, alpha.k, node.q, len(members), log_mean, threshold,
+    threshold = 0.5 * beta ** 2 * n * d.model.series.onsager(node.q) + cfg.delta * n
+    return [r, alpha.k, node.q, len(taus), log_mean, threshold,
             float(log_mean >= threshold)]
 
 
 def run_onsager_markov(cfg: ExperimentConfig) -> ExperimentReport:
-    beta = cfg.beta[0]
-    args = [(cfg.seed, r, cfg.n, tuple(cfg.xi), beta, cfg.epsilon, cfg.eta,
-             cfg.delta, cfg.h[0] if cfg.h else 0.3)
-            for r in range(cfg.replicas)]
-    rows = _map_replicas(_onsager_replica, args, cfg.workers)
+    rows = _map_replicas(_onsager_replica, cfg, _replicas(cfg))
     viol = np.array([row[6] for row in rows])
     freq = float(viol.mean())
     p0 = math.exp(-cfg.delta * cfg.n)
@@ -518,28 +497,26 @@ def _maximizer_aggregates(diagnostics) -> dict:
     }
 
 
-def _bound_ising_replica(args):
-    master, r, n, xi, beta, h, starts = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=beta, field=make_field("linear", h, n))
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
-    log_z = log_partition_exact_ising(d, model.field, beta).log_value
-    sup = maximize_tap(TapProblem(model, d, "ising"), starts=starts,
-                       rng_seed=derive_seed(master, STREAM_STARTS, r))
+def _bound_grid(cfg: ExperimentConfig) -> list:
+    """(beta, h, replica) tasks over the beta x h grid, cfg.replicas per cell,
+    replicas numbered across the whole grid."""
+    cells = itertools.product(cfg.beta, cfg.h, range(cfg.replicas))
+    return [(beta, h, r) for r, (beta, h, _) in enumerate(cells)]
+
+
+def _bound_ising_replica(cfg, beta, h, r):
+    n = cfg.n
+    d = _disorder(cfg, r, cfg.xi, beta, field_linear(h, n))
+    log_z = log_partition_exact_ising(d, d.model.field, beta).log_value
+    sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=cfg.starts,
+                       rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
     return ([beta, h, r, log_z, sup.value, (log_z - sup.value) / n],
             _maximizer_diagnostics(sup, n))
 
 
 def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
-    args = []
-    r = 0
-    for beta in cfg.beta:
-        for h in cfg.h:
-            for _ in range(cfg.replicas):
-                args.append((cfg.seed, r, cfg.n, tuple(cfg.xi), beta, h,
-                             cfg.starts))
-                r += 1
-    rows, diagnostics = zip(*_map_replicas(_bound_ising_replica, args, cfg.workers))
+    rows, diagnostics = zip(*_map_replicas(_bound_ising_replica, cfg,
+                                           _bound_grid(cfg)))
     gaps = np.array([row[5] for row in rows])
     crit = Criterion("gap-bound", bool(np.all(gaps <= cfg.delta_check)),
                      float(gaps.max()), cfg.delta_check,
@@ -554,30 +531,21 @@ def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
                              **_maximizer_aggregates(diagnostics)})
 
 
-def _bound_sphere_replica(args):
-    master, r, n, xi, beta, h, starts, mc = args
-    series = CovarianceSeries(xi)
-    model = MixedModel(n, series, beta=beta, field=make_field("linear", h, n))
-    d = sample_disorder(model, derive_seed(master, STREAM_DISORDER, r))
-    est = log_partition_mc_sphere(d, model.field, beta, mc,
-                                  derive_seed(master, STREAM_MC, r))
-    sup = maximize_tap(TapProblem(model, d, "spherical"), starts=starts,
-                       rng_seed=derive_seed(master, STREAM_STARTS, r))
+def _bound_sphere_replica(cfg, beta, h, r):
+    n = cfg.n
+    d = _disorder(cfg, r, cfg.xi, beta, field_linear(h, n))
+    est = log_partition_mc_sphere(d, d.model.field, beta, cfg.mc_samples,
+                                  derive_seed(cfg.seed, STREAM_MC, r))
+    sup = maximize_tap(TapProblem(d.model, d, "spherical"), starts=cfg.starts,
+                       rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
     gap = (est.log_value - sup.value) / n
     return ([beta, h, r, est.log_value, est.std_error, sup.value, gap],
             _maximizer_diagnostics(sup, n))
 
 
 def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
-    args = []
-    r = 0
-    for beta in cfg.beta:
-        for h in cfg.h:
-            for _ in range(cfg.replicas):
-                args.append((cfg.seed, r, cfg.n, tuple(cfg.xi), beta, h,
-                             cfg.starts, cfg.mc_samples))
-                r += 1
-    rows, diagnostics = zip(*_map_replicas(_bound_sphere_replica, args, cfg.workers))
+    rows, diagnostics = zip(*_map_replicas(_bound_sphere_replica, cfg,
+                                           _bound_grid(cfg)))
     gaps = np.array([row[6] for row in rows])
     slack = np.array([3 * row[4] / cfg.n for row in rows])
     adjusted = gaps - slack
@@ -641,7 +609,6 @@ def run_entropy_lemmas(cfg: ExperimentConfig) -> ExperimentReport:
     rows.append(["outside-box-minus-infinity", float(hit), 100])
     # (d) sphere cap mass against the closed-form upper bound
     n_cap = 20
-    from ..entropy import halfspace_log_mass
     lam = np.zeros(n_cap)
     lam[0] = math.sqrt(n_cap)
     cap_ok = True
@@ -677,7 +644,7 @@ def run_entropy_lemmas(cfg: ExperimentConfig) -> ExperimentReport:
         Criterion("outside-box", hit == 100, float(hit), 100.0,
                   "entropy surrogate -inf when d(m, cube) > delta", 100),
         Criterion("sphere-cap-bound", bool(cap_ok), float(worst_cap), 0.0,
-                  "cap quadrature <= sqrt(N/2pi)(1-a^2)^((N-3)/2)", 50),
+                  "cap mass <= sqrt(N/2pi)(1-a^2)^((N-3)/2)", 50),
         Criterion("spherical-entropy-domination", bool(dom_ok), float(worst_dom),
                   0.0, "surrogate <= (N/2) log(1-q+2 delta ||m||) + delta N", 16),
     ]
@@ -715,9 +682,8 @@ def run_tap_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     for r in range(cfg.replicas):
         beta = cfg.beta[r % len(cfg.beta)]
         h = cfg.h[r % len(cfg.h)]
-        model = MixedModel(n, series, beta=beta, field=make_field("linear", h, n))
-        d = sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, r))
-        problem = TapProblem(model, d, "ising")
+        d = _disorder(cfg, r, cfg.xi, beta, field_linear(h, n))
+        problem = TapProblem(d.model, d, "ising")
         L = max(beta, L_xi, 1.0)
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 5, r)))
@@ -787,13 +753,10 @@ def run_series_identities(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_tap_max(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n
-    series = CovarianceSeries(cfg.xi)
-    beta = cfg.beta[0]
     h = cfg.h[0] if cfg.h else 0.0
-    model = MixedModel(n, series, beta=beta, field=make_field(cfg.field, h, n))
-    d = sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, 0))
+    d = _disorder(cfg, 0, cfg.xi, cfg.beta[0], make_field(cfg.field, h, n))
     flavor = "ising" if cfg.measure == "ising" else "spherical"
-    problem = TapProblem(model, d, flavor)
+    problem = TapProblem(d.model, d, flavor)
     out = maximize_tap(problem, starts=cfg.starts,
                        rng_seed=derive_seed(cfg.seed, STREAM_STARTS, 0))
     rows = [[row.start, row.iteration, row.value, row.grad_norm, row.step]

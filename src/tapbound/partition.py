@@ -175,10 +175,34 @@ def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ThinPushforward:
+    """The conditioned measure's image under thin_projection: weighted points
+    on the slice shell of squared radius 1 - q, plus the origin for members
+    whose projection vanishes."""
+
+    points: np.ndarray  # (M, n)
+    weights: np.ndarray  # (M,) positive, normalized to sum to 1
+    q: float
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
+        w = np.asarray(self.weights, dtype=np.float64)
+        if len(pts) != len(w) or len(pts) == 0 or np.any(w <= 0):
+            raise DomainError("pushforward needs matching points and positive weights")
+        radius_sq = (pts ** 2).sum(axis=1) / pts.shape[1]
+        on_shell = np.abs(radius_sq - (1.0 - self.q)) <= 1e-9
+        if not np.all(on_shell | (radius_sq == 0.0)):
+            raise DomainError("pushforward points must lie on the shell of "
+                              "squared radius 1 - q or at the origin")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", w / w.sum())
+
+
+@dataclass(frozen=True)
 class SliceMeasures:
     mass: float
     conditional: Optional[ReferenceMeasure]
-    thin_pushforward: Optional[ReferenceMeasure]
+    thin_pushforward: Optional[ThinPushforward]
     empty: bool
     mass_std_error: float = 0.0
 
@@ -214,7 +238,7 @@ def slice_measures(E: ReferenceMeasure, node: CoverNode,
         w = wts[mask] / mass
         tau = np.array([thin_projection(node, s) for s in members])
         cond = point_cloud(members, w)
-        return SliceMeasures(mass, cond, _raw_cloud(tau, w, node.n), False)
+        return SliceMeasures(mass, cond, ThinPushforward(tau, w, node.q), False)
     pts = _sphere_samples(E.n, mc_samples, rng_seed)
     mask = node_member_mask(node, pts, eta)
     hits = int(mask.sum())
@@ -225,16 +249,6 @@ def slice_measures(E: ReferenceMeasure, node: CoverNode,
     members = pts[mask]
     w = np.full(hits, 1.0 / hits)
     tau = np.array([thin_projection(node, s) for s in members])
-    return SliceMeasures(mass, point_cloud(members, w), _raw_cloud(tau, w, node.n),
+    return SliceMeasures(mass, point_cloud(members, w), ThinPushforward(tau, w, node.q),
                          False, mass_std_error=se)
 
-
-def _raw_cloud(points: np.ndarray, weights: np.ndarray, n: int) -> ReferenceMeasure:
-    """Point cloud off the unit sphere (thin-slice images have radius < 1)."""
-    m = ReferenceMeasure.__new__(ReferenceMeasure)
-    object.__setattr__(m, "kind", "point_cloud")
-    object.__setattr__(m, "n", n)
-    object.__setattr__(m, "points", np.asarray(points, dtype=np.float64))
-    w = np.asarray(weights, dtype=np.float64)
-    object.__setattr__(m, "weights", w / w.sum())
-    return m

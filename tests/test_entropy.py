@@ -152,8 +152,30 @@ class TestHalfspaceLogMass:
             expect = math.log(0.5 * betainc((12 - 1) / 2, 0.5, 1 - t * t))
             assert got == pytest.approx(expect, abs=1e-9)
 
+    @pytest.mark.parametrize("n, exact", [
+        (1, lambda t: 0.5),                        # the two points +-1
+        (2, lambda t: math.acos(t) / math.pi),     # uniform angle on the circle
+        (3, lambda t: (1 - t) / 2),                # Archimedes: <sigma, u> uniform
+    ], ids=["N1", "N2", "N3"])
+    def test_sphere_cap_small_n_closed_forms(self, n, exact):
+        E = sphere_uniform(n)
+        lam = np.zeros(n)
+        lam[0] = np.sqrt(n)
+        for t in np.linspace(-0.99, 0.99, 23):
+            got = halfspace_log_mass(E, lam, t * lam, 0.0)
+            assert got == pytest.approx(math.log(exact(t)), abs=1e-12)
+
+    def test_sphere_cap_large_n_reference(self):
+        # log(1/2 I_{0.91}(1999/2, 1/2)) from mpmath's regularized incomplete
+        # beta function at 50 digits
+        n = 2000
+        lam = np.zeros(n)
+        lam[0] = np.sqrt(n)
+        got = halfspace_log_mass(sphere_uniform(n), lam, 0.3 * lam, 0.0)
+        assert got == pytest.approx(-97.78380689412857, abs=1e-12)
+
     def test_sphere_cap_upper_bound(self):
-        # quadrature values on an alpha-grid obey sqrt(N/2pi)(1-a^2)^{(N-3)/2}
+        # cap masses on an alpha-grid obey sqrt(N/2pi)(1-a^2)^{(N-3)/2}
         n, delta = 20, 0.1
         E = sphere_uniform(n)
         lam = np.zeros(n)

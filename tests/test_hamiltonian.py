@@ -10,7 +10,6 @@ from tapbound.errors import DomainError, ResourceBudgetError
 from tapbound.geometry import inner, norm, normalize
 from tapbound.hamiltonian import (
     MixedModel,
-    effective_field,
     energy,
     energy_many,
     field_custom,
@@ -350,12 +349,6 @@ class TestExternalField:
 
 
 class TestEffectiveFieldAndProbes:
-    def test_effective_field_aliases_gradient(self):
-        d = sample_disorder(MixedModel(6, XI23), 31)
-        rng = np.random.default_rng(11)
-        m = 0.4 * unit_vector(rng, 6)
-        assert np.array_equal(effective_field(d, m), gradient(d, m))
-
     def test_probe_zero_field(self):
         d = sample_disorder(MixedModel(6, CovarianceSeries((0.0,))), 0)
         probe = lipschitz_probe(d, 10, 0)
@@ -441,16 +434,3 @@ class TestPersistence:
         model, path = self._saved(tmp_path)
         with pytest.raises(DomainError):
             load_disorder(path, MixedModel(5, XI2))
-
-
-class TestTotalHamiltonian:
-    def test_energy_with_field_is_sum(self):
-        from tapbound.hamiltonian import energy_with_field
-        n = 6
-        model = MixedModel(n, XI23, field=field_linear(0.3, n))
-        d = sample_disorder(model, 44)
-        rng = np.random.default_rng(12)
-        sigma = 0.8 * unit_vector(rng, n)
-        total = energy_with_field(d, model.field, sigma)
-        assert total == pytest.approx(
-            energy(d, sigma) + field_value(model.field, sigma), abs=0)

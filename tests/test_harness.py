@@ -17,7 +17,21 @@ from tapbound.harness import (
     with_overrides,
 )
 from tapbound.harness.config import ExperimentConfig
+from tapbound.harness.experiments import make_field
 from tapbound.harness.report import histogram_svg, polyline_svg
+
+# Tiny configs of the experiments that map their replicas over the process
+# pool, each with at least two replica tasks
+POOLED = {
+    "beta0-exact": dict(n=8, replicas=4),
+    "gaussian-law": dict(replicas=40),
+    "recentering-law": dict(replicas=40),
+    "cover-property": dict(n=8, replicas=2, points=20),
+    "slice-entropy": dict(n=8, replicas=3),
+    "onsager-markov": dict(n=10, replicas=4),
+    "bound-ising": dict(n=8, replicas=1),
+    "bound-sphere": dict(n=8, replicas=1, mc_samples=1000),
+}
 
 
 class TestConfigParsing:
@@ -68,6 +82,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             with_overrides(cfg, replicas=0)
 
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    def test_field_kind_kept_and_unknown_rejected(self, h):
+        for kind in ("none", "linear", "quadratic_spike"):
+            assert make_field(kind, h, 6).kind == kind
+        with pytest.raises(ConfigError):
+            make_field("bogus", h, 6)
+
 
 class TestRunAndArtifacts:
     def test_beta0_gaps_are_zero(self):
@@ -94,7 +115,7 @@ class TestRunAndArtifacts:
     def test_maximizer_diagnostics_in_aggregates(self, experiment, tmp_path):
         # Recomputed from maximize_tap with the benchmark tracer's definitions
         from tapbound.harness.experiments import (
-            STREAM_DISORDER, STREAM_STARTS, derive_seed, make_field)
+            STREAM_DISORDER, STREAM_STARTS, derive_seed)
         from tapbound.covariance import CovarianceSeries
         from tapbound.hamiltonian import MixedModel, sample_disorder
         from tapbound.tap import TapProblem, maximize_tap
@@ -126,19 +147,27 @@ class TestRunAndArtifacts:
         assert agg["maximizer_iterations_max"] == max(iterations)
         assert agg["maximizer_starts_at_best_fraction"] == at_best / starts
 
-    def test_reports_byte_identical_and_worker_independent(self, tmp_path):
-        # onsager-markov maps its replicas over the process pool when
-        # workers > 1, so the cover and slice code also runs in workers
+    @pytest.mark.parametrize("experiment", sorted(POOLED))
+    def test_reports_byte_identical_and_worker_independent(self, experiment,
+                                                           tmp_path):
+        # each of these maps two or more replica tasks over the process pool
+        # when workers > 1, so the config and the replica code run in workers
         digests = []
         for tag, workers in (("a", 1), ("b", 2)):
             out = str(tmp_path / tag)
-            run(build_config("onsager-markov",
-                             dict(out=out, workers=workers, n=10, replicas=4)))
+            run(build_config(experiment,
+                             dict(POOLED[experiment], out=out, workers=workers)))
             blob = b""
-            for name in ("onsager-markov.report.json", "onsager-markov.rows.csv"):
-                blob += (tmp_path / tag / name).read_bytes()
+            for suffix in (".report.json", ".rows.csv"):
+                blob += (tmp_path / tag / (experiment + suffix)).read_bytes()
             digests.append(hashlib.sha256(blob).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_in_memory_report_matches_written_file(self, tmp_path):
+        rep = run(build_config("beta0-exact", dict(n=8, replicas=4,
+                                                   out=str(tmp_path))))
+        written = (tmp_path / "beta0-exact.report.json").read_bytes()
+        assert written == (rep.to_json() + "\n").encode()
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TAPBOUND_OUT", str(tmp_path / "envout"))

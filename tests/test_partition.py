@@ -25,6 +25,7 @@ from tapbound.hamiltonian import (
 )
 from tapbound.partition import (
     PartitionEstimate,
+    ThinPushforward,
     log_partition_exact_ising,
     log_partition_mc_sphere,
     restricted_log_partition,
@@ -288,6 +289,20 @@ class TestSliceMeasures:
         radii = (out.thin_pushforward.points ** 2).sum(axis=1) / n
         target = 1 - node.q
         assert np.allclose(radii[radii > 1e-12], target, atol=1e-9)
+
+    def test_pushforward_rejects_points_off_the_shell(self):
+        q = 0.36
+        shell = 0.8 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
+        image = ThinPushforward(np.vstack([shell, np.zeros(4)]), np.ones(3), q)
+        assert image.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(DomainError):  # unit sphere, not the 1 - q shell
+            ThinPushforward(shell / 0.8, np.ones(2), q)
+        with pytest.raises(DomainError):
+            ThinPushforward(0.5 * shell, np.ones(2), q)
+        with pytest.raises(DomainError):
+            ThinPushforward(shell, np.array([1.0, 0.0]), q)
+        with pytest.raises(DomainError):
+            ThinPushforward(shell, np.ones(3), q)
 
     def test_slice_entropy_bound_direction(self):
         # exact mass of E_alpha <= exp(entropy surrogate at m_alpha + delta)
