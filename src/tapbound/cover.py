@@ -404,14 +404,6 @@ class CoverBuilder:
 # Module-level operations
 # ---------------------------------------------------------------------------
 
-def classify(disorder, measure, field, sigma, epsilon: float, eta: float,
-             delta: float):
-    if not (0 < eta < 1 and 0 < epsilon <= eta / 2):
-        raise DomainError("classification requires 0 < epsilon <= eta/2 < 1/2")
-    return CoverBuilder(disorder, measure, field, epsilon, delta).classify(
-        sigma, eta)
-
-
 def region_masks(node: CoverNode, block: np.ndarray,
                  epsilon: Optional[float] = None, eta: Optional[float] = None):
     """(in D_alpha, in E_alpha) boolean masks over the rows of `block`.

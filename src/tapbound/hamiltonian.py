@@ -109,6 +109,18 @@ class ExternalField:
         partials = np.asarray(self.func_grad(t), dtype=np.float64)
         return (partials @ self.basis) / self.n
 
+    def gradient_many(self, sigmas: np.ndarray) -> np.ndarray:
+        """Row-wise `gradient`; custom kinds call it once per row."""
+        sigmas = np.asarray(sigmas, dtype=np.float64)
+        if self.kind == "none":
+            return np.zeros(sigmas.shape)
+        if self.kind == "linear":
+            return np.full(sigmas.shape, self.h)
+        if self.kind == "quadratic_spike":
+            u = self.basis[0]
+            return ((2.0 * self.h / self.n) * (sigmas @ u))[:, None] * u
+        return np.array([self.gradient(row) for row in sigmas]).reshape(sigmas.shape)
+
 
 def _field_gradient_fd(f: ExternalField, sigma: np.ndarray, step: float = 1e-6) -> np.ndarray:
     g = np.empty(f.n)
@@ -186,6 +198,16 @@ class DisorderSample:
         return tuple((p, np.sqrt(a[p]) * self.n ** ((1 - p) / 2), g)
                      for p, g in self.tensors.items())
 
+    @cached_property
+    def gradient_terms(self) -> tuple:
+        """(degree, scale, sum_k moveaxis(g_p, k, -1)) for every degree p >= 1.
+
+        The summed tensor carries the derivative index last, so dH_i(x) is
+        its contraction with x at every other axis.
+        """
+        return tuple((p, scale, sum(np.moveaxis(g, k, -1) for k in range(p)))
+                     for p, scale, g in self.terms if p)
+
 
 def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
     """Draw coupling tensors; deterministic in (model, seed).
@@ -252,19 +274,21 @@ def _partial(g: np.ndarray, powers: list, k: int) -> np.ndarray:
 
 
 def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """<g, x^{tensor p}> for every row x of X, for p = g.ndim >= 1.
+    """Contraction of g with every row x of X at all axes but the last:
+    shape (rows, g.shape[-1]), for g.ndim >= 2.
 
-    One matmul contracts the first axis; each remaining axis is a
-    reshape-multiply-sum against the rows.
+    One matmul contracts the first axis; each further axis is a
+    reshape-multiply-sum against the rows. A trailing axis of length 1,
+    g[..., None], gives <g, x^{tensor p}>.
     """
     n = X.shape[1]
-    out = np.empty(len(X))
+    out = np.empty((len(X), g.shape[-1]))
     for start in range(0, len(X), _ROW_CHUNK):
         x = X[start:start + _ROW_CHUNK]
         t = x @ g.reshape(n, -1)
-        for _ in range(g.ndim - 1):
+        for _ in range(g.ndim - 2):
             t = (t.reshape(len(x), n, -1) * x[:, :, None]).sum(axis=1)
-        out[start:start + len(x)] = t[:, 0]
+        out[start:start + len(x)] = t
     return out
 
 
@@ -283,7 +307,7 @@ def energy_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     X = np.asarray(sigmas, dtype=np.float64)
     total = np.zeros(len(X))
     for p, scale, g in d.terms:
-        total += scale * (g if p == 0 else _contract_rows(g, X))
+        total += scale * (g if p == 0 else _contract_rows(g[..., None], X)[:, 0])
     return total
 
 
@@ -302,6 +326,15 @@ def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
             for k in range(1, p):
                 part = part + _partial(g, powers, k)
             grad += scale * part
+    return grad
+
+
+def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
+    """Row-wise grad H over the rows of `sigmas` (no per-row domain check)."""
+    X = np.asarray(sigmas, dtype=np.float64)
+    grad = np.zeros(X.shape)
+    for p, scale, s in d.gradient_terms:
+        grad += scale * (s if p == 1 else _contract_rows(s, X))
     return grad
 
 

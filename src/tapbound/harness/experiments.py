@@ -11,6 +11,7 @@ points, 2 maximizer starts, 3 Monte Carlo, 4 atom picks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -152,6 +153,14 @@ def run_zero_disorder(cfg: ExperimentConfig) -> ExperimentReport:
 # 3. gaussian-law: covariances of the field and its first derivatives
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+# Probes depend only on (n, seed); every replica of a run shares one read-only
+# copy instead of redrawing it.
+@functools.lru_cache(maxsize=8)
 def _gaussian_law_probes(n, master):
     rng = np.random.default_rng(
         np.random.SeedSequence(master, spawn_key=(STREAM_PROBE,)))
@@ -159,10 +168,12 @@ def _gaussian_law_probes(n, master):
     for _ in range(10):
         a = normalize(rng.standard_normal(n))
         b = normalize(rng.standard_normal(n))
+        _read_only(a, b)
         pairs.append((a, b))
     m = 0.6 * normalize(rng.standard_normal(n))
     mp = 0.5 * normalize(rng.standard_normal(n))
-    return pairs, m, mp
+    _read_only(m, mp)
+    return tuple(pairs), m, mp
 
 
 def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
@@ -226,6 +237,7 @@ def run_gaussian_law(cfg: ExperimentConfig) -> ExperimentReport:
 # 4. recentering-law: the recentered field on the orthogonal slice
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def _recentering_probes(n, master):
     rng = np.random.default_rng(
         np.random.SeedSequence(master, spawn_key=(STREAM_PROBE, 1)))
@@ -239,6 +251,7 @@ def _recentering_probes(n, master):
 
     s1, s2, s3 = ortho(), ortho(), ortho()
     w = np.concatenate([[0.0], rng.standard_normal(n - 1)])  # test functional
+    _read_only(m, s1, s2, s3, w)
     return m, (s1, s2, s3), w
 
 

@@ -32,7 +32,7 @@ _LOW_SPINS = 12
 class PartitionEstimate:
     log_value: float
     std_error: float
-    method: str  # exact_enumeration | monte_carlo | quadrature
+    method: str  # exact_enumeration | monte_carlo
     sample_count: int
     seed: Optional[int] = None
     effective_count: Optional[int] = None

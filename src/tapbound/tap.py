@@ -10,9 +10,13 @@ for a general reference measure on the closed ball. All terms are extensive
 (order N); per-spin values are reported alongside, never mixed in.
 
 Maximization is multi-start projected gradient ascent with backtracking line
-search; the best value found is a lower bound on the true supremum and is
-used as the sup surrogate by the bound experiments (cross-checked against an
-exhaustive grid oracle at tiny N).
+search. For the ising and spherical flavors all starts advance together as
+the rows of one (starts, N) array, evaluated by `tap_energy_many` and
+`tap_gradient_many`; each row keeps its own step, Armijo test and stopping
+state, so a start follows the same rules as if it ran alone, and ties break
+toward the lowest start index. The best value found is a lower bound on the
+true supremum and is used as the sup surrogate by the bound experiments
+(cross-checked against an exhaustive grid oracle at tiny N).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .hamiltonian import (
     energy_many,
     field_value,
     gradient,
+    gradient_many,
 )
 
 FLAVORS = ("ising", "spherical", "general")
@@ -110,8 +115,29 @@ def tap_energy_per_spin(p: TapProblem, m: np.ndarray) -> float:
     return tap_energy(p, m) / p.n
 
 
-def _tap_energy_batch(p: TapProblem, M: np.ndarray) -> np.ndarray:
-    """Vectorized extensive energy over magnetization rows (grid oracle path)."""
+def _check_domain_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
+    """Row-wise `_check_domain` for the ising and spherical flavors."""
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[1] != p.n:
+        raise DomainError(f"expected magnetization rows of length {p.n}")
+    if p.flavor == "ising":
+        if np.any(np.abs(M) >= 1.0):
+            raise DomainError("ising magnetization must lie in (-1, 1)^N")
+    elif p.flavor == "spherical":
+        if np.any(_row_norms(M) >= 1.0):
+            raise DomainError("spherical magnetization must lie in the open ball")
+    else:
+        raise UnsupportedOperationError("batch evaluation needs a gradient flavor")
+    return M
+
+
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    return np.sqrt((M * M).sum(axis=1) / M.shape[1])
+
+
+def tap_energy_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
+    """Extensive TAP energy of every magnetization row (ising and spherical)."""
+    M = _check_domain_many(p, M)
     beta = p.model.beta
     n = p.n
     vals = beta * (energy_many(p.disorder, M) + p.model.field.value_many(M))
@@ -119,11 +145,8 @@ def _tap_energy_batch(p: TapProblem, M: np.ndarray) -> np.ndarray:
     vals += 0.5 * beta ** 2 * n * p.model.series.onsager_many(q)
     if p.flavor == "ising":
         vals -= binary_entropy(M).sum(axis=1)
-    elif p.flavor == "spherical":
-        with np.errstate(divide="ignore"):
-            vals += 0.5 * n * np.log1p(-np.minimum(q, 1.0))
     else:
-        raise UnsupportedOperationError("batch evaluation needs a gradient flavor")
+        vals += 0.5 * n * np.log1p(-q)
     return vals
 
 
@@ -148,12 +171,27 @@ def tap_gradient(p: TapProblem, m: np.ndarray) -> np.ndarray:
     return g
 
 
-def _project(p: TapProblem, m: np.ndarray) -> np.ndarray:
+def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
+    """Row-wise `tap_gradient` (ising and spherical)."""
+    M = _check_domain_many(p, M)
+    beta = p.model.beta
+    q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
+    g = beta * (gradient_many(p.disorder, M) + p.model.field.gradient_many(M))
+    on_prime = -(1.0 - q) * p.model.series.evaluate_many(q, 2)
+    g += (beta ** 2 * on_prime)[:, None] * M
     if p.flavor == "ising":
-        return np.clip(m, -1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN)
-    r = norm(m)
+        g -= np.arctanh(M)
+    else:
+        g -= M / (1.0 - q)[:, None]
+    return g
+
+
+def _project(p: TapProblem, M: np.ndarray) -> np.ndarray:
+    """Pull every row of M back to the domain, DOMAIN_MARGIN inside its edge."""
     limit = 1.0 - DOMAIN_MARGIN
-    return m * (limit / r) if r > limit else m
+    if p.flavor == "ising":
+        return np.clip(M, -limit, limit)
+    return M * (limit / np.maximum(_row_norms(M), limit))[:, None]
 
 
 def _draw_start(p: TapProblem, rng: np.random.Generator) -> np.ndarray:
@@ -185,51 +223,67 @@ class MaximizeResult:
 def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
     """Best magnetization over multi-start projected gradient ascent.
 
-    Each start runs up to 500 backtracking line-search iterations (Armijo on
-    the ascent direction, step doubling after accepted moves) and stops when
-    the normalized gradient norm drops below 1e-8. Ties between starts break
-    toward the lowest start index. The returned value is a lower bound of the
-    true supremum.
+    All starts advance together as the rows of one (starts, N) array, but
+    each row keeps its own step, Armijo test and stopping state, exactly as
+    if it ran alone: up to 500 iterations, each recording a trace row and
+    stopping the start once the normalized gradient norm drops below 1e-8;
+    otherwise the step (doubled after the first iteration) is halved until
+    the projected candidate passes Armijo on the ascent direction, and a
+    start with no acceptable step above 1e-14 stops, converged when its
+    gradient norm is below 1e-6. The trace lists all of start 0, then start
+    1, and so on. Ties between starts break toward the lowest start index.
+    The returned value is a lower bound of the true supremum.
     """
     if starts < 1:
         raise DomainError("starts must be >= 1")
     if p.flavor == "general":
         return _maximize_general(p, starts, rng_seed)
-    best_val = -np.inf
-    best_m = None
-    best_start = -1
-    converged_any = False
-    trace: list[TraceRow] = []
-    for s in range(starts):
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(s,)))
-        m = _project(p, _draw_start(p, rng))
-        val = tap_energy(p, m)
-        step = INITIAL_STEP
-        converged = False
-        for it in range(MAX_ITERATIONS):
-            g = tap_gradient(p, m)
-            gn = norm(g)
-            trace.append(TraceRow(s, it, val, gn, step))
-            if gn < GRAD_TOLERANCE:
-                converged = True
-                break
-            accepted = False
-            trial_step = step if it == 0 else step * 2.0
-            while trial_step > 1e-14:
-                cand = _project(p, m + trial_step * g)
-                cand_val = tap_energy(p, cand)
-                if cand_val > val + 1e-4 * trial_step * gn ** 2:
-                    m, val, step = cand, cand_val, trial_step
-                    accepted = True
-                    break
-                trial_step *= BACKTRACK_FACTOR
-            if not accepted:
-                converged = gn < 1e-6
-                break
-        converged_any = converged_any or converged
-        if val > best_val:
-            best_val, best_m, best_start = val, m, s
-    return MaximizeResult(best_m, float(best_val), trace, best_start, converged_any)
+    M = _project(p, np.array([
+        _draw_start(p, np.random.default_rng(
+            np.random.SeedSequence(rng_seed, spawn_key=(s,))))
+        for s in range(starts)]))
+    val = tap_energy_many(p, M)
+    step = np.full(starts, INITIAL_STEP)
+    converged = np.zeros(starts, dtype=bool)
+    active = np.arange(starts)
+    records = []  # per iteration: (starts, iteration, values, gradient norms, steps)
+    for it in range(MAX_ITERATIONS):
+        if not len(active):
+            break
+        g = tap_gradient_many(p, M[active])
+        gn = _row_norms(g)
+        records.append((active, np.full(len(active), it), val[active], gn, step[active]))
+        small = gn < GRAD_TOLERANCE
+        converged[active[small]] = True
+        rows, g, gn = active[~small], g[~small], gn[~small]
+        trial = step[rows] if it == 0 else step[rows] * 2.0
+        accepted = np.zeros(len(rows), dtype=bool)
+        pending = np.flatnonzero(trial > 1e-14)
+        while len(pending):
+            idx = rows[pending]
+            cand = _project(p, M[idx] + trial[pending, None] * g[pending])
+            cand_val = tap_energy_many(p, cand)
+            ok = cand_val > val[idx] + 1e-4 * trial[pending] * gn[pending] ** 2
+            M[idx[ok]] = cand[ok]
+            val[idx[ok]] = cand_val[ok]
+            step[idx[ok]] = trial[pending[ok]]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            trial[pending] *= BACKTRACK_FACTOR
+            pending = pending[trial[pending] > 1e-14]
+        converged[rows[~accepted]] = gn[~accepted] < 1e-6
+        active = rows[accepted]
+    best = int(np.argmax(val))
+    return MaximizeResult(M[best].copy(), float(val[best]), _trace_rows(records),
+                          best, bool(converged.any()))
+
+
+def _trace_rows(records: list) -> list:
+    """Per-iteration records as TraceRows of Python numbers, start-major
+    (each start's rows in iteration order)."""
+    cols = [np.concatenate(col) for col in zip(*records)]
+    order = np.argsort(cols[0], kind="stable")
+    return [TraceRow(*row) for row in zip(*(c[order].tolist() for c in cols))]
 
 
 def _maximize_general(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
@@ -324,7 +378,7 @@ def brute_force_tap_max(p: TapProblem, grid_step: float,
         dirs = z / np.sqrt((z ** 2).sum(axis=1) / n)[:, None]
         radii = np.arange(0.0, 1.0 - DOMAIN_MARGIN, grid_step)
         pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        vals = _tap_energy_batch(p, pts)
+        vals = tap_energy_many(p, pts)
         idx = int(np.argmax(vals))
         return BruteForceResult(pts[idx], float(vals[idx]), len(pts))
     raise UnsupportedOperationError("grid oracle covers ising and spherical only")
@@ -332,7 +386,7 @@ def brute_force_tap_max(p: TapProblem, grid_step: float,
 
 def _scan_chunk(p, chunk, best_val, best_m):
     M = np.asarray(chunk, dtype=np.float64)
-    vals = _tap_energy_batch(p, M)
+    vals = tap_energy_many(p, M)
     i = int(np.argmax(vals))
     if vals[i] > best_val:
         return float(vals[i]), M[i].copy()

@@ -1,13 +1,17 @@
 """Independent reference implementations the production kernels are checked
 against. They share no contraction or enumeration code with the package:
-energies are explicit per-degree `einsum` contractions, and the exact Ising
-sum visits one configuration at a time in Python floats.
+energies are explicit per-degree `einsum` contractions, the exact Ising
+sum visits one configuration at a time in Python floats, and the TAP ascent
+runs one start at a time on the scalar `tap_energy` and `tap_gradient`.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from tapbound import tap
+from tapbound.geometry import norm
 
 
 def _scale(d, p):
@@ -85,3 +89,52 @@ def oracle_log_partition_ising(d, f, beta):
           for s in (np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n))]
     top = max(xs)
     return top + math.log(math.fsum(math.exp(x - top) for x in xs)) - n * math.log(2.0)
+
+
+def _project_one(p, m):
+    if p.flavor == "ising":
+        return np.clip(m, -1.0 + tap.DOMAIN_MARGIN, 1.0 - tap.DOMAIN_MARGIN)
+    r = norm(m)
+    limit = 1.0 - tap.DOMAIN_MARGIN
+    return m * (limit / r) if r > limit else m
+
+
+def maximize_tap_sequential(p, starts, rng_seed):
+    """`maximize_tap` for the ising and spherical flavors, one start after the
+    other on the scalar energy and gradient, with the same seeded starts and
+    per-start rules; the trace comes out start-major."""
+    best_val = -np.inf
+    best_m = None
+    best_start = -1
+    converged_any = False
+    trace = []
+    for s in range(starts):
+        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(s,)))
+        m = _project_one(p, tap._draw_start(p, rng))
+        val = tap.tap_energy(p, m)
+        step = tap.INITIAL_STEP
+        converged = False
+        for it in range(tap.MAX_ITERATIONS):
+            g = tap.tap_gradient(p, m)
+            gn = norm(g)
+            trace.append(tap.TraceRow(s, it, val, gn, step))
+            if gn < tap.GRAD_TOLERANCE:
+                converged = True
+                break
+            accepted = False
+            trial_step = step if it == 0 else step * 2.0
+            while trial_step > 1e-14:
+                cand = _project_one(p, m + trial_step * g)
+                cand_val = tap.tap_energy(p, cand)
+                if cand_val > val + 1e-4 * trial_step * gn ** 2:
+                    m, val, step = cand, cand_val, trial_step
+                    accepted = True
+                    break
+                trial_step *= tap.BACKTRACK_FACTOR
+            if not accepted:
+                converged = gn < 1e-6
+                break
+        converged_any = converged_any or converged
+        if val > best_val:
+            best_val, best_m, best_start = val, m, s
+    return tap.MaximizeResult(best_m, float(best_val), trace, best_start, converged_any)

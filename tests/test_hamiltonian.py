@@ -16,7 +16,9 @@ from tapbound.hamiltonian import (
     field_linear,
     field_quadratic_spike,
     field_value,
+    field_none,
     gradient,
+    gradient_many,
     lipschitz_probe,
     load_disorder,
     recentered_energy,
@@ -168,6 +170,16 @@ class TestKernelMatchesEinsumOracle:
                 assert_rel_close(energy(d, sigma), oracle_energy(d, sigma))
                 if not on_sphere:  # the gradient is defined inside the ball
                     assert_rel_close(gradient(d, sigma), oracle_gradient(d, sigma))
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("rows", [1, 6, 8193])
+    def test_gradient_many(self, name, rows):
+        n = 5 if rows > 6 and name in ("p4", "mixed-all") else 7
+        d = sample_disorder(MixedModel(n, CovarianceSeries(SERIES[name])), rows)
+        X = ball_rows(np.random.default_rng(rows), rows, n, on_sphere=False)
+        got = gradient_many(d, X)
+        assert got.shape == (rows, n)
+        assert_rel_close(got, np.array([oracle_gradient(d, x) for x in X]))
 
     def test_degree_two_gradient_is_bit_identical(self):
         # Two plain matvecs, g @ sigma and sigma @ g, as before the kernel
@@ -342,6 +354,20 @@ class TestExternalField:
         g = f.gradient(sigma)
         t = inner(np.ones(n), sigma)
         assert np.allclose(g, 3 * t ** 2 * np.ones(n) / n, atol=1e-8)
+
+    def test_gradient_many_matches_rows(self):
+        n = 6
+        rng = np.random.default_rng(11)
+        X = np.array([0.8 * unit_vector(rng, n) for _ in range(5)])
+        fields = [field_none(n), field_linear(0.3, n), field_quadratic_spike(0.7, n),
+                  field_custom(np.ones((1, n)), lambda t: float(np.sin(t[0])),
+                               lambda t: [float(np.cos(t[0]))]),
+                  field_custom(np.ones((1, n)), lambda t: float(t[0] ** 3))]
+        for f in fields:
+            got = f.gradient_many(X)
+            assert got.shape == X.shape
+            for row, x in zip(got, X):
+                assert np.allclose(row, f.gradient(x), rtol=1e-13, atol=1e-15)
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(DomainError):

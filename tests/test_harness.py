@@ -163,6 +163,21 @@ class TestRunAndArtifacts:
             digests.append(hashlib.sha256(blob).hexdigest())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("probes", ["_gaussian_law_probes", "_recentering_probes"])
+    def test_law_probes_built_once_and_read_only(self, probes):
+        from tapbound.harness import experiments
+        build = getattr(experiments, probes)
+        first, second = build(8, 123), build(8, 123)
+        assert first is second
+
+        def leaves(obj):
+            return [a for part in obj for a in leaves(part)] if isinstance(obj, tuple) else [obj]
+
+        for a in leaves(first):
+            assert isinstance(a, np.ndarray)
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
     def test_in_memory_report_matches_written_file(self, tmp_path):
         rep = run(build_config("beta0-exact", dict(n=8, replicas=4,
                                                    out=str(tmp_path))))

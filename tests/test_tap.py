@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tapbound import tap
 from tapbound.covariance import CovarianceSeries
 from tapbound.entropy import ising_uniform
 from tapbound.errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from tapbound.geometry import norm, normalize
 from tapbound.hamiltonian import (
     MixedModel,
+    field_custom,
     field_linear,
     field_none,
+    field_quadratic_spike,
     lipschitz_probe,
     sample_disorder,
 )
@@ -22,19 +27,52 @@ from tapbound.tap import (
     export_trace_csv,
     maximize_tap,
     tap_energy,
+    tap_energy_many,
     tap_energy_per_spin,
     tap_gradient,
+    tap_gradient_many,
 )
+
+from oracles import maximize_tap_sequential
 
 XI0 = CovarianceSeries((0.0,))
 XI2 = CovarianceSeries((0.0, 0.0, 1.0))
 XI23 = CovarianceSeries((0.0, 0.0, 1.0, 0.5))
 
 
-def make_problem(n=8, xi=XI2, beta=0.3, h=0.0, seed=0, flavor="ising", **kw):
-    field = field_linear(h, n) if h else field_none(n)
+def make_problem(n=8, xi=XI2, beta=0.3, h=0.0, seed=0, flavor="ising",
+                 field=None, **kw):
+    if field is None:
+        field = field_linear(h, n) if h else field_none(n)
     model = MixedModel(n, xi, beta=beta, field=field)
     return TapProblem(model, sample_disorder(model, seed), flavor, **kw)
+
+
+FIELD_KINDS = ("none", "linear", "quadratic_spike", "custom", "custom-fd")
+
+
+def field_of_kind(kind, h, n):
+    """A field of each kind; the custom ones are h N sin(2 <sigma, 1>), with
+    an analytic gradient or (custom-fd) the finite-difference fallback."""
+    if kind == "none":
+        return field_none(n)
+    if kind == "linear":
+        return field_linear(h, n)
+    if kind == "quadratic_spike":
+        return field_quadratic_spike(h, n)
+
+    def grad(t):
+        return [2.0 * h * n * math.cos(2.0 * t[0])]
+
+    return field_custom(np.ones((1, n)), lambda t: h * n * math.sin(2.0 * t[0]),
+                        grad if kind == "custom" else None)
+
+
+def inside_rows(rng, rows, n, flavor):
+    m = rng.uniform(-0.95, 0.95, size=(rows, n))
+    if flavor == "spherical":
+        m *= rng.uniform(0.0, 0.95, size=(rows, 1)) / np.sqrt((m ** 2).mean(axis=1))[:, None]
+    return m
 
 
 class TestTapEnergy:
@@ -119,6 +157,118 @@ class TestTapGradient:
         p = make_problem(flavor="general", measure=ising_uniform(8), delta=0.1)
         with pytest.raises(UnsupportedOperationError):
             tap_gradient(p, np.zeros(8))
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    def test_rows_match_scalar(self, flavor, kind):
+        rng = np.random.default_rng(21)
+        for n in (1, 6):
+            p = make_problem(n=n, xi=XI23, beta=0.45, seed=n, flavor=flavor,
+                             field=field_of_kind(kind, 0.3, n))
+            M = inside_rows(rng, 9, n, flavor)
+            vals = tap_energy_many(p, M)
+            grads = tap_gradient_many(p, M)
+            assert vals.shape == (9,) and grads.shape == (9, n)
+            for m, v, g in zip(M, vals, grads):
+                assert v == pytest.approx(tap_energy(p, m), rel=1e-12, abs=1e-12)
+                expect = tap_gradient(p, m)
+                scale = max(1.0, float(np.abs(expect).max()))
+                assert np.abs(g - expect).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    def test_one_row_outside_domain_rejected(self, flavor):
+        p = make_problem(n=6, flavor=flavor)
+        M = inside_rows(np.random.default_rng(22), 5, 6, flavor)
+        M[3] = 1.0  # on the box corner and on the unit sphere
+        for batched in (tap_energy_many, tap_gradient_many):
+            with pytest.raises(DomainError):
+                batched(p, M)
+            with pytest.raises(DomainError):
+                batched(p, M[:, :5])
+
+    def test_general_flavor_has_no_batch(self):
+        p = make_problem(flavor="general", measure=ising_uniform(8), delta=0.1)
+        for batched in (tap_energy_many, tap_gradient_many):
+            with pytest.raises(UnsupportedOperationError):
+                batched(p, np.zeros((2, 8)))
+
+
+XI_DRAWS = ((0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.5),
+            (0.0, 0.0, 1.0, 0.5), (0.0, 0.5, 1.0, 0.5))
+
+
+def assert_matches_sequential(p, starts, rng_seed):
+    """The batched ascent against the one-start-at-a-time oracle: best value
+    and every start's final value to 1e-9 N, m_star when the best start is
+    the same, and a start-major trace of plain Python numbers."""
+    got = maximize_tap(p, starts, rng_seed)
+    ref = maximize_tap_sequential(p, starts, rng_seed)
+    tol = 1e-9 * p.n
+    assert abs(got.value - ref.value) <= tol
+    if got.best_start == ref.best_start:
+        assert np.abs(got.m_star - ref.m_star).max() <= 1e-6
+    keys = [(row.start, row.iteration) for row in got.trace]
+    assert keys == sorted(keys)
+    final = {}
+    for row in got.trace:
+        assert type(row.value) is float and type(row.grad_norm) is float
+        assert type(row.step) is float and type(row.iteration) is int
+        final[row.start] = row.value
+    ref_final = {row.start: row.value for row in ref.trace}
+    assert sorted(final) == list(range(starts))
+    for s in range(starts):
+        assert abs(final[s] - ref_final[s]) <= tol
+    return got, ref
+
+
+class TestBatchedAscentMatchesSequential:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(flavor=st.sampled_from(["ising", "spherical"]),
+           n=st.integers(1, 16),
+           xi=st.sampled_from(XI_DRAWS),
+           beta=st.floats(0.0, 0.6),
+           kind=st.sampled_from(FIELD_KINDS),
+           h=st.floats(0.0, 0.5),
+           starts=st.sampled_from([1, 2, 6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_property(self, flavor, n, xi, beta, kind, h, starts, seed):
+        p = make_problem(n=n, xi=CovarianceSeries(xi), beta=beta, seed=seed,
+                         flavor=flavor, field=field_of_kind(kind, h, n))
+        assert_matches_sequential(p, starts, seed)
+
+    @pytest.mark.parametrize("flavor,n,seed", [("ising", 4, 18), ("spherical", 8, 0)])
+    def test_starts_hitting_the_iteration_cap(self, flavor, n, seed):
+        # beta = 0.4 on the pure 2-spin model creeps toward its maximum
+        p = make_problem(n=n, beta=0.4, seed=seed, flavor=flavor)
+        got, ref = assert_matches_sequential(p, 2, seed)
+        for out in (got, ref):
+            assert [sum(row.start == s for row in out.trace) for s in (0, 1)] == [500, 500]
+            assert not out.converged
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    def test_failed_line_search_stops_the_start(self, flavor):
+        # A field gradient no step can follow: every start's first line
+        # search fails with a large gradient, so none has converged
+        n = 6
+        field = field_custom(np.ones((1, n)), lambda t: 0.0, lambda t: [1e9])
+        p = make_problem(n=n, seed=3, flavor=flavor, field=field)
+        got, ref = assert_matches_sequential(p, 3, 5)
+        for out in (got, ref):
+            assert [row.iteration for row in out.trace] == [0, 0, 0]
+            assert not out.converged
+        assert got.best_start == ref.best_start
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    def test_identical_starts_tie_break_to_the_first(self, flavor, monkeypatch):
+        p = make_problem(n=7, beta=0.35, h=0.2, seed=4, flavor=flavor)
+        first = tap._draw_start(p, np.random.default_rng(0))
+        monkeypatch.setattr(tap, "_draw_start", lambda p, rng: first.copy())
+        for maximize in (maximize_tap, maximize_tap_sequential):
+            out = maximize(p, 6, 1)
+            assert out.best_start == 0
+            assert len({row.value for row in out.trace if row.iteration == 0}) == 1
 
 
 class TestMaximize:
