@@ -34,6 +34,20 @@ def _check_unit_interval(x: float, name: str = "x") -> float:
     return float(min(1.0, max(-1.0, x)))
 
 
+def _unit_q(q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    if not np.all((q >= 0.0) & (q <= 1.0 + _DUST)):
+        raise DomainError("q entries outside [0, 1]")
+    return np.minimum(q, 1.0)
+
+
+def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class CovarianceSeries:
     """Finite mixture xi(x) = sum_p coefficients[p] * x^p with a_p >= 0."""
@@ -41,6 +55,9 @@ class CovarianceSeries:
     coefficients: tuple[float, ...]
     # derivative_coefficients(k) for every k below len(coefficients)
     _derivatives: tuple = field(init=False, repr=False, compare=False)
+    # polynomial coefficients of On(q) and of On'(q) = -(1-q) xi''(q)
+    _onsager: tuple = field(init=False, repr=False, compare=False)
+    _onsager_derivative: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -51,6 +68,15 @@ class CovarianceSeries:
             tuple(coeffs[j + k] * prod(range(j + 1, j + k + 1))
                   for j in range(len(coeffs) - k))
             for k in range(len(coeffs))))
+        # On(q) = xi(1) + sum_k [(k-1) a_k - (k+1) a_{k+1}] q^k, and On'(q)
+        # = sum_k (e_{k-1} - e_k) q^k with e the coefficients of xi''
+        a = coeffs + (0.0, 0.0)
+        onsager = [sum(coeffs) - a[0] - a[1]] + [
+            (k - 1) * a[k] - (k + 1) * a[k + 1] for k in range(1, len(coeffs))]
+        e = (0.0,) + self.derivative_coefficients(2) + (0.0,)
+        object.__setattr__(self, "_onsager", tuple(onsager))
+        object.__setattr__(self, "_onsager_derivative",
+                           tuple(e[k] - e[k + 1] for k in range(len(e) - 1)))
 
     @property
     def degree(self) -> int:
@@ -78,21 +104,13 @@ class CovarianceSeries:
     def __call__(self, x: float, order: int = 0) -> float:
         return self.evaluate(x, order)
 
-    def evaluate_many(self, x: np.ndarray, order: int = 0) -> np.ndarray:
-        """Vectorized Horner evaluation of xi^(order) over an array in [-1, 1]."""
-        x = np.asarray(x, dtype=np.float64)
-        if np.abs(x).max(initial=0.0) > 1.0 + _DUST:
-            raise DomainError("array entries outside [-1, 1]")
-        x = np.clip(x, -1.0, 1.0)
-        acc = np.zeros_like(x)
-        for c in reversed(self.derivative_coefficients(order)):
-            acc = acc * x + c
-        return acc
-
     def onsager_many(self, q: np.ndarray) -> np.ndarray:
-        q = np.clip(np.asarray(q, dtype=np.float64), 0.0, 1.0)
-        return (self.evaluate(1.0) - (1.0 - q) * self.evaluate_many(q, 1)
-                - self.evaluate_many(q))
+        """Vectorized `onsager`: one Horner pass over q in [0, 1]."""
+        return _horner(self._onsager, _unit_q(q))
+
+    def onsager_derivative_many(self, q: np.ndarray) -> np.ndarray:
+        """Vectorized `onsager_derivative`: one Horner pass over q in [0, 1]."""
+        return _horner(self._onsager_derivative, _unit_q(q))
 
     def recenter(self, q: float) -> "RecenteredSeries":
         """The series xi_q; q must lie in [0, 1]."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, xlogy
+from scipy.special import betainc, betaln, xlogy
 
 from .errors import DomainError
 from .geometry import inner, norm, normalize
@@ -163,15 +163,48 @@ def _cap_log_mass(n: int, threshold: float) -> float:
 
     For t >= 0 the mass is (1/2) I_{1-t^2}((N-1)/2, 1/2), and 1 minus that
     at -t for t < 0; at N = 1 (the two points +-1) it is 1/2 on (-1, 1).
-    -inf where the mass underflows float64.
+    Where that mass is below the smallest normal float64 it is taken in log
+    space, so the result is finite for every t < 1.
     """
     if threshold <= -1.0:
         return 0.0
     if threshold > 1.0:
         return -np.inf
-    half = 0.5 * betainc((n - 1) / 2.0, 0.5, 1.0 - threshold * threshold)
+    a, x = (n - 1) / 2.0, 1.0 - threshold * threshold
+    half = 0.5 * betainc(a, 0.5, x)
+    if threshold >= 0.0 and x > 0.0 and half < np.finfo(np.float64).tiny:
+        return _log_half_betainc_tail(a, x)
     with np.errstate(divide="ignore"):
         return float(np.log(half) if threshold >= 0.0 else np.log1p(-half))
+
+
+def _log_half_betainc_tail(a: float, x: float) -> float:
+    """log((1/2) I_x(a, 1/2)) for x below the mean of Beta(a, 1/2).
+
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times a continued fraction,
+    summed by the modified Lentz method (Numerical Recipes, betacf), which
+    converges fast there; only its logarithm is formed, so nothing underflows.
+    """
+    b = 0.5
+    tiny = 1e-300
+
+    def guard(v):
+        return v if abs(v) > tiny else tiny
+
+    c = 1.0
+    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 / guard(1.0 + num * d)
+            c = guard(1.0 + num / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return float(a * np.log(x) + b * np.log1p(-x) - betaln(a, b)
+                 + np.log(h) - np.log(a) - np.log(2.0))
 
 
 def _check_unit_lambda(lam: np.ndarray) -> np.ndarray:

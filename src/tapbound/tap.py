@@ -9,14 +9,17 @@ with I the Ising entropy -sum_i J(m_i) on (-1,1)^N, the spherical entropy
 for a general reference measure on the closed ball. All terms are extensive
 (order N); per-spin values are reported alongside, never mixed in.
 
-Maximization is multi-start projected gradient ascent with backtracking line
-search. For the ising and spherical flavors all starts advance together as
-the rows of one (starts, N) array, evaluated by `tap_energy_many` and
-`tap_gradient_many`; each row keeps its own step, Armijo test and stopping
-state, so a start follows the same rules as if it ran alone, and ties break
-toward the lowest start index. The best value found is a lower bound on the
-true supremum and is used as the sup surrogate by the bound experiments
-(cross-checked against an exhaustive grid oracle at tiny N).
+For the ising and spherical flavors maximization is multi-start projected
+L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7): all starts advance
+together as the rows of one (starts, N) array, evaluated by `tap_energy_many`
+and `tap_gradient_many`, and each row keeps its own curvature history,
+backtracking Armijo search on the projected candidate and stopping state, so
+a start follows the same rules as if it ran alone; ties break toward the
+lowest start index. The earlier projected gradient ascent is kept as a test
+oracle. The general flavor uses a gradient-free coordinate search. The best
+value found is a lower bound on the true supremum and is used as the sup
+surrogate by the bound experiments (cross-checked against an exhaustive grid
+oracle at tiny N).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -50,6 +52,7 @@ from .hamiltonian import (
 FLAVORS = ("ising", "spherical", "general")
 
 MAX_ITERATIONS = 500
+HISTORY = 8  # L-BFGS curvature pairs kept per start
 INITIAL_STEP = 0.1
 BACKTRACK_FACTOR = 0.5
 GRAD_TOLERANCE = 1e-8
@@ -177,8 +180,7 @@ def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
     beta = p.model.beta
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
     g = beta * (gradient_many(p.disorder, M) + p.model.field.gradient_many(M))
-    on_prime = -(1.0 - q) * p.model.series.evaluate_many(q, 2)
-    g += (beta ** 2 * on_prime)[:, None] * M
+    g += (beta ** 2 * p.model.series.onsager_derivative_many(q))[:, None] * M
     if p.flavor == "ising":
         g -= np.arctanh(M)
     else:
@@ -221,23 +223,28 @@ class MaximizeResult:
 
 
 def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
-    """Best magnetization over multi-start projected gradient ascent.
+    """Best magnetization over multi-start projected L-BFGS.
 
     All starts advance together as the rows of one (starts, N) array, but
-    each row keeps its own step, Armijo test and stopping state, exactly as
-    if it ran alone: up to 500 iterations, each recording a trace row and
-    stopping the start once the normalized gradient norm drops below 1e-8;
-    otherwise the step (doubled after the first iteration) is halved until
-    the projected candidate passes Armijo on the ascent direction, and a
-    start with no acceptable step above 1e-14 stops, converged when its
-    gradient norm is below 1e-6. The trace lists all of start 0, then start
-    1, and so on. Ties between starts break toward the lowest start index.
-    The returned value is a lower bound of the true supremum.
+    each row keeps its own curvature history, line search and stopping
+    state, exactly as if it ran alone. Up to 500 iterations each record a
+    trace row (the step column is the t accepted at the previous iteration,
+    `INITIAL_STEP` at the first) and stop the start once the normalized
+    gradient norm drops below 1e-8. Otherwise the direction D is the
+    L-BFGS two-loop product of the row's last `HISTORY` curvature pairs
+    with its gradient (`INITIAL_STEP` times the gradient without pairs, or
+    when D is no ascent direction), and t = 1 is halved until the projected
+    candidate `_project(M + t D)` passes Armijo on the slope <g, D>; a start
+    with no acceptable t above 1e-14 stops, converged when its gradient
+    norm is below 1e-6. The trace lists all of start 0, then start 1, and
+    so on. Ties between starts break toward the lowest start index. The
+    returned value is a lower bound of the true supremum.
     """
     if starts < 1:
         raise DomainError("starts must be >= 1")
     if p.flavor == "general":
         return _maximize_general(p, starts, rng_seed)
+    n = p.n
     M = _project(p, np.array([
         _draw_start(p, np.random.default_rng(
             np.random.SeedSequence(rng_seed, spawn_key=(s,))))
@@ -245,25 +252,44 @@ def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
     val = tap_energy_many(p, M)
     step = np.full(starts, INITIAL_STEP)
     converged = np.zeros(starts, dtype=bool)
+    # Curvature pairs of -TAP, newest last; an empty slot has rho = 0.
+    hist_s = np.zeros((starts, HISTORY, n))
+    hist_y = np.zeros((starts, HISTORY, n))
+    rho = np.zeros((starts, HISTORY))
+    gamma = np.full(starts, INITIAL_STEP)
+    M_prev = np.empty_like(M)
+    g_prev = np.empty_like(M)
     active = np.arange(starts)
     records = []  # per iteration: (starts, iteration, values, gradient norms, steps)
     for it in range(MAX_ITERATIONS):
         if not len(active):
             break
         g = tap_gradient_many(p, M[active])
+        if it:
+            _push_pairs(active, M[active] - M_prev[active], g_prev[active] - g,
+                        hist_s, hist_y, rho, gamma)
         gn = _row_norms(g)
         records.append((active, np.full(len(active), it), val[active], gn, step[active]))
         small = gn < GRAD_TOLERANCE
         converged[active[small]] = True
         rows, g, gn = active[~small], g[~small], gn[~small]
-        trial = step[rows] if it == 0 else step[rows] * 2.0
+        M_prev[rows], g_prev[rows] = M[rows], g
+        # a row has at most `it` pairs, all in the newest slots
+        k = min(it, HISTORY)
+        D = _two_loop(g, hist_s[rows, HISTORY - k:], hist_y[rows, HISTORY - k:],
+                      rho[rows, HISTORY - k:], gamma[rows])
+        slope = _dot_rows(g, D) / n
+        uphill = ~(slope > 0.0)
+        D[uphill] = INITIAL_STEP * g[uphill]
+        slope[uphill] = INITIAL_STEP * gn[uphill] ** 2
+        trial = np.ones(len(rows))
         accepted = np.zeros(len(rows), dtype=bool)
-        pending = np.flatnonzero(trial > 1e-14)
+        pending = np.arange(len(rows))
         while len(pending):
             idx = rows[pending]
-            cand = _project(p, M[idx] + trial[pending, None] * g[pending])
+            cand = _project(p, M[idx] + trial[pending, None] * D[pending])
             cand_val = tap_energy_many(p, cand)
-            ok = cand_val > val[idx] + 1e-4 * trial[pending] * gn[pending] ** 2
+            ok = cand_val > val[idx] + 1e-4 * trial[pending] * slope[pending]
             M[idx[ok]] = cand[ok]
             val[idx[ok]] = cand_val[ok]
             step[idx[ok]] = trial[pending[ok]]
@@ -276,6 +302,38 @@ def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
     best = int(np.argmax(val))
     return MaximizeResult(M[best].copy(), float(val[best]), _trace_rows(records),
                           best, bool(converged.any()))
+
+
+def _push_pairs(rows, s, y, hist_s, hist_y, rho, gamma) -> None:
+    """Append each row's pair (s, y) to its history, dropping the oldest;
+    a pair without curvature, s.y <= 1e-12 |s| |y|, is skipped."""
+    sy = _dot_rows(s, y)
+    yy = _dot_rows(y, y)
+    keep = sy > 1e-12 * np.sqrt(_dot_rows(s, s) * yy)
+    rows, s, y, sy, yy = rows[keep], s[keep], y[keep], sy[keep], yy[keep]
+    for hist, new in ((hist_s, s), (hist_y, y), (rho, 1.0 / sy)):
+        hist[rows, :-1] = hist[rows, 1:]
+        hist[rows, -1] = new
+    gamma[rows] = sy / yy
+
+
+def _two_loop(g, hist_s, hist_y, rho, gamma) -> np.ndarray:
+    """Row-wise L-BFGS product of the inverse-Hessian estimate of -TAP with
+    g, over pairs newest to oldest and back."""
+    q = g.copy()
+    alpha = np.empty(rho.shape)
+    for i in reversed(range(rho.shape[1])):
+        alpha[:, i] = rho[:, i] * _dot_rows(hist_s[:, i], q)
+        q -= alpha[:, i, None] * hist_y[:, i]
+    r = gamma[:, None] * q
+    for i in range(rho.shape[1]):
+        b = rho[:, i] * _dot_rows(hist_y[:, i], r)
+        r += (alpha[:, i] - b)[:, None] * hist_s[:, i]
+    return r
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _trace_rows(records: list) -> list:
@@ -330,6 +388,9 @@ def export_trace_csv(result: MaximizeResult, path) -> None:
                                  repr(row.grad_norm), repr(row.step)])
 
 
+_GRID_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     m_star: np.ndarray
@@ -341,11 +402,12 @@ def brute_force_tap_max(p: TapProblem, grid_step: float,
                         budget: int = 2_000_000,
                         direction_count: int = 256,
                         rng_seed: int = 0) -> BruteForceResult:
-    """Exhaustive grid evaluation (oracle for the ascent maximizer).
+    """Exhaustive grid evaluation (oracle for the maximizer).
 
     Ising: a symmetric product grid containing 0 over (-1, 1)^N, with the
-    grid_size^N budget enforced. Spherical: radial shells crossed with a
-    seeded set of random directions.
+    grid_size^N budget enforced, visited in `itertools.product` order in
+    chunks of 8192 points; the first point with the largest value wins.
+    Spherical: radial shells crossed with a seeded set of random directions.
     """
     if grid_step <= 0:
         raise DomainError("grid_step must be positive")
@@ -360,18 +422,17 @@ def brute_force_tap_max(p: TapProblem, grid_step: float,
                 required=total, budget=budget)
         best_val = -np.inf
         best_m = None
-        count = 0
-        chunk = []
-        for combo in product(axis, repeat=n):
-            chunk.append(combo)
-            if len(chunk) == 8192:
-                best_val, best_m = _scan_chunk(p, chunk, best_val, best_m)
-                count += len(chunk)
-                chunk = []
-        if chunk:
-            best_val, best_m = _scan_chunk(p, chunk, best_val, best_m)
-            count += len(chunk)
-        return BruteForceResult(best_m, float(best_val), count)
+        # grid point i has digit (i // K^(n-1-j)) % K in coordinate j: the
+        # itertools.product order, the last coordinate varying fastest
+        powers = len(axis) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        for lo in range(0, total, _GRID_CHUNK):
+            idx = np.arange(lo, min(lo + _GRID_CHUNK, total), dtype=np.int64)
+            M = axis[(idx[:, None] // powers) % len(axis)]
+            vals = tap_energy_many(p, M)
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_val, best_m = float(vals[i]), M[i].copy()
+        return BruteForceResult(best_m, float(best_val), total)
     if p.flavor == "spherical":
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
         z = rng.standard_normal((direction_count, n))
@@ -382,12 +443,3 @@ def brute_force_tap_max(p: TapProblem, grid_step: float,
         idx = int(np.argmax(vals))
         return BruteForceResult(pts[idx], float(vals[idx]), len(pts))
     raise UnsupportedOperationError("grid oracle covers ising and spherical only")
-
-
-def _scan_chunk(p, chunk, best_val, best_m):
-    M = np.asarray(chunk, dtype=np.float64)
-    vals = tap_energy_many(p, M)
-    i = int(np.argmax(vals))
-    if vals[i] > best_val:
-        return float(vals[i]), M[i].copy()
-    return best_val, best_m

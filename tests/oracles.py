@@ -3,6 +3,9 @@ against. They share no contraction or enumeration code with the package:
 energies are explicit per-degree `einsum` contractions, the exact Ising
 sum visits one configuration at a time in Python floats, and the TAP ascent
 runs one start at a time on the scalar `tap_energy` and `tap_gradient`.
+The batched projected gradient ascent and the `itertools.product` grid walk
+are the production paths that the L-BFGS maximizer and the mixed-radix grid
+oracle replaced; they stay here as references for them.
 """
 
 import itertools
@@ -138,3 +141,81 @@ def maximize_tap_sequential(p, starts, rng_seed):
         if val > best_val:
             best_val, best_m, best_start = val, m, s
     return tap.MaximizeResult(best_m, float(best_val), trace, best_start, converged_any)
+
+
+def maximize_tap_projected_ascent(p, starts, rng_seed):
+    """The batched multi-start projected gradient ascent that `maximize_tap`
+    ran before L-BFGS: all starts as one (S, N) array, each row with its own
+    step (doubled after iteration 0), Armijo test on t ||g||^2, halving down
+    to 1e-14, 1e-8 gradient stop and 500-iteration cap."""
+    M = tap._project(p, np.array([
+        tap._draw_start(p, np.random.default_rng(
+            np.random.SeedSequence(rng_seed, spawn_key=(s,))))
+        for s in range(starts)]))
+    val = tap.tap_energy_many(p, M)
+    step = np.full(starts, tap.INITIAL_STEP)
+    converged = np.zeros(starts, dtype=bool)
+    active = np.arange(starts)
+    records = []  # per iteration: (starts, iteration, values, gradient norms, steps)
+    for it in range(tap.MAX_ITERATIONS):
+        if not len(active):
+            break
+        g = tap.tap_gradient_many(p, M[active])
+        gn = tap._row_norms(g)
+        records.append((active, np.full(len(active), it), val[active], gn, step[active]))
+        small = gn < tap.GRAD_TOLERANCE
+        converged[active[small]] = True
+        rows, g, gn = active[~small], g[~small], gn[~small]
+        trial = step[rows] if it == 0 else step[rows] * 2.0
+        accepted = np.zeros(len(rows), dtype=bool)
+        pending = np.flatnonzero(trial > 1e-14)
+        while len(pending):
+            idx = rows[pending]
+            cand = tap._project(p, M[idx] + trial[pending, None] * g[pending])
+            cand_val = tap.tap_energy_many(p, cand)
+            ok = cand_val > val[idx] + 1e-4 * trial[pending] * gn[pending] ** 2
+            M[idx[ok]] = cand[ok]
+            val[idx[ok]] = cand_val[ok]
+            step[idx[ok]] = trial[pending[ok]]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            trial[pending] *= tap.BACKTRACK_FACTOR
+            pending = pending[trial[pending] > 1e-14]
+        converged[rows[~accepted]] = gn[~accepted] < 1e-6
+        active = rows[accepted]
+    best = int(np.argmax(val))
+    return tap.MaximizeResult(M[best].copy(), float(val[best]), tap._trace_rows(records),
+                              best, bool(converged.any()))
+
+
+def brute_force_tap_max_product(p, grid_step, budget=2_000_000):
+    """The Ising grid oracle as an `itertools.product` walk in chunks of
+    8192 points, keeping the first strict improvement."""
+    t_max = int(math.floor((1.0 - tap.DOMAIN_MARGIN) / grid_step))
+    axis = grid_step * np.arange(-t_max, t_max + 1)
+    total = len(axis) ** p.n
+    if total > budget:
+        raise ValueError(f"{total} grid points exceed budget {budget}")
+    best_val = -np.inf
+    best_m = None
+    count = 0
+    chunk = []
+    for combo in itertools.product(axis, repeat=p.n):
+        chunk.append(combo)
+        if len(chunk) == 8192:
+            best_val, best_m = _scan_chunk(p, chunk, best_val, best_m)
+            count += len(chunk)
+            chunk = []
+    if chunk:
+        best_val, best_m = _scan_chunk(p, chunk, best_val, best_m)
+        count += len(chunk)
+    return tap.BruteForceResult(best_m, float(best_val), count)
+
+
+def _scan_chunk(p, chunk, best_val, best_m):
+    M = np.asarray(chunk, dtype=np.float64)
+    vals = tap.tap_energy_many(p, M)
+    i = int(np.argmax(vals))
+    if vals[i] > best_val:
+        return float(vals[i]), M[i].copy()
+    return best_val, best_m

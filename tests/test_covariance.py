@@ -163,3 +163,23 @@ class TestOnsager:
             h = 1e-6
             fd = (xi.onsager(q + h) - xi.onsager(q - h)) / (2 * h)
             assert xi.onsager_derivative(q) == pytest.approx(fd, rel=2e-5, abs=2e-6)
+
+    @pytest.mark.parametrize("degree", range(-1, 9))
+    def test_horner_many_match_scalar_formulas(self, degree):
+        # one coefficient set per length 0..9, so every order of series
+        rng = np.random.default_rng(16 + degree)
+        xi = CovarianceSeries(tuple(rng.uniform(0.0, 1.0, degree + 1)))
+        q = np.concatenate((np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, 40), [1.0 + 1e-13]))
+        on = xi.onsager_many(q)
+        on_prime = xi.onsager_derivative_many(q)
+        assert on.shape == on_prime.shape == q.shape
+        for x, a, b in zip(q, on, on_prime):
+            assert a == pytest.approx(xi.onsager(x), abs=1e-14)
+            assert b == pytest.approx(xi.onsager_derivative(x), abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, np.nan])
+    def test_many_reject_q_outside_unit_interval(self, bad):
+        xi = CovarianceSeries((0.0, 0.5, 1.0))
+        for many in (xi.onsager_many, xi.onsager_derivative_many):
+            with pytest.raises(DomainError):
+                many(np.array([0.5, bad]))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from tapbound.entropy import (
     LOCAL_SEARCH_ITERATIONS,
@@ -12,6 +13,7 @@ from tapbound.entropy import (
     LOCAL_SEARCH_STEP,
     _candidate_directions,
     _ising_atoms,
+    _log_half_betainc_tail,
     binary_entropy,
     general_entropy_upper,
     halfspace_log_mass,
@@ -142,7 +144,6 @@ class TestHalfspaceLogMass:
 
     def test_sphere_cap_matches_incomplete_beta(self):
         # independent closed form: P(<sigma, u> >= t) = 0.5 I_{1-t^2}((N-1)/2, 1/2), t >= 0
-        from scipy.special import betainc
         E = sphere_uniform(12)
         lam = np.zeros(12)
         lam[0] = np.sqrt(12)
@@ -173,6 +174,32 @@ class TestHalfspaceLogMass:
         lam[0] = np.sqrt(n)
         got = halfspace_log_mass(sphere_uniform(n), lam, 0.3 * lam, 0.0)
         assert got == pytest.approx(-97.78380689412857, abs=1e-12)
+
+    @pytest.mark.parametrize("t, expect", [
+        (0.5, -2881.8545560468004885),
+        (0.9, -16612.247023634380153),
+    ])
+    def test_sphere_cap_underflow_region_reference(self, t, expect):
+        # log(1/2 I_{1-t^2}(19999/2, 1/2)) from mpmath's regularized
+        # incomplete beta function at 50 digits; the mass itself is far
+        # below the smallest float64
+        n = 20000
+        lam = np.zeros(n)
+        lam[0] = np.sqrt(n)
+        got = halfspace_log_mass(sphere_uniform(n), lam, t * lam, 0.0)
+        assert got == pytest.approx(expect, rel=1e-10)
+
+    def test_sphere_cap_log_space_tail_matches_betainc(self):
+        # the continued fraction behind the underflow branch, where betainc
+        # is still a normal float
+        for n in (3, 5, 12, 50, 400, 2000):
+            a = (n - 1) / 2
+            for t in np.linspace(0.05, 0.99, 30):
+                x = 1 - t * t
+                half = 0.5 * betainc(a, 0.5, x)
+                if x < (a + 1) / (a + 2.5) and half > 1e-300:
+                    got = _log_half_betainc_tail(a, x)
+                    assert got == pytest.approx(math.log(half), rel=1e-12, abs=1e-12)
 
     def test_sphere_cap_upper_bound(self):
         # cap masses on an alpha-grid obey sqrt(N/2pi)(1-a^2)^{(N-3)/2}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from tapbound import tap
 from tapbound.covariance import CovarianceSeries
@@ -33,7 +34,11 @@ from tapbound.tap import (
     tap_gradient_many,
 )
 
-from oracles import maximize_tap_sequential
+from oracles import (
+    brute_force_tap_max_product,
+    maximize_tap_projected_ascent,
+    maximize_tap_sequential,
+)
 
 XI0 = CovarianceSeries((0.0,))
 XI2 = CovarianceSeries((0.0, 0.0, 1.0))
@@ -203,7 +208,7 @@ def assert_matches_sequential(p, starts, rng_seed):
     """The batched ascent against the one-start-at-a-time oracle: best value
     and every start's final value to 1e-9 N, m_star when the best start is
     the same, and a start-major trace of plain Python numbers."""
-    got = maximize_tap(p, starts, rng_seed)
+    got = maximize_tap_projected_ascent(p, starts, rng_seed)
     ref = maximize_tap_sequential(p, starts, rng_seed)
     tol = 1e-9 * p.n
     assert abs(got.value - ref.value) <= tol
@@ -223,16 +228,19 @@ def assert_matches_sequential(p, starts, rng_seed):
     return got, ref
 
 
+PROBLEM_DRAWS = dict(flavor=st.sampled_from(["ising", "spherical"]),
+                     n=st.integers(1, 16),
+                     xi=st.sampled_from(XI_DRAWS),
+                     beta=st.floats(0.0, 0.6),
+                     kind=st.sampled_from(FIELD_KINDS),
+                     h=st.floats(0.0, 0.5),
+                     starts=st.sampled_from([1, 2, 6]),
+                     seed=st.integers(0, 2 ** 32 - 1))
+
+
 class TestBatchedAscentMatchesSequential:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(flavor=st.sampled_from(["ising", "spherical"]),
-           n=st.integers(1, 16),
-           xi=st.sampled_from(XI_DRAWS),
-           beta=st.floats(0.0, 0.6),
-           kind=st.sampled_from(FIELD_KINDS),
-           h=st.floats(0.0, 0.5),
-           starts=st.sampled_from([1, 2, 6]),
-           seed=st.integers(0, 2 ** 32 - 1))
+    @given(**PROBLEM_DRAWS)
     def test_property(self, flavor, n, xi, beta, kind, h, starts, seed):
         p = make_problem(n=n, xi=CovarianceSeries(xi), beta=beta, seed=seed,
                          flavor=flavor, field=field_of_kind(kind, h, n))
@@ -265,10 +273,156 @@ class TestBatchedAscentMatchesSequential:
         p = make_problem(n=7, beta=0.35, h=0.2, seed=4, flavor=flavor)
         first = tap._draw_start(p, np.random.default_rng(0))
         monkeypatch.setattr(tap, "_draw_start", lambda p, rng: first.copy())
-        for maximize in (maximize_tap, maximize_tap_sequential):
+        for maximize in (maximize_tap_projected_ascent, maximize_tap_sequential):
             out = maximize(p, 6, 1)
             assert out.best_start == 0
             assert len({row.value for row in out.trace if row.iteration == 0}) == 1
+
+
+def projected_starts(p, starts, rng_seed):
+    return tap._project(p, np.array([
+        tap._draw_start(p, np.random.default_rng(
+            np.random.SeedSequence(rng_seed, spawn_key=(s,))))
+        for s in range(starts)]))
+
+
+def scipy_lbfgsb_max(p, starts, rng_seed):
+    """Best value of scipy's L-BFGS-B on -tap_energy with the analytic
+    gradient, from maximize_tap's projected starts. Ising runs in the box;
+    the ball is reached through the radial map m = x / sqrt(1 + ||x||^2)."""
+    n = p.n
+    limit = 1.0 - tap.DOMAIN_MARGIN
+    best = -np.inf
+    for m0 in projected_starts(p, starts, rng_seed):
+        if p.flavor == "ising":
+            res = minimize(lambda m: (-tap_energy(p, m), -tap_gradient(p, m)),
+                           m0, jac=True, method="L-BFGS-B",
+                           bounds=[(-limit, limit)] * n,
+                           options=dict(ftol=1e-15, gtol=1e-12, maxiter=5000))
+        else:
+            def neg(x):
+                c = 1.0 / math.sqrt(1.0 + x @ x / n)
+                m = c * x
+                g = tap_gradient(p, m)
+                return -tap_energy(p, m), -(c * g - c ** 3 * (x @ g) / n * x)
+
+            res = minimize(neg, m0 / math.sqrt(1.0 - m0 @ m0 / n), jac=True,
+                           method="L-BFGS-B",
+                           options=dict(ftol=1e-15, gtol=1e-12, maxiter=5000))
+        best = max(best, -res.fun)
+    return best
+
+
+def iterations_per_start(out, starts):
+    return [sum(row.start == s for row in out.trace) for s in range(starts)]
+
+
+class TestLbfgs:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(**PROBLEM_DRAWS)
+    def test_property_at_least_the_projected_ascent(self, flavor, n, xi, beta,
+                                                    kind, h, starts, seed):
+        p = make_problem(n=n, xi=CovarianceSeries(xi), beta=beta, seed=seed,
+                         flavor=flavor, field=field_of_kind(kind, h, n))
+        got = maximize_tap(p, starts, seed)
+        ref = maximize_tap_projected_ascent(p, starts, seed)
+        assert got.value >= ref.value - 1e-9 * n
+        assert got.value == pytest.approx(tap_energy(p, got.m_star), rel=1e-12, abs=1e-12)
+        keys = [(row.start, row.iteration) for row in got.trace]
+        assert keys == sorted(keys)
+        assert {row.start for row in got.trace} == set(range(starts))
+        for row in got.trace:
+            assert type(row.value) is float and type(row.grad_norm) is float
+            assert type(row.step) is float and type(row.iteration) is int
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    @pytest.mark.parametrize("kind", ["none", "linear", "quadratic_spike", "custom"])
+    def test_agrees_with_scipy_lbfgsb(self, flavor, kind):
+        for n, xi, beta, seed in ((2, XI2, 0.4, 1), (5, XI23, 0.5, 2), (8, XI2, 0.4, 3)):
+            p = make_problem(n=n, xi=xi, beta=beta, seed=seed, flavor=flavor,
+                             field=field_of_kind(kind, 0.3, n))
+            got = maximize_tap(p, 3, seed).value
+            ref = scipy_lbfgsb_max(p, 3, seed)
+            assert got >= ref - 1e-9 * n
+            assert got - ref <= 1e-7 * n
+
+    @pytest.mark.parametrize("flavor,n,seed", [("ising", 4, 18), ("spherical", 8, 0)])
+    def test_former_cap_cases_converge(self, flavor, n, seed):
+        # both starts of these problems reach the projected ascent's cap
+        p = make_problem(n=n, beta=0.4, seed=seed, flavor=flavor)
+        out = maximize_tap(p, 2, seed)
+        assert out.converged
+        assert max(iterations_per_start(out, 2)) < tap.MAX_ITERATIONS
+        last = {row.start: row for row in out.trace}
+        assert all(last[s].grad_norm < tap.GRAD_TOLERANCE for s in (0, 1))
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    def test_failed_line_search_stops_the_start(self, flavor):
+        n = 6
+        field = field_custom(np.ones((1, n)), lambda t: 0.0, lambda t: [1e9])
+        p = make_problem(n=n, seed=3, flavor=flavor, field=field)
+        out = maximize_tap(p, 3, 5)
+        assert [row.iteration for row in out.trace] == [0, 0, 0]
+        assert not out.converged
+        finals = [row.value for row in out.trace]
+        assert out.best_start == finals.index(max(finals))
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    def test_identical_starts_tie_break_to_the_first(self, flavor, monkeypatch):
+        p = make_problem(n=7, beta=0.35, h=0.2, seed=4, flavor=flavor)
+        first = tap._draw_start(p, np.random.default_rng(0))
+        monkeypatch.setattr(tap, "_draw_start", lambda p, rng: first.copy())
+        out = maximize_tap(p, 6, 1)
+        assert out.best_start == 0
+        rows = [[(r.iteration, r.value, r.grad_norm, r.step)
+                 for r in out.trace if r.start == s] for s in range(6)]
+        assert all(r == rows[0] for r in rows)
+
+    def test_two_loop_matches_dense_bfgs(self):
+        # Each row against the dense inverse-Hessian recursion
+        # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T from gamma I,
+        # with empty (all-zero, rho = 0) slots before the row's pairs.
+        rng = np.random.default_rng(8)
+        n, rows = 5, 4
+        hist_s = np.zeros((rows, tap.HISTORY, n))
+        hist_y = np.zeros((rows, tap.HISTORY, n))
+        rho = np.zeros((rows, tap.HISTORY))
+        g = rng.standard_normal((rows, n))
+        gamma = np.full(rows, tap.INITIAL_STEP)
+        expect = np.empty((rows, n))
+        for r, pairs in enumerate((0, 1, 3, tap.HISTORY)):
+            A = rng.standard_normal((n, n))
+            A = A @ A.T + n * np.eye(n)
+            for slot in range(tap.HISTORY - pairs, tap.HISTORY):
+                s_vec = rng.standard_normal(n)
+                y_vec = A @ s_vec
+                hist_s[r, slot], hist_y[r, slot] = s_vec, y_vec
+                rho[r, slot] = 1.0 / (s_vec @ y_vec)
+                gamma[r] = (s_vec @ y_vec) / (y_vec @ y_vec)
+            H = gamma[r] * np.eye(n)
+            for slot in range(tap.HISTORY - pairs, tap.HISTORY):
+                s_vec, y_vec, c = hist_s[r, slot], hist_y[r, slot], rho[r, slot]
+                V = np.eye(n) - c * np.outer(y_vec, s_vec)
+                H = V.T @ H @ V + c * np.outer(s_vec, s_vec)
+            expect[r] = H @ g[r]
+        got = tap._two_loop(g, hist_s, hist_y, rho, gamma)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_pairs_without_curvature_are_skipped(self):
+        n = 3
+        hist_s = np.zeros((2, tap.HISTORY, n))
+        hist_y = np.zeros((2, tap.HISTORY, n))
+        rho = np.zeros((2, tap.HISTORY))
+        gamma = np.full(2, tap.INITIAL_STEP)
+        for k in range(tap.HISTORY + 2):
+            s = np.array([[1.0 + k, 0.0, 0.0], [1.0, 0.0, 0.0]])
+            y = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # row 1: s.y = 0
+            tap._push_pairs(np.array([0, 1]), s, y, hist_s, hist_y, rho, gamma)
+        assert np.array_equal(hist_s[0, :, 0], np.arange(3.0, 3.0 + tap.HISTORY))
+        assert np.array_equal(rho[0], 0.5 / np.arange(3.0, 3.0 + tap.HISTORY))
+        assert gamma[0] == (tap.HISTORY + 2.0) / 2.0
+        assert not hist_s[1].any() and not rho[1].any()
+        assert gamma[1] == tap.INITIAL_STEP
 
 
 class TestMaximize:
@@ -337,6 +491,26 @@ class TestBruteForce:
             ascent = maximize_tap(p, starts=6, rng_seed=trial)
             assert ascent.value >= grid_out.value - 1e-9
             assert ascent.value - grid_out.value <= 1e-4 * n
+
+    @pytest.mark.parametrize("n,grid_step,kind", [
+        (1, 0.1, "linear"), (2, 0.05, "linear"), (3, 0.02, "linear"),
+        (4, 0.1, "none"), (1, 0.1, "tie"), (2, 0.1, "tie"), (3, 0.25, "tie")])
+    def test_mixed_radix_matches_product_walk(self, n, grid_step, kind):
+        if kind == "tie":
+            # an even functional whose grid maximum sits at +-m: the
+            # first visited point, -m, must win on both walks
+            p = make_problem(n=n, xi=XI0, beta=1.0, field=field_quadratic_spike(2.0, n))
+        else:
+            p = make_problem(n=n, beta=0.3, h=0.2 if kind == "linear" else 0.0,
+                             seed=n + 30)
+        got = brute_force_tap_max(p, grid_step)
+        ref = brute_force_tap_max_product(p, grid_step)
+        assert got.value == ref.value
+        assert np.array_equal(got.m_star, ref.m_star)
+        assert got.points_evaluated == ref.points_evaluated
+        if kind == "tie":
+            assert np.all(got.m_star < 0.0)
+            assert tap_energy_many(p, -got.m_star[None])[0] == got.value
 
     def test_spherical_radial_grid(self):
         p = make_problem(n=6, beta=0.3, h=0.2, seed=11, flavor="spherical")
