@@ -41,8 +41,10 @@ def _unit_q(q) -> np.ndarray:
     return np.minimum(q, 1.0)
 
 
-def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
-    acc = np.full_like(x, coeffs[-1])
+def _horner(coeffs: tuple, x):
+    """sum_k coeffs[k] x^k for a float or an array x of finite values;
+    `0.0 * x` gives the accumulator the shape of x."""
+    acc = coeffs[-1] + 0.0 * x
     for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc
@@ -96,20 +98,18 @@ class CovarianceSeries:
         """xi^(order)(x) for |x| <= 1, by Horner evaluation."""
         x = _check_unit_interval(x)
         b = self.derivative_coefficients(order)
-        acc = 0.0
-        for c in reversed(b):
-            acc = acc * x + c
-        return acc
+        return _horner(b, x) if b else 0.0
 
     def __call__(self, x: float, order: int = 0) -> float:
         return self.evaluate(x, order)
 
     def onsager_many(self, q: np.ndarray) -> np.ndarray:
-        """Vectorized `onsager`: one Horner pass over q in [0, 1]."""
+        """On(q) = xi(1) - (1-q) xi'(q) - xi(q) for q in [0, 1], as one
+        Horner pass over its stored coefficients."""
         return _horner(self._onsager, _unit_q(q))
 
     def onsager_derivative_many(self, q: np.ndarray) -> np.ndarray:
-        """Vectorized `onsager_derivative`: one Horner pass over q in [0, 1]."""
+        """On'(q) = -(1-q) xi''(q) for q in [0, 1], as one Horner pass."""
         return _horner(self._onsager_derivative, _unit_q(q))
 
     def recenter(self, q: float) -> "RecenteredSeries":
@@ -119,19 +119,12 @@ class CovarianceSeries:
         return RecenteredSeries(self, min(float(q), 1.0))
 
     def onsager(self, q: float) -> float:
-        """On(q) = xi(1) - (1-q) xi'(q) - xi(q), for q in [0, 1]."""
-        if not 0.0 <= q <= 1.0 + _DUST:
-            raise DomainError(f"q={q!r} outside [0, 1]")
-        q = min(float(q), 1.0)
-        return self.evaluate(1.0) - (1.0 - q) * self.evaluate(q, 1) - self.evaluate(q)
+        """On(q) at one q in [0, 1] (a one-value `onsager_many`)."""
+        return float(self.onsager_many(q))
 
     def onsager_derivative(self, q: float) -> float:
-        """On'(q) = -(1-q) xi''(q)."""
-        if not 0.0 <= q <= 1.0 + _DUST:
-            raise DomainError(f"q={q!r} outside [0, 1]")
-        q = min(float(q), 1.0)
-        return -(1.0 - q) * self.evaluate(q, 2)
-
+        """On'(q) at one q in [0, 1] (a one-value `onsager_derivative_many`)."""
+        return float(self.onsager_derivative_many(q))
 
 @dataclass(frozen=True)
 class RecenteredSeries:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .covariance import CovarianceSeries
 from .errors import DomainError, ResourceBudgetError
-from .geometry import inner_many, norm
+from .geometry import norm
 
 NORM_TOLERANCE = 1e-9
 MAX_DEGREE_DEFAULT = 4
@@ -76,14 +76,8 @@ class ExternalField:
         return self.basis.shape[0]
 
     def value(self, sigma: np.ndarray) -> float:
-        t = inner_many(self.basis, sigma)
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "linear":
-            return self.h * self.n * float(t[0])
-        if self.kind == "quadratic_spike":
-            return self.h * self.n * float(t[0]) ** 2
-        return float(self.func(t))
+        """f(sigma) at one point (a one-row `value_many`)."""
+        return float(self.value_many(np.asarray(sigma, dtype=np.float64)[None])[0])
 
     def value_many(self, sigmas: np.ndarray) -> np.ndarray:
         t = (sigmas @ self.basis.T) / self.n
@@ -96,21 +90,13 @@ class ExternalField:
         return np.array([float(self.func(row)) for row in t])
 
     def gradient(self, sigma: np.ndarray) -> np.ndarray:
-        """d f / d sigma_i; custom kinds need `func_grad` (coordinate partials)."""
-        t = inner_many(self.basis, sigma)
-        if self.kind == "none":
-            return np.zeros(self.n)
-        if self.kind == "linear":
-            return np.full(self.n, self.h)
-        if self.kind == "quadratic_spike":
-            return (2.0 * self.h / self.n) * (self.basis[0] @ sigma) * self.basis[0]
-        if self.func_grad is None:
-            return _field_gradient_fd(self, sigma)
-        partials = np.asarray(self.func_grad(t), dtype=np.float64)
-        return (partials @ self.basis) / self.n
+        """d f / d sigma_i at one point (a one-row `gradient_many`)."""
+        return self.gradient_many(np.asarray(sigma, dtype=np.float64)[None])[0]
 
     def gradient_many(self, sigmas: np.ndarray) -> np.ndarray:
-        """Row-wise `gradient`; custom kinds call it once per row."""
+        """d f / d sigma_i at every row. Custom kinds call `func_grad` (the
+        coordinate partials) once per row, or without it take central
+        differences of f per row."""
         sigmas = np.asarray(sigmas, dtype=np.float64)
         if self.kind == "none":
             return np.zeros(sigmas.shape)
@@ -119,16 +105,18 @@ class ExternalField:
         if self.kind == "quadratic_spike":
             u = self.basis[0]
             return ((2.0 * self.h / self.n) * (sigmas @ u))[:, None] * u
-        return np.array([self.gradient(row) for row in sigmas]).reshape(sigmas.shape)
+        if self.func_grad is None:
+            return np.array([_field_gradient_fd(self, row)
+                             for row in sigmas]).reshape(sigmas.shape)
+        t = (sigmas @ self.basis.T) / self.n
+        partials = np.array([self.func_grad(row) for row in t],
+                            dtype=np.float64).reshape(t.shape)
+        return (partials @ self.basis) / self.n
 
 
 def _field_gradient_fd(f: ExternalField, sigma: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    g = np.empty(f.n)
-    for i in range(f.n):
-        e = np.zeros(f.n)
-        e[i] = step
-        g[i] = (f.value(sigma + e) - f.value(sigma - e)) / (2 * step)
-    return g
+    shifts = step * np.eye(f.n)
+    return (f.value_many(sigma + shifts) - f.value_many(sigma - shifts)) / (2 * step)
 
 
 def field_none(n: int) -> ExternalField:
@@ -239,10 +227,11 @@ def _check_ball(sigma: np.ndarray, n: int, open_ball: bool = False) -> np.ndarra
     if sigma.shape != (n,):
         raise DomainError(f"expected vector of length {n}")
     r = norm(sigma)
+    # written so that a NaN norm fails
     if open_ball:
-        if r >= 1.0:
+        if not r < 1.0:
             raise DomainError(f"||sigma|| = {r} not inside the open unit ball")
-    elif r > 1.0 + NORM_TOLERANCE:
+    elif not r <= 1.0 + NORM_TOLERANCE:
         raise DomainError(f"||sigma|| = {r} > 1 beyond tolerance")
     return sigma
 
@@ -336,12 +325,6 @@ def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     for p, scale, s in d.gradient_terms:
         grad += scale * (s if p == 1 else _contract_rows(s, X))
     return grad
-
-
-def field_value(f: ExternalField, sigma: np.ndarray) -> float:
-    if norm(np.asarray(sigma, dtype=np.float64)) > 1.0 + NORM_TOLERANCE:
-        raise DomainError("sigma outside the unit ball")
-    return f.value(np.asarray(sigma, dtype=np.float64))
 
 
 def recentered_energy(d: DisorderSample, m: np.ndarray, sigma_hat: np.ndarray) -> float:

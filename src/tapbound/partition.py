@@ -117,13 +117,19 @@ def log_partition_mc_sphere(d: DisorderSample, f: ExternalField, beta: float,
     if samples < 100:
         raise DomainError("samples must be >= 100")
     pts = _sphere_samples(d.n, samples, rng_seed)
-    x = beta * (energy_many(d, pts) + f.value_many(pts))
+    return _mc_estimate(beta * (energy_many(d, pts) + f.value_many(pts)), rng_seed)
+
+
+def _mc_estimate(x: np.ndarray, rng_seed: int,
+                 effective_count: Optional[int] = None) -> PartitionEstimate:
+    """Log-mean-exp of the draws' log-weights x (-inf for a rejected draw,
+    at least one finite), with the delta-method standard error of the log."""
     m = float(x.max())
     w = np.exp(x - m)
     mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(samples) / mean)
-    return PartitionEstimate(m + math.log(mean), se, "monte_carlo", samples,
-                             seed=rng_seed)
+    se = float(w.std(ddof=1) / math.sqrt(len(x)) / mean)
+    return PartitionEstimate(m + math.log(mean), se, "monte_carlo", len(x),
+                             seed=rng_seed, effective_count=effective_count)
 
 
 def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
@@ -160,14 +166,9 @@ def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
     if hits == 0:
         return PartitionEstimate(-np.inf, 0.0, "monte_carlo", mc_samples,
                                  seed=rng_seed, effective_count=0)
-    x = beta * (energy_many(d, pts[mask]) + f.value_many(pts[mask]))
-    m = float(x.max())
-    w = np.zeros(mc_samples)
-    w[mask] = np.exp(x - m)
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(mc_samples) / mean)
-    return PartitionEstimate(m + math.log(mean), se, "monte_carlo", mc_samples,
-                             seed=rng_seed, effective_count=hits)
+    x = np.full(mc_samples, -np.inf)
+    x[mask] = beta * (energy_many(d, pts[mask]) + f.value_many(pts[mask]))
+    return _mc_estimate(x, rng_seed, effective_count=hits)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ For a magnetization m the energy is
 with I the Ising entropy -sum_i J(m_i) on (-1,1)^N, the spherical entropy
 (N/2) log(1 - ||m||^2) on the open ball, or the half-space log-mass surrogate
 for a general reference measure on the closed ball. All terms are extensive
-(order N); per-spin values are reported alongside, never mixed in.
+(order N); per-spin values are reported alongside, never mixed in. Each
+term is computed once, row-batched, by `tap_energy_many` and
+`tap_gradient_many` (the general flavor has no gradient); `tap_energy` and
+`tap_gradient` are their one-row calls.
 
 For the ising and spherical flavors maximization is multi-start projected
 L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7): all starts advance
@@ -31,23 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import (
-    ReferenceMeasure,
-    binary_entropy,
-    general_entropy_upper,
-    ising_entropy,
-    spherical_entropy,
-)
+from .entropy import ReferenceMeasure, binary_entropy, general_entropy_upper
 from .errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from .geometry import norm
-from .hamiltonian import (
-    DisorderSample,
-    energy,
-    energy_many,
-    field_value,
-    gradient,
-    gradient_many,
-)
+from .hamiltonian import DisorderSample, energy_many, gradient_many
 
 FLAVORS = ("ising", "spherical", "general")
 
@@ -79,58 +69,21 @@ class TapProblem:
         return self.model.n
 
 
-def _check_domain(p: TapProblem, m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (p.n,):
-        raise DomainError(f"expected magnetization of length {p.n}")
-    if p.flavor == "ising":
-        if np.abs(m).max() >= 1.0:
-            raise DomainError("ising magnetization must lie in (-1, 1)^N")
-    elif p.flavor == "spherical":
-        if norm(m) >= 1.0:
-            raise DomainError("spherical magnetization must lie in the open ball")
-    else:
-        if norm(m) > 1.0 + 1e-12:
-            raise DomainError("general magnetization must lie in the closed ball")
-    return m
-
-
-def _entropy_term(p: TapProblem, m: np.ndarray) -> float:
-    if p.flavor == "ising":
-        return ising_entropy(m)
-    if p.flavor == "spherical":
-        return spherical_entropy(m)
-    return general_entropy_upper(p.measure, m, p.delta,
-                                 extra_directions=p.model.field.basis)
-
-
-def tap_energy(p: TapProblem, m: np.ndarray) -> float:
-    m = _check_domain(p, m)
-    beta = p.model.beta
-    q = min(1.0, float(m @ m) / p.n)
-    value = beta * (energy(p.disorder, m) + field_value(p.model.field, m))
-    value += _entropy_term(p, m)
-    value += 0.5 * beta ** 2 * p.n * p.model.series.onsager(q)
-    return float(value)
-
-
-def tap_energy_per_spin(p: TapProblem, m: np.ndarray) -> float:
-    return tap_energy(p, m) / p.n
-
-
 def _check_domain_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
-    """Row-wise `_check_domain` for the ising and spherical flavors."""
+    """The rows of M, each checked against the flavor's domain: (-1, 1)^N
+    (ising), the open ball (spherical) or the closed ball up to 1e-12
+    (general). Each comparison is written so that a NaN entry fails it."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[1] != p.n:
         raise DomainError(f"expected magnetization rows of length {p.n}")
     if p.flavor == "ising":
-        if np.any(np.abs(M) >= 1.0):
+        if not np.all(np.abs(M) < 1.0):
             raise DomainError("ising magnetization must lie in (-1, 1)^N")
     elif p.flavor == "spherical":
-        if np.any(_row_norms(M) >= 1.0):
+        if not np.all(_row_norms(M) < 1.0):
             raise DomainError("spherical magnetization must lie in the open ball")
-    else:
-        raise UnsupportedOperationError("batch evaluation needs a gradient flavor")
+    elif not np.all(_row_norms(M) <= 1.0 + 1e-12):
+        raise DomainError("general magnetization must lie in the closed ball")
     return M
 
 
@@ -138,8 +91,21 @@ def _row_norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt((M * M).sum(axis=1) / M.shape[1])
 
 
+def tap_energy(p: TapProblem, m: np.ndarray) -> float:
+    """Extensive TAP energy of one magnetization (a one-row `tap_energy_many`)."""
+    return float(tap_energy_many(p, np.asarray(m)[None])[0])
+
+
+def tap_energy_per_spin(p: TapProblem, m: np.ndarray) -> float:
+    return tap_energy(p, m) / p.n
+
+
 def tap_energy_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
-    """Extensive TAP energy of every magnetization row (ising and spherical)."""
+    """Extensive TAP energy of every magnetization row.
+
+    The general flavor's entropy term, the half-space surrogate, is
+    evaluated one row at a time.
+    """
     M = _check_domain_many(p, M)
     beta = p.model.beta
     n = p.n
@@ -148,13 +114,22 @@ def tap_energy_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
     vals += 0.5 * beta ** 2 * n * p.model.series.onsager_many(q)
     if p.flavor == "ising":
         vals -= binary_entropy(M).sum(axis=1)
-    else:
+    elif p.flavor == "spherical":
         vals += 0.5 * n * np.log1p(-q)
+    else:
+        vals += [general_entropy_upper(p.measure, m, p.delta,
+                                       extra_directions=p.model.field.basis)
+                 for m in M]
     return vals
 
 
 def tap_gradient(p: TapProblem, m: np.ndarray) -> np.ndarray:
-    """Analytic gradient for the ising and spherical flavors.
+    """Analytic gradient at one magnetization (a one-row `tap_gradient_many`)."""
+    return tap_gradient_many(p, np.asarray(m)[None])[0]
+
+
+def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
+    """Analytic gradient of every row, for the ising and spherical flavors.
 
     d/dm_i of the Onsager term is beta^2 On'(q) m_i with On'(q) = -(1-q) xi''(q);
     the entropy gradients are -atanh(m_i) and -m_i / (1 - q). Custom fields
@@ -162,20 +137,6 @@ def tap_gradient(p: TapProblem, m: np.ndarray) -> np.ndarray:
     """
     if p.flavor == "general":
         raise UnsupportedOperationError("general flavor exposes no gradient")
-    m = _check_domain(p, m)
-    beta = p.model.beta
-    q = min(1.0, float(m @ m) / p.n)
-    g = beta * (gradient(p.disorder, m) + p.model.field.gradient(m))
-    g += beta ** 2 * p.model.series.onsager_derivative(q) * m
-    if p.flavor == "ising":
-        g -= np.arctanh(m)
-    else:
-        g -= m / (1.0 - q)
-    return g
-
-
-def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
-    """Row-wise `tap_gradient` (ising and spherical)."""
     M = _check_domain_many(p, M)
     beta = p.model.beta
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)

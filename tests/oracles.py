@@ -1,11 +1,18 @@
 """Independent reference implementations the production kernels are checked
 against. They share no contraction or enumeration code with the package:
 energies are explicit per-degree `einsum` contractions, the exact Ising
-sum visits one configuration at a time in Python floats, and the TAP ascent
-runs one start at a time on the scalar `tap_energy` and `tap_gradient`.
-The batched projected gradient ascent and the `itertools.product` grid walk
-are the production paths that the L-BFGS maximizer and the mixed-radix grid
-oracle replaced; they stay here as references for them.
+sum visits one configuration at a time in Python floats, and the TAP energy
+and gradient of one magnetization are assembled from those energies, the
+closed forms of the field kinds and entropies, and On(q) = xi(1) -
+(1-q) xi'(q) - xi(q) taken straight from the series coefficients. Only the
+general flavor's entropy surrogate and the central-difference gradient of a
+custom field without partials, which have no closed form, are the
+package's own. The sequential TAP ascent runs one start at a time on
+`tap_energy` and `tap_gradient`, the one-row calls of the batched
+functionals. The batched projected gradient ascent and the
+`itertools.product` grid walk are the production paths that the L-BFGS
+maximizer and the mixed-radix grid oracle replaced; they stay here as
+references for them.
 """
 
 import itertools
@@ -14,6 +21,7 @@ import math
 import numpy as np
 
 from tapbound import tap
+from tapbound.entropy import general_entropy_upper
 from tapbound.geometry import norm
 
 
@@ -92,6 +100,82 @@ def oracle_log_partition_ising(d, f, beta):
           for s in (np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n))]
     top = max(xs)
     return top + math.log(math.fsum(math.exp(x - top) for x in xs)) - n * math.log(2.0)
+
+
+def oracle_onsager(coefficients, q):
+    """On(q) = xi(1) - (1-q) xi'(q) - xi(q), with xi and xi' summed term by
+    term from the coefficients."""
+    xi = sum(a * q ** k for k, a in enumerate(coefficients))
+    xi_prime = sum(k * a * q ** (k - 1) for k, a in enumerate(coefficients) if k)
+    return sum(coefficients) - (1.0 - q) * xi_prime - xi
+
+
+def oracle_onsager_derivative(coefficients, q):
+    """On'(q) = -(1-q) xi''(q), with xi'' summed term by term."""
+    return -(1.0 - q) * sum(k * (k - 1) * a * q ** (k - 2)
+                            for k, a in enumerate(coefficients) if k >= 2)
+
+
+def _field_closed_form(f, m):
+    if f.kind == "none":
+        return 0.0
+    if f.kind == "linear":
+        return f.h * m.sum()
+    if f.kind == "quadratic_spike":
+        return f.h * m.sum() ** 2 / f.n
+    return float(f.func(f.basis @ m / f.n))
+
+
+def _field_gradient_closed_form(f, m):
+    if f.kind == "none":
+        return np.zeros(f.n)
+    if f.kind == "linear":
+        return np.full(f.n, f.h)
+    if f.kind == "quadratic_spike":
+        return np.full(f.n, 2.0 * f.h * m.sum() / f.n)
+    if f.func_grad is not None:
+        return np.asarray(f.func_grad(f.basis @ m / f.n)) @ f.basis / f.n
+    # A custom field without partials has no closed form: its gradient is
+    # defined as the package's central differences, which tests check
+    # against the analytic derivative to their own accuracy (1e-8). An
+    # independent difference quotient differs from it by ~4e-11 at N = 6
+    # through rounding alone, above the TAP row tests' 1e-12.
+    return f.gradient(m)
+
+
+def oracle_tap_energy(p, m):
+    """Extensive TAP energy of one magnetization: the einsum energy, the
+    field's closed form, the entropy -sum_i J(m_i), (N/2) log(1 - q) or the
+    general surrogate, and (beta^2 / 2) N On(q) from the coefficients."""
+    m = np.asarray(m, dtype=np.float64)
+    n, beta = p.n, p.model.beta
+    q = min(1.0, float(m @ m) / n)
+    if p.flavor == "ising":
+        entropy = -math.fsum((1 + x) / 2 * math.log1p(x) + (1 - x) / 2 * math.log1p(-x)
+                             for x in m)
+    elif p.flavor == "spherical":
+        entropy = 0.5 * n * math.log1p(-q)
+    else:
+        entropy = general_entropy_upper(p.measure, m, p.delta,
+                                        extra_directions=p.model.field.basis)
+    return (beta * (oracle_energy(p.disorder, m) + _field_closed_form(p.model.field, m))
+            + entropy
+            + 0.5 * beta ** 2 * n * oracle_onsager(p.model.series.coefficients, q))
+
+
+def oracle_tap_gradient(p, m):
+    """Gradient of `oracle_tap_energy` (ising and spherical): the einsum
+    gradient, the field's closed-form gradient (a custom field without
+    partials takes the package's central differences), beta^2 On'(q) m, and
+    -atanh(m_i) = -log((1 + m_i) / (1 - m_i)) / 2 or -m / (1 - q)."""
+    m = np.asarray(m, dtype=np.float64)
+    beta = p.model.beta
+    q = min(1.0, float(m @ m) / p.n)
+    g = beta * (oracle_gradient(p.disorder, m) + _field_gradient_closed_form(p.model.field, m))
+    g += beta ** 2 * oracle_onsager_derivative(p.model.series.coefficients, q) * m
+    if p.flavor == "ising":
+        return g - 0.5 * (np.log1p(m) - np.log1p(-m))
+    return g - m / (1.0 - q)
 
 
 def _project_one(p, m):

@@ -15,7 +15,6 @@ from tapbound.hamiltonian import (
     field_custom,
     field_linear,
     field_quadratic_spike,
-    field_value,
     field_none,
     gradient,
     gradient_many,
@@ -98,6 +97,15 @@ class TestEnergyAndGradient:
             energy(d, 1.1 * np.ones(4))
         with pytest.raises(DomainError):
             gradient(d, np.ones(4))  # on the sphere, not inside
+
+    def test_nan_entry_rejected(self):
+        d = sample_disorder(MixedModel(4, XI23), 0)
+        m = np.array([0.1, np.nan, 0.0, 0.2])
+        for call in (lambda: energy(d, m), lambda: gradient(d, m),
+                     lambda: recentered_energy(d, m, np.zeros(4)),
+                     lambda: recentered_energy(d, np.zeros(4), m)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_gradient_matches_central_differences(self):
         # 100 random (disorder, sigma): relative error <= 1e-6, step 1e-5
@@ -326,16 +334,16 @@ class TestExternalField:
     def test_linear_value(self):
         f = field_linear(0.2, 4)
         sigma = np.ones(4)
-        assert field_value(f, sigma) == pytest.approx(0.8, abs=1e-15)
+        assert f.value(sigma) == pytest.approx(0.8, abs=1e-15)
 
     def test_spike_vanishes_on_balanced(self):
         f = field_quadratic_spike(1.0, 4)
-        assert field_value(f, np.array([1.0, 1.0, -1.0, -1.0])) == 0.0
+        assert f.value(np.array([1.0, 1.0, -1.0, -1.0])) == 0.0
 
     def test_spike_value(self):
         f = field_quadratic_spike(0.5, 4)
         sigma = np.array([1.0, 1.0, 1.0, -1.0])  # sum = 2
-        assert field_value(f, sigma) == pytest.approx(0.5, abs=1e-15)
+        assert f.value(sigma) == pytest.approx(0.5, abs=1e-15)
 
     def test_custom_uses_projection_coordinates_only(self):
         n = 6
@@ -344,7 +352,7 @@ class TestExternalField:
         rng = np.random.default_rng(9)
         sigma = 0.9 * unit_vector(rng, n)
         proj = inner(basis[0], sigma) * basis[0]
-        assert field_value(f, sigma) == pytest.approx(field_value(f, proj), rel=1e-12)
+        assert f.value(sigma) == pytest.approx(f.value(proj), rel=1e-12)
 
     def test_custom_gradient_finite_difference_fallback(self):
         n = 5
@@ -356,18 +364,28 @@ class TestExternalField:
         assert np.allclose(g, 3 * t ** 2 * np.ones(n) / n, atol=1e-8)
 
     def test_gradient_many_matches_rows(self):
+        # every row against its one-row call and the field's closed form
         n = 6
         rng = np.random.default_rng(11)
         X = np.array([0.8 * unit_vector(rng, n) for _ in range(5)])
-        fields = [field_none(n), field_linear(0.3, n), field_quadratic_spike(0.7, n),
-                  field_custom(np.ones((1, n)), lambda t: float(np.sin(t[0])),
-                               lambda t: [float(np.cos(t[0]))]),
-                  field_custom(np.ones((1, n)), lambda t: float(t[0] ** 3))]
-        for f in fields:
+        t = X.mean(axis=1)
+        fields = [
+            (field_none(n), np.zeros_like(X)),
+            (field_linear(0.3, n), np.full_like(X, 0.3)),
+            (field_quadratic_spike(0.7, n), np.repeat(2.0 * 0.7 * t[:, None], n, axis=1)),
+            (field_custom(np.ones((1, n)), lambda t: float(np.sin(t[0])),
+                          lambda t: [float(np.cos(t[0]))]),
+             np.repeat(np.cos(t)[:, None] / n, n, axis=1)),
+            (field_custom(np.ones((1, n)), lambda t: float(t[0] ** 3)),
+             np.repeat(3.0 * t[:, None] ** 2 / n, n, axis=1))]
+        for f, expect in fields:
             got = f.gradient_many(X)
             assert got.shape == X.shape
-            for row, x in zip(got, X):
+            # central differences (custom without func_grad) are good to 1e-8
+            atol = 1e-8 if f.kind == "custom" and f.func_grad is None else 1e-15
+            for row, x, e in zip(got, X, expect):
                 assert np.allclose(row, f.gradient(x), rtol=1e-13, atol=1e-15)
+                assert np.allclose(row, e, rtol=1e-13, atol=atol)
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(DomainError):

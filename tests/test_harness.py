@@ -1,8 +1,11 @@
 """Config plumbing, report artifacts, determinism, and the CLI."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +235,18 @@ class TestCli:
         code = main(["tap-max", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "tap-max.radial.svg").exists()
+
+
+class TestPerfbenchTracer:
+    def test_traced_names_resolve(self):
+        # perfbench/tracer.py patches these names from outside the package;
+        # deleting or renaming one breaks `perfbench/run.py --trace 1`
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for _, module, attr in tracer.SPANS + tracer.COUNTERS:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{module}.{attr}"

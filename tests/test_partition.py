@@ -26,6 +26,7 @@ from tapbound.hamiltonian import (
 from tapbound.partition import (
     PartitionEstimate,
     ThinPushforward,
+    _sphere_samples,
     log_partition_exact_ising,
     log_partition_mc_sphere,
     restricted_log_partition,
@@ -246,6 +247,30 @@ class TestRestricted:
         est = restricted_log_partition(E, d, field_none(8), 0.2,
                                        lambda b: b @ u > 0, mc_samples=2000)
         assert 0 < est.effective_count < 2000
+
+    def test_sphere_restricted_matches_log_mean_exp_oracle(self):
+        # rejected draws weigh zero in the mean over all mc_samples draws;
+        # accepting every draw reproduces log_partition_mc_sphere exactly
+        n, beta, samples, seed = 8, 0.4, 2000, 5
+        d = sample_disorder(MixedModel(n, XI23), 3)
+        E = sphere_uniform(n)
+        f = field_linear(0.2, n)
+        pts = _sphere_samples(n, samples, seed)
+        mask = pts[:, 0] + pts[:, 1] > 0.5
+        x = beta * (oracle_energy_many(d, pts) + 0.2 * pts.sum(axis=1))
+        w = np.where(mask, np.exp(x - x[mask].max()), 0.0)
+        est = restricted_log_partition(E, d, f, beta,
+                                       lambda b: b[:, 0] + b[:, 1] > 0.5,
+                                       mc_samples=samples, rng_seed=seed)
+        assert est.log_value == pytest.approx(
+            x[mask].max() + math.log(w.mean()), rel=1e-12)
+        assert est.std_error == pytest.approx(
+            w.std(ddof=1) / math.sqrt(samples) / w.mean(), rel=1e-12)
+        assert est.effective_count == mask.sum() and est.sample_count == samples
+        full = restricted_log_partition(E, d, f, beta, lambda b: np.ones(len(b), bool),
+                                        mc_samples=samples, rng_seed=seed)
+        plain = log_partition_mc_sphere(d, f, beta, samples, seed)
+        assert (full.log_value, full.std_error) == (plain.log_value, plain.std_error)
 
 
 class TestSliceMeasures:

@@ -23,6 +23,7 @@ from tapbound.hamiltonian import (
     sample_disorder,
 )
 from tapbound.tap import (
+    FLAVORS,
     TapProblem,
     brute_force_tap_max,
     export_trace_csv,
@@ -38,6 +39,8 @@ from oracles import (
     brute_force_tap_max_product,
     maximize_tap_projected_ascent,
     maximize_tap_sequential,
+    oracle_tap_energy,
+    oracle_tap_gradient,
 )
 
 XI0 = CovarianceSeries((0.0,))
@@ -168,6 +171,7 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("flavor", ["ising", "spherical"])
     @pytest.mark.parametrize("kind", FIELD_KINDS)
     def test_rows_match_scalar(self, flavor, kind):
+        # every row, and its one-row scalar call, against the oracle
         rng = np.random.default_rng(21)
         for n in (1, 6):
             p = make_problem(n=n, xi=XI23, beta=0.45, seed=n, flavor=flavor,
@@ -177,10 +181,13 @@ class TestBatchedEvaluation:
             grads = tap_gradient_many(p, M)
             assert vals.shape == (9,) and grads.shape == (9, n)
             for m, v, g in zip(M, vals, grads):
-                assert v == pytest.approx(tap_energy(p, m), rel=1e-12, abs=1e-12)
-                expect = tap_gradient(p, m)
+                expect = oracle_tap_energy(p, m)
+                for got in (v, tap_energy(p, m)):
+                    assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                expect = oracle_tap_gradient(p, m)
                 scale = max(1.0, float(np.abs(expect).max()))
-                assert np.abs(g - expect).max() <= 1e-12 * scale
+                for got in (g, tap_gradient(p, m)):
+                    assert np.abs(got - expect).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("flavor", ["ising", "spherical"])
     def test_one_row_outside_domain_rejected(self, flavor):
@@ -193,11 +200,37 @@ class TestBatchedEvaluation:
             with pytest.raises(DomainError):
                 batched(p, M[:, :5])
 
-    def test_general_flavor_has_no_batch(self):
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_nan_entry_rejected(self, flavor):
+        p = make_problem(n=6, flavor=flavor, measure=ising_uniform(6), delta=0.1)
+        m = np.array([0.1, 0.0, np.nan, -0.2, 0.0, 0.3])
+        # the domain check rejects it, not a later check on q
+        with pytest.raises(DomainError, match="magnetization must lie"):
+            tap_energy(p, m)
+        with pytest.raises(DomainError, match="magnetization must lie"):
+            tap_energy_many(p, np.array([np.zeros(6), m]))
+        if flavor != "general":
+            with pytest.raises(DomainError, match="magnetization must lie"):
+                tap_gradient(p, m)
+
+    def test_general_energy_rows_match_oracle(self):
+        n = 6
+        p = make_problem(n=n, beta=0.3, h=0.2, flavor="general",
+                         measure=ising_uniform(n), delta=0.1)
+        M = inside_rows(np.random.default_rng(23), 5, n, "spherical")
+        vals = tap_energy_many(p, M)
+        for m, v in zip(M, vals):
+            assert v == pytest.approx(oracle_tap_energy(p, m), rel=1e-12, abs=1e-12)
+        with pytest.raises(DomainError):
+            tap_energy_many(p, np.full((1, n), 1.01))
+
+    def test_general_flavor_has_no_gradient_batch(self):
         p = make_problem(flavor="general", measure=ising_uniform(8), delta=0.1)
-        for batched in (tap_energy_many, tap_gradient_many):
-            with pytest.raises(UnsupportedOperationError):
-                batched(p, np.zeros((2, 8)))
+        with pytest.raises(UnsupportedOperationError):
+            tap_gradient_many(p, np.zeros((2, 8)))
+        # raised before the domain check
+        with pytest.raises(UnsupportedOperationError):
+            tap_gradient_many(p, np.full((2, 3), np.nan))
 
 
 XI_DRAWS = ((0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.5),
@@ -236,6 +269,29 @@ PROBLEM_DRAWS = dict(flavor=st.sampled_from(["ising", "spherical"]),
                      h=st.floats(0.0, 0.5),
                      starts=st.sampled_from([1, 2, 6]),
                      seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestRowsMatchOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(flavor=st.sampled_from(FLAVORS), n=st.integers(1, 8),
+           xi=st.sampled_from(XI_DRAWS), beta=st.floats(0.0, 0.6),
+           kind=st.sampled_from(FIELD_KINDS), h=st.floats(0.0, 0.5),
+           rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property(self, flavor, n, xi, beta, kind, h, rows, seed):
+        p = make_problem(n=n, xi=CovarianceSeries(xi), beta=beta, seed=seed,
+                         flavor=flavor, field=field_of_kind(kind, h, n),
+                         measure=ising_uniform(n), delta=0.1)
+        M = inside_rows(np.random.default_rng(seed), rows, n,
+                        "ising" if flavor == "ising" else "spherical")
+        for m, v in zip(M, tap_energy_many(p, M)):
+            assert v == pytest.approx(oracle_tap_energy(p, m), rel=1e-12, abs=1e-12)
+        if flavor == "general":
+            with pytest.raises(UnsupportedOperationError):
+                tap_gradient_many(p, M)
+            return
+        for m, g in zip(M, tap_gradient_many(p, M)):
+            expect = oracle_tap_gradient(p, m)
+            assert np.abs(g - expect).max() <= 1e-12 * max(1.0, float(np.abs(expect).max()))
 
 
 class TestBatchedAscentMatchesSequential:
