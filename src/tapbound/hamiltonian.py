@@ -52,6 +52,9 @@ class ExternalField:
 
     `lipschitz_bound` is the Lipschitz constant of f with respect to the
     normalized norm (order N for the built-in kinds).
+
+    The field keeps a read-only copy of `basis`, so one field can be shared
+    by many models and replicas.
     """
 
     kind: str
@@ -65,10 +68,12 @@ class ExternalField:
     def __post_init__(self):
         if self.kind not in ("none", "linear", "quadratic_spike", "custom"):
             raise DomainError(f"unknown field kind {self.kind!r}")
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=np.float64))
+        basis = np.array(self.basis, dtype=np.float64, ndmin=2)
         gram = (basis @ basis.T) / self.n
-        if not np.allclose(gram, np.eye(len(basis)), atol=1e-12):
+        # written so that a NaN entry fails
+        if not np.all(np.abs(gram - np.eye(len(basis))) <= 1e-12):
             raise DomainError("field basis rows are not <.,.>-orthonormal to 1e-12")
+        basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
     @property

@@ -7,6 +7,11 @@ reduced in replica order, so reports are identical for any worker count.
 Seed scheme: replica r of stream s uses the 64-bit integer drawn from
 SeedSequence(master_seed, spawn_key=(s, r)). Streams: 0 disorder, 1 probe
 points, 2 maximizer starts, 3 Monte Carlo, 4 atom picks.
+
+Models are cached per process: every replica of a cell (the same n, xi,
+beta, field kind and h) samples its disorder for one shared, immutable
+MixedModel, and a process pool builds one cache per worker. Seed-fixed probe
+points are cached per process in the same way.
 """
 
 from __future__ import annotations
@@ -72,10 +77,20 @@ def make_field(kind: str, h: float, n: int):
     raise ConfigError([f"unknown field kind {kind!r}"])
 
 
-def _disorder(cfg: ExperimentConfig, r: int, xi, beta: float, field):
-    """Replica r's disorder (its model attached), drawn from the disorder stream."""
-    model = MixedModel(field.n, CovarianceSeries(xi), beta=beta, field=field)
-    return sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, r))
+@functools.lru_cache(maxsize=32)
+def _model(n: int, xi: tuple, beta: float, kind: str, h: float) -> MixedModel:
+    """The model of one cell, built once per process and shared by its
+    replicas (models and their field bases are immutable)."""
+    return MixedModel(n, CovarianceSeries(xi), beta=beta,
+                      field=make_field(kind, h, n))
+
+
+def _disorder(cfg: ExperimentConfig, r: int, xi, beta: float, kind: str,
+              h: float, n: int):
+    """Replica r's disorder, drawn from the disorder stream for the cell's
+    cached model (attached as its `.model`)."""
+    return sample_disorder(_model(n, tuple(xi), beta, kind, h),
+                           derive_seed(cfg.seed, STREAM_DISORDER, r))
 
 
 def _replicas(cfg: ExperimentConfig) -> list:
@@ -97,7 +112,7 @@ def _map_replicas(func, cfg: ExperimentConfig, tasks: list) -> list:
 # ---------------------------------------------------------------------------
 
 def _beta0_case(cfg, r, n, xi):
-    d = _disorder(cfg, r, xi, 0.0, field_none(n))
+    d = _disorder(cfg, r, xi, 0.0, "none", 0.0, n)
     log_z = log_partition_exact_ising(d, d.model.field, 0.0).log_value
     sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=2,
                        rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
@@ -130,7 +145,7 @@ def run_zero_disorder(cfg: ExperimentConfig) -> ExperimentReport:
     z_errs, tap_errs = [], []
     for i, h in enumerate(cfg.h):
         for b in cfg.beta:
-            d = _disorder(cfg, i, (0.0,), b, field_linear(h, n))
+            d = _disorder(cfg, i, (0.0,), b, "linear", h, n)
             target = n * math.log(math.cosh(b * h))
             log_z = log_partition_exact_ising(d, d.model.field, b).log_value
             sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=cfg.starts,
@@ -159,7 +174,8 @@ def _read_only(*arrays):
 
 
 # Probes depend only on (n, seed); every replica of a run shares one read-only
-# copy instead of redrawing it.
+# copy of them, and of the (20, n) block of pair points it scores in one
+# energy_many call, instead of rebuilding them.
 @functools.lru_cache(maxsize=8)
 def _gaussian_law_probes(n, master):
     rng = np.random.default_rng(
@@ -172,8 +188,9 @@ def _gaussian_law_probes(n, master):
         pairs.append((a, b))
     m = 0.6 * normalize(rng.standard_normal(n))
     mp = 0.5 * normalize(rng.standard_normal(n))
-    _read_only(m, mp)
-    return tuple(pairs), m, mp
+    pts = np.array([p for ab in pairs for p in ab])
+    _read_only(m, mp, pts)
+    return tuple(pairs), m, mp, pts
 
 
 def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
@@ -194,9 +211,8 @@ def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
 
 
 def _gaussian_law_replica(cfg, r):
-    pairs, m, mp = _gaussian_law_probes(cfg.n, cfg.seed)
-    d = _disorder(cfg, r, cfg.xi, 1.0, field_none(cfg.n))
-    pts = np.array([p for ab in pairs for p in ab])
+    _, m, mp, pts = _gaussian_law_probes(cfg.n, cfg.seed)
+    d = _disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
     vals = energy_many(d, pts)
     gm = gradient(d, m)
     gmp = gradient(d, mp)
@@ -213,7 +229,7 @@ def _gaussian_law_replica(cfg, r):
 def run_gaussian_law(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n
     series = CovarianceSeries(cfg.xi)
-    pairs, m, mp = _gaussian_law_probes(n, cfg.seed)
+    pairs, m, mp, _ = _gaussian_law_probes(n, cfg.seed)
     names, expected = [], []
     for k, (a, b) in enumerate(pairs):
         names.append(f"cov-energy-pair{k}")
@@ -257,7 +273,7 @@ def _recentering_probes(n, master):
 
 def _recentering_replica(cfg, r):
     m, (s1, s2, s3), w = _recentering_probes(cfg.n, cfg.seed)
-    d = _disorder(cfg, r, cfg.xi, 1.0, field_none(cfg.n))
+    d = _disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
     g = gradient(d, m)
     hm = energy(d, m)
     pts = np.array([m + s1, m + s2, m + s3])
@@ -297,7 +313,7 @@ def run_gradient_check(cfg: ExperimentConfig) -> ExperimentReport:
     worst = 0.0
     for trial in range(cfg.replicas):
         n = int(rng.integers(4, 10))
-        d = _disorder(cfg, trial, cfg.xi, 1.0, field_none(n))
+        d = _disorder(cfg, trial, cfg.xi, 1.0, "none", 0.0, n)
         sigma = rng.uniform(0.2, 0.9) * normalize(rng.standard_normal(n))
         g = gradient(d, sigma)
         fd = np.empty(n)
@@ -325,7 +341,7 @@ def _cover_h(cfg: ExperimentConfig) -> float:
 
 def _cover_sphere_replica(cfg, r):
     n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, 1.0, field_linear(_cover_h(cfg), n))
+    d = _disorder(cfg, r, cfg.xi, 1.0, "linear", _cover_h(cfg), n)
     builder = CoverBuilder(d, sphere_uniform(n), d.model.field, cfg.epsilon, cfg.delta)
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, r)))
@@ -375,7 +391,7 @@ def run_cover_property(cfg: ExperimentConfig) -> ExperimentReport:
     # exhaustive check over all ising atoms at a smaller size; eta is widened
     # so the stopping rule can fire before the dimensions run out
     n2, eta2 = 12, 0.8
-    d2 = _disorder(cfg, 10**6, cfg.xi, 1.0, field_linear(_cover_h(cfg), n2))
+    d2 = _disorder(cfg, 10**6, cfg.xi, 1.0, "linear", _cover_h(cfg), n2)
     E2 = ising_uniform(n2)
     builder2 = CoverBuilder(d2, E2, d2.model.field, cfg.epsilon, cfg.delta)
     atoms, _ = E2.atoms()
@@ -409,7 +425,7 @@ def _classified_atom(cfg, r, beta):
     """Replica r's Ising cover builder and the (alpha, node) of one uniformly
     drawn atom."""
     n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, beta, field_linear(_cover_h(cfg), n))
+    d = _disorder(cfg, r, cfg.xi, beta, "linear", _cover_h(cfg), n)
     E = ising_uniform(n)
     builder = CoverBuilder(d, E, d.model.field, cfg.epsilon, cfg.delta)
     atoms, _ = E.atoms()
@@ -519,7 +535,7 @@ def _bound_grid(cfg: ExperimentConfig) -> list:
 
 def _bound_ising_replica(cfg, beta, h, r):
     n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, beta, field_linear(h, n))
+    d = _disorder(cfg, r, cfg.xi, beta, "linear", h, n)
     log_z = log_partition_exact_ising(d, d.model.field, beta).log_value
     sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=cfg.starts,
                        rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
@@ -546,7 +562,7 @@ def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _bound_sphere_replica(cfg, beta, h, r):
     n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, beta, field_linear(h, n))
+    d = _disorder(cfg, r, cfg.xi, beta, "linear", h, n)
     est = log_partition_mc_sphere(d, d.model.field, beta, cfg.mc_samples,
                                   derive_seed(cfg.seed, STREAM_MC, r))
     sup = maximize_tap(TapProblem(d.model, d, "spherical"), starts=cfg.starts,
@@ -695,7 +711,7 @@ def run_tap_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     for r in range(cfg.replicas):
         beta = cfg.beta[r % len(cfg.beta)]
         h = cfg.h[r % len(cfg.h)]
-        d = _disorder(cfg, r, cfg.xi, beta, field_linear(h, n))
+        d = _disorder(cfg, r, cfg.xi, beta, "linear", h, n)
         problem = TapProblem(d.model, d, "ising")
         L = max(beta, L_xi, 1.0)
         rng = np.random.default_rng(
@@ -767,7 +783,7 @@ def run_series_identities(cfg: ExperimentConfig) -> ExperimentReport:
 def run_tap_max(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n
     h = cfg.h[0] if cfg.h else 0.0
-    d = _disorder(cfg, 0, cfg.xi, cfg.beta[0], make_field(cfg.field, h, n))
+    d = _disorder(cfg, 0, cfg.xi, cfg.beta[0], cfg.field, h, n)
     flavor = "ising" if cfg.measure == "ising" else "spherical"
     problem = TapProblem(d.model, d, flavor)
     out = maximize_tap(problem, starts=cfg.starts,

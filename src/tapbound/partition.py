@@ -21,7 +21,7 @@ import numpy as np
 from .cover import CoverNode, region_masks, thin_projection
 from .entropy import ReferenceMeasure, _ising_atoms, point_cloud
 from .errors import DomainError, ResourceBudgetError
-from .hamiltonian import DisorderSample, ExternalField, energy_many
+from .hamiltonian import _ROW_CHUNK, DisorderSample, ExternalField, energy_many
 
 ENUM_LIMITS = {2: 24, 3: 16}  # max N per highest interacting degree
 # Spins enumerated together as one fixed block by the exact Ising sum.
@@ -101,10 +101,18 @@ def log_partition_exact_ising(d: DisorderSample, f: ExternalField,
                              "exact_enumeration", 2 ** n)
 
 
+def _sphere_rng(rng_seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=rng_seed))
+
+
+def _to_sphere(z: np.ndarray) -> np.ndarray:
+    """Rescale the rows of z in place onto the sphere |sigma|^2 = N."""
+    z *= (math.sqrt(z.shape[1]) / np.linalg.norm(z, axis=1))[:, None]
+    return z
+
+
 def _sphere_samples(n: int, count: int, rng_seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    z = rng.standard_normal((count, n))
-    return z * (math.sqrt(n) / np.linalg.norm(z, axis=1))[:, None]
+    return _to_sphere(_sphere_rng(rng_seed).standard_normal((count, n)))
 
 
 def log_partition_mc_sphere(d: DisorderSample, f: ExternalField, beta: float,
@@ -112,12 +120,22 @@ def log_partition_mc_sphere(d: DisorderSample, f: ExternalField, beta: float,
     """Monte Carlo log E[exp(beta H^f)] over the uniform sphere.
 
     The estimate is a log-mean-exp over `samples` normalized Gaussian draws;
-    std_error comes from the delta method on the log (scale-invariant).
+    std_error comes from the delta method on the log (scale-invariant). The
+    draws stream through one reused block of `_ROW_CHUNK` rows, in the order
+    and with the arithmetic of one (samples, N) draw, so only the vector of
+    log-weights grows with `samples`.
     """
     if samples < 100:
         raise DomainError("samples must be >= 100")
-    pts = _sphere_samples(d.n, samples, rng_seed)
-    return _mc_estimate(beta * (energy_many(d, pts) + f.value_many(pts)), rng_seed)
+    rng = _sphere_rng(rng_seed)
+    buf = np.empty((min(samples, _ROW_CHUNK), d.n))
+    x = np.empty(samples)
+    for start in range(0, samples, _ROW_CHUNK):
+        block = _to_sphere(rng.standard_normal(
+            out=buf[:min(_ROW_CHUNK, samples - start)]))
+        x[start:start + len(block)] = beta * (energy_many(d, block)
+                                              + f.value_many(block))
+    return _mc_estimate(x, rng_seed)
 
 
 def _mc_estimate(x: np.ndarray, rng_seed: int,

@@ -188,10 +188,11 @@ def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
 
     All starts advance together as the rows of one (starts, N) array, but
     each row keeps its own curvature history, line search and stopping
-    state, exactly as if it ran alone. Up to 500 iterations each record a
-    trace row (the step column is the t accepted at the previous iteration,
-    `INITIAL_STEP` at the first) and stop the start once the normalized
-    gradient norm drops below 1e-8. Otherwise the direction D is the
+    state, as if it ran alone up to rounding: the batched kernels can differ
+    in the last bit at different batch heights. Up to 500 iterations each
+    record a trace row (the step column is the t accepted at the previous
+    iteration, `INITIAL_STEP` at the first) and stop the start once the
+    normalized gradient norm drops below 1e-8. Otherwise the direction D is the
     L-BFGS two-loop product of the row's last `HISTORY` curvature pairs
     with its gradient (`INITIAL_STEP` times the gradient without pairs, or
     when D is no ascent direction), and t = 1 is halved until the projected

@@ -12,7 +12,9 @@ package's own. The sequential TAP ascent runs one start at a time on
 functionals. The batched projected gradient ascent and the
 `itertools.product` grid walk are the production paths that the L-BFGS
 maximizer and the mixed-radix grid oracle replaced; they stay here as
-references for them.
+references for them. So does the full-array sphere Monte Carlo estimator
+that the streamed one replaced; it scores its draws with the package's
+`energy_many`, so that the two can be compared bit for bit.
 """
 
 import itertools
@@ -23,6 +25,7 @@ import numpy as np
 from tapbound import tap
 from tapbound.entropy import general_entropy_upper
 from tapbound.geometry import norm
+from tapbound.hamiltonian import energy_many
 
 
 def _scale(d, p):
@@ -100,6 +103,20 @@ def oracle_log_partition_ising(d, f, beta):
           for s in (np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n))]
     top = max(xs)
     return top + math.log(math.fsum(math.exp(x - top) for x in xs)) - n * math.log(2.0)
+
+
+def oracle_log_partition_mc_sphere(d, f, beta, samples, rng_seed):
+    """(log value, std error) of the sphere Monte Carlo estimate from one full
+    (samples, N) Philox draw, rescaled into a new array and scored in one
+    energy_many call, with the log-mean-exp and delta-method error written
+    out."""
+    z = np.random.Generator(np.random.Philox(key=rng_seed)).standard_normal(
+        (samples, d.n))
+    pts = z * (math.sqrt(d.n) / np.linalg.norm(z, axis=1))[:, None]
+    x = beta * (energy_many(d, pts) + f.value_many(pts))
+    w = np.exp(x - x.max())
+    return (float(x.max()) + math.log(float(w.mean())),
+            float(w.std(ddof=1) / math.sqrt(samples) / w.mean()))
 
 
 def oracle_onsager(coefficients, q):

@@ -391,6 +391,31 @@ class TestExternalField:
         with pytest.raises(DomainError):
             field_custom(np.array([[1.0, 0.0, 0.0]]), lambda t: 0.0)
 
+    def test_basis_tolerance_is_absolute_1e_12(self):
+        # a row scaled by 1 + 1e-8 moves its Gram diagonal by 2e-8, inside a
+        # relative 1e-5 but far outside the promised 1e-12
+        n = 4
+        basis = np.zeros((2, n))
+        basis[0, 0] = basis[1, 1] = np.sqrt(n)
+        field_custom(basis, lambda t: 0.0)
+        scaled = basis.copy()
+        scaled[1] *= 1 + 1e-8
+        with pytest.raises(DomainError):
+            field_custom(scaled, lambda t: 0.0)
+        with pytest.raises(DomainError):
+            field_custom(np.full((1, n), np.nan), lambda t: 0.0)
+
+    def test_basis_is_a_read_only_copy(self):
+        n = 5
+        basis = np.ones((1, n))
+        f = field_custom(basis, lambda t: 0.0)
+        for field in (f, field_none(n), field_linear(0.3, n),
+                      field_quadratic_spike(0.3, n)):
+            with pytest.raises(ValueError):
+                field.basis[0, 0] = 2.0
+        basis[0, 0] = 2.0  # the caller's array stays writable and unshared
+        assert f.basis[0, 0] == 1.0
+
 
 class TestEffectiveFieldAndProbes:
     def test_probe_zero_field(self):

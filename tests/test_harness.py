@@ -181,6 +181,40 @@ class TestRunAndArtifacts:
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
+    def test_model_shared_within_a_cell_and_distinct_across_cells(self):
+        from tapbound.harness.experiments import _disorder, _model
+        cfg = build_config("bound-ising", dict(replicas=2))
+        cell = (8, (0.0, 0.0, 1.0), 0.4, "linear", 0.3)
+        model = _model(*cell)
+        first, second = (_disorder(cfg, r, list(cell[1]), 0.4, "linear", 0.3, 8)
+                         for r in range(2))
+        assert first.model is model and second.model is model
+        assert first.seed != second.seed
+        others = [(9, (0.0, 0.0, 1.0), 0.4, "linear", 0.3),
+                  (8, (0.0, 0.0, 1.0, 0.5), 0.4, "linear", 0.3),
+                  (8, (0.0, 0.0, 1.0), 0.2, "linear", 0.3),
+                  (8, (0.0, 0.0, 1.0), 0.4, "quadratic_spike", 0.3),
+                  (8, (0.0, 0.0, 1.0), 0.4, "linear", 0.0)]
+        models = [_model(*key) for key in others]
+        assert len({id(m) for m in [model, *models]}) == len(others) + 1
+        for key, m in zip(others, models):
+            assert (m.n, m.series.coefficients, m.beta, m.field.kind, m.field.h) \
+                == (key[0], tuple(key[1]), *key[2:])
+
+    def test_cold_and_warm_model_cache_give_identical_bytes(self, tmp_path):
+        from tapbound.harness import experiments
+        blobs = []
+        for tag in ("cold", "warm"):
+            if tag == "cold":
+                experiments._model.cache_clear()
+                experiments._gaussian_law_probes.cache_clear()
+            out = tmp_path / tag
+            run(build_config("gaussian-law", dict(replicas=40, out=str(out))))
+            blobs.append(b"".join((out / ("gaussian-law" + suffix)).read_bytes()
+                                  for suffix in (".report.json", ".rows.csv")))
+        assert experiments._model.cache_info().hits >= 39
+        assert blobs[0] == blobs[1]
+
     def test_in_memory_report_matches_written_file(self, tmp_path):
         rep = run(build_config("beta0-exact", dict(n=8, replicas=4,
                                                    out=str(tmp_path))))

@@ -33,7 +33,11 @@ from tapbound.partition import (
     slice_measures,
 )
 
-from oracles import oracle_energy_many, oracle_log_partition_ising
+from oracles import (
+    oracle_energy_many,
+    oracle_log_partition_ising,
+    oracle_log_partition_mc_sphere,
+)
 
 XI0 = CovarianceSeries((0.0,))
 XI2 = CovarianceSeries((0.0, 0.0, 1.0))
@@ -180,6 +184,32 @@ class TestSphereMonteCarlo:
         lo = log_partition_mc_sphere(d, field_none(10), 0.0, 2000, 1)
         hi = log_partition_mc_sphere(d, field_none(10), 0.3, 2000, 1)
         assert hi.log_value >= lo.log_value - 3 * (lo.std_error + hi.std_error)
+
+    @pytest.mark.parametrize("samples", [100, 8192, 8193, 20000])
+    @pytest.mark.parametrize("kind", ["none", "linear", "spike"])
+    def test_streamed_blocks_match_full_array_bitwise(self, samples, kind):
+        # one block, exactly one full block, a one-row tail, several blocks
+        n = 16
+        d = sample_disorder(MixedModel(n, XI23), 12)
+        f = FIELDS[kind](n)
+        est = log_partition_mc_sphere(d, f, 0.4, samples, 29)
+        assert (est.log_value, est.std_error) == oracle_log_partition_mc_sphere(
+            d, f, 0.4, samples, 29)
+        assert est.sample_count == samples
+
+    def test_memory_does_not_grow_with_samples(self):
+        # One full 1e5 x 16 draw holds two 12.8 MB arrays (normals and points)
+        n = 16
+        d = sample_disorder(MixedModel(n, XI2), 5)
+        f = field_linear(0.3, n)
+        log_partition_mc_sphere(d, f, 0.4, 100, 1)  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            log_partition_mc_sphere(d, f, 0.4, 100000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_minimum_samples(self):
         d = sample_disorder(MixedModel(6, XI2), 5)
