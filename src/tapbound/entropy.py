@@ -14,6 +14,8 @@ sphere, plus finite weighted point clouds. Entropy functionals:
 The sphere half-space mass is the cap mass of <sigma, u>, whose density is
 proportional to (1 - x^2)^{(N-3)/2}: in closed form the regularized incomplete
 beta function (1/2) I_{1-t^2}((N-1)/2, 1/2) for t >= 0, complemented for t < 0.
+That cap mass is the only use of scipy.special, which is imported there on
+first call, so a run that never asks for it does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, betaln, xlogy
 
 from .errors import DomainError
 from .geometry import inner, norm, normalize
@@ -134,8 +135,11 @@ def binary_entropy(m) -> float:
     """Extended J: ((1+m)/2) log(1+m) + ((1-m)/2) log(1-m), log 2 off [-1,1]."""
     m = np.asarray(m, dtype=np.float64)
     clipped = np.clip(m, -1.0, 1.0)
-    inside = xlogy((1.0 + clipped) / 2.0, 1.0 + clipped) + xlogy(
-        (1.0 - clipped) / 2.0, 1.0 - clipped)
+    # At |m| = 1 one term is 0 * log 0 = nan, but np.where replaces every
+    # |m| >= 1 entry by log 2; a NaN m stays NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = ((1.0 + clipped) / 2.0 * np.log(1.0 + clipped)
+                  + (1.0 - clipped) / 2.0 * np.log(1.0 - clipped))
     out = np.where(np.abs(m) >= 1.0, LOG2, inside)
     return float(out) if out.ndim == 0 else out
 
@@ -170,6 +174,8 @@ def _cap_log_mass(n: int, threshold: float) -> float:
         return 0.0
     if threshold > 1.0:
         return -np.inf
+    from scipy.special import betainc
+
     a, x = (n - 1) / 2.0, 1.0 - threshold * threshold
     half = 0.5 * betainc(a, 0.5, x)
     if threshold >= 0.0 and x > 0.0 and half < np.finfo(np.float64).tiny:
@@ -185,6 +191,8 @@ def _log_half_betainc_tail(a: float, x: float) -> float:
     summed by the modified Lentz method (Numerical Recipes, betacf), which
     converges fast there; only its logarithm is formed, so nothing underflows.
     """
+    from scipy.special import betaln
+
     b = 0.5
     tiny = 1e-300
 

@@ -312,7 +312,12 @@ def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
     contractions with index i placed at each position.
     """
     sigma = _check_ball(sigma, d.n, open_ball=True)
-    powers = _kron_powers(sigma, max(d.tensors, default=0) - 1)
+    return _gradient_at(d, _kron_powers(sigma, max(d.tensors, default=0) - 1))
+
+
+def _gradient_at(d: DisorderSample, powers) -> np.ndarray:
+    """`gradient` at the point whose `_kron_powers` are given (up to at least
+    the top degree minus one), without the ball check."""
     grad = np.zeros(d.n)
     for p, scale, g in d.terms:
         if p:

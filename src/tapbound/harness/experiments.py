@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -37,6 +36,9 @@ from ..errors import ConfigError
 from ..geometry import inner, inner_many, norm, normalize
 from ..hamiltonian import (
     MixedModel,
+    _check_ball,
+    _gradient_at,
+    _kron_powers,
     energy,
     energy_many,
     field_linear,
@@ -102,6 +104,9 @@ def _map_replicas(func, cfg: ExperimentConfig, tasks: list) -> list:
     cfg.workers > 1."""
     if cfg.workers <= 1 or len(tasks) <= 1:
         return [func(cfg, *task) for task in tasks]
+    # Imported here so that a single-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(func, itertools.repeat(cfg, len(tasks)), *zip(*tasks),
                              chunksize=max(1, len(tasks) // (4 * cfg.workers))))
@@ -193,6 +198,17 @@ def _gaussian_law_probes(n, master):
     return tuple(pairs), m, mp, pts
 
 
+@functools.lru_cache(maxsize=8)
+def _gaussian_law_powers(n, master, top):
+    """The ball-checked `_kron_powers` of the probe points m and m' up to
+    `top`, built once per process like the probes themselves."""
+    _, m, mp, _ = _gaussian_law_probes(n, master)
+    powers = tuple(_kron_powers(_check_ball(x, n, open_ball=True), top)
+                   for x in (m, mp))
+    _read_only(*(x for pw in powers for x in pw[2:]))
+    return powers
+
+
 def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
                     aggregates) -> ExperimentReport:
     """Replica means of the features against their expected values: passes
@@ -211,11 +227,12 @@ def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
 
 
 def _gaussian_law_replica(cfg, r):
-    _, m, mp, pts = _gaussian_law_probes(cfg.n, cfg.seed)
+    pts = _gaussian_law_probes(cfg.n, cfg.seed)[3]
     d = _disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
     vals = energy_many(d, pts)
-    gm = gradient(d, m)
-    gmp = gradient(d, mp)
+    pm, pmp = _gaussian_law_powers(cfg.n, cfg.seed, max(d.tensors, default=0) - 1)
+    gm = _gradient_at(d, pm)
+    gmp = _gradient_at(d, pmp)
     feats = []
     for k in range(10):
         feats.append(vals[2 * k] * vals[2 * k + 1])           # H(a) H(b)

@@ -15,7 +15,8 @@ term is computed once, row-batched, by `tap_energy_many` and
 For the ising and spherical flavors maximization is multi-start projected
 L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7): all starts advance
 together as the rows of one (starts, N) array, evaluated by `tap_energy_many`
-and `tap_gradient_many`, and each row keeps its own curvature history,
+and `tap_gradient_many` (which skips its domain check there: every row has
+passed `tap_energy_many`'s), and each row keeps its own curvature history,
 backtracking Armijo search on the projected candidate and stopping state, so
 a start follows the same rules as if it ran alone; ties break toward the
 lowest start index. The earlier projected gradient ascent is kept as a test
@@ -137,7 +138,12 @@ def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
     """
     if p.flavor == "general":
         raise UnsupportedOperationError("general flavor exposes no gradient")
-    M = _check_domain_many(p, M)
+    return _gradient_rows(p, _check_domain_many(p, M))
+
+
+def _gradient_rows(p: TapProblem, M: np.ndarray) -> np.ndarray:
+    """`tap_gradient_many` without its checks, for float64 rows that
+    `tap_energy_many` has already accepted."""
     beta = p.model.beta
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
     g = beta * (gradient_many(p.disorder, M) + p.model.field.gradient_many(M))
@@ -226,7 +232,8 @@ def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
     for it in range(MAX_ITERATIONS):
         if not len(active):
             break
-        g = tap_gradient_many(p, M[active])
+        # every row of M passed tap_energy_many's domain check
+        g = _gradient_rows(p, M[active])
         if it:
             _push_pairs(active, M[active] - M_prev[active], g_prev[active] - g,
                         hist_s, hist_y, rho, gamma)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,8 +44,12 @@ class TestBinaryEntropy:
         assert binary_entropy(0.0) == 0.0
 
     def test_capped_outside(self):
-        assert binary_entropy(1.5) == LOG2
-        assert binary_entropy(-3.0) == LOG2
+        m = np.array([-3.0, -1.0, 1.0, 1.5, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = binary_entropy(m)
+            scalars = [binary_entropy(x) for x in m]
+        assert np.all(out == LOG2) and scalars == [LOG2] * len(m)
 
     def test_half_frozen_value(self):
         # 0.75 log(1.5) + 0.25 log(0.5), high-precision
@@ -55,6 +60,24 @@ class TestBinaryEntropy:
         for m in rng.uniform(-2, 2, size=200):
             assert binary_entropy(m) == pytest.approx(j_direct(m), abs=1e-14)
             assert binary_entropy(-m) == pytest.approx(binary_entropy(m), abs=0)
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(binary_entropy(np.nan))
+        out = binary_entropy(np.array([0.2, np.nan, 1.0]))
+        assert math.isnan(out[1]) and out[2] == LOG2
+
+    def test_matches_math_log_oracle_on_the_open_interval(self):
+        rng = np.random.default_rng(5)
+        edge = 1.0 - 2.0 ** -52
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [edge, -edge, 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310,
+                   np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]
+        m = np.concatenate([special, rng.uniform(-1.0, 1.0, size=100_000),
+                            1.0 - rng.uniform(0.0, 1e-6, size=500),
+                            rng.uniform(-1e-300, 1e-300, size=500)])
+        assert np.all(np.abs(m) < 1.0)
+        ref = np.array([j_direct(float(x)) for x in m])
+        assert np.max(np.abs(binary_entropy(m) - ref)) <= 1e-15
 
     def test_difference_bound(self):
         # |J(m) - J(m~)| <= |m - m~| log(2e / (|m - m~| ^ 1)), 1e4 random pairs

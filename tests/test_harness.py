@@ -5,12 +5,15 @@ import importlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tapbound.cli import SUBCOMMANDS, main
+from tapbound.entropy import _cap_log_mass
 from tapbound.errors import ConfigError
 from tapbound.harness import (
     build_config,
@@ -181,6 +184,23 @@ class TestRunAndArtifacts:
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
+    def test_law_powers_built_once_read_only_and_match_gradient(self):
+        from tapbound.hamiltonian import _gradient_at, gradient
+        from tapbound.harness import experiments
+        cfg = build_config("gaussian-law", dict(replicas=2))
+        _, m, mp, _ = experiments._gaussian_law_probes(cfg.n, cfg.seed)
+        for r in range(2):
+            d = experiments._disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
+            top = max(d.tensors) - 1
+            powers = experiments._gaussian_law_powers(cfg.n, cfg.seed, top)
+            assert powers is experiments._gaussian_law_powers(cfg.n, cfg.seed, top)
+            for x, pw in zip((m, mp), powers):
+                assert pw[1] is x and len(pw) == top + 1
+                for a in pw[2:]:
+                    with pytest.raises(ValueError):
+                        a[0] = 1.0
+                assert np.array_equal(_gradient_at(d, pw), gradient(d, x))
+
     def test_model_shared_within_a_cell_and_distinct_across_cells(self):
         from tapbound.harness.experiments import _disorder, _model
         cfg = build_config("bound-ising", dict(replicas=2))
@@ -208,6 +228,7 @@ class TestRunAndArtifacts:
             if tag == "cold":
                 experiments._model.cache_clear()
                 experiments._gaussian_law_probes.cache_clear()
+                experiments._gaussian_law_powers.cache_clear()
             out = tmp_path / tag
             run(build_config("gaussian-law", dict(replicas=40, out=str(out))))
             blobs.append(b"".join((out / ("gaussian-law" + suffix)).read_bytes()
@@ -229,6 +250,39 @@ class TestRunAndArtifacts:
     def test_every_experiment_has_defaults_and_runner(self):
         from tapbound.harness.experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS
         assert set(EXPERIMENT_DEFAULTS) == set(EXPERIMENTS)
+
+
+# Run in a fresh interpreter: which modules a default run loads
+_IMPORT_SURFACE = """
+import json, sys
+import tapbound, tapbound.harness, tapbound.cli
+lazy = ("scipy.special", "concurrent.futures.process", "multiprocessing")
+report = {"imported": [m for m in lazy if m in sys.modules]}
+from tapbound.harness import build_config, run
+for name, overrides in json.loads(sys.argv[1]).items():
+    run(build_config(name, dict(overrides, out=sys.argv[2])))
+report["after_runs"] = "scipy.special" in sys.modules
+from tapbound.entropy import _cap_log_mass
+report["caps"] = [_cap_log_mass(20000, 0.9), _cap_log_mass(12, 0.3)]
+report["after_caps"] = "scipy.special" in sys.modules
+print(json.dumps(report))
+"""
+
+
+class TestImportSurface:
+    def test_scipy_special_and_the_pool_load_only_when_used(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        tiny = {name: POOLED[name] for name in
+                ("onsager-markov", "bound-ising", "bound-sphere", "gaussian-law")}
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SURFACE, json.dumps(tiny), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["imported"] == []
+        assert report["after_runs"] is False
+        assert report["after_caps"] is True
+        assert report["caps"] == [_cap_log_mass(20000, 0.9), _cap_log_mass(12, 0.3)]
 
 
 class TestSvg:

@@ -434,6 +434,28 @@ class TestLbfgs:
                  for r in out.trace if r.start == s] for s in range(6)]
         assert all(r == rows[0] for r in rows)
 
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    @pytest.mark.parametrize("kind", ["none", "linear", "custom-fd"])
+    def test_unchecked_gradient_rows_pass_the_domain_check(self, flavor, kind,
+                                                           monkeypatch):
+        # the ascent hands `_gradient_rows` only rows that tap_energy_many has
+        # accepted: checking them again changes neither a row nor the result
+        unchecked = tap._gradient_rows
+        p = make_problem(n=6, xi=XI23, beta=0.5, seed=2, flavor=flavor,
+                         field=field_of_kind(kind, 0.3, 6))
+        plain = maximize_tap(p, 4, 9)
+        calls = []
+
+        def checked(p, M):
+            calls.append(len(M))
+            return unchecked(p, tap._check_domain_many(p, M))
+
+        monkeypatch.setattr(tap, "_gradient_rows", checked)
+        again = maximize_tap(p, 4, 9)
+        assert sum(calls) == len(plain.trace)
+        assert again.trace == plain.trace
+        assert np.array_equal(again.m_star, plain.m_star)
+
     def test_two_loop_matches_dense_bfgs(self):
         # Each row against the dense inverse-Hessian recursion
         # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T from gamma I,
