@@ -106,11 +106,20 @@ class CovarianceSeries:
     def onsager_many(self, q: np.ndarray) -> np.ndarray:
         """On(q) = xi(1) - (1-q) xi'(q) - xi(q) for q in [0, 1], as one
         Horner pass over its stored coefficients."""
-        return _horner(self._onsager, _unit_q(q))
+        return self._onsager_rows(_unit_q(q))
 
     def onsager_derivative_many(self, q: np.ndarray) -> np.ndarray:
         """On'(q) = -(1-q) xi''(q) for q in [0, 1], as one Horner pass."""
-        return _horner(self._onsager_derivative, _unit_q(q))
+        return self._onsager_derivative_rows(_unit_q(q))
+
+    def _onsager_rows(self, q: np.ndarray) -> np.ndarray:
+        """`onsager_many` without its check, for float64 q already in [0, 1]."""
+        return _horner(self._onsager, q)
+
+    def _onsager_derivative_rows(self, q: np.ndarray) -> np.ndarray:
+        """`onsager_derivative_many` without its check, for float64 q already
+        in [0, 1]."""
+        return _horner(self._onsager_derivative, q)
 
     def recenter(self, q: float) -> "RecenteredSeries":
         """The series xi_q; q must lie in [0, 1]."""

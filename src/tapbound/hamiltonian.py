@@ -274,6 +274,10 @@ def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
     One matmul contracts the first axis; each further axis is a
     reshape-multiply-sum against the rows. A trailing axis of length 1,
     g[..., None], gives <g, x^{tensor p}>.
+
+    One block-sized temporary is live at a time: the multiply writes into
+    the block the matmul or the previous sum made, so the allocator is not
+    asked for a second block on every step.
     """
     n = X.shape[1]
     out = np.empty((len(X), g.shape[-1]))
@@ -281,7 +285,9 @@ def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
         x = X[start:start + _ROW_CHUNK]
         t = x @ g.reshape(n, -1)
         for _ in range(g.ndim - 2):
-            t = (t.reshape(len(x), n, -1) * x[:, :, None]).sum(axis=1)
+            t = t.reshape(len(x), n, -1)
+            t *= x[:, :, None]
+            t = t.sum(axis=1)
         out[start:start + len(x)] = t
     return out
 

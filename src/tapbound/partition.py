@@ -174,7 +174,8 @@ def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
             if not mask.any():
                 continue
             hits += int(mask.sum())
-            x = beta * (energy_many(d, block[mask]) + f.value_many(block[mask]))
+            members = block[mask]
+            x = beta * (energy_many(d, members) + f.value_many(members))
             acc = _lse_merge(acc, x + np.log(w[mask]))
         return PartitionEstimate(_lse_value(acc), 0.0, "exact_enumeration",
                                  len(pts), effective_count=hits)
@@ -185,7 +186,8 @@ def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
         return PartitionEstimate(-np.inf, 0.0, "monte_carlo", mc_samples,
                                  seed=rng_seed, effective_count=0)
     x = np.full(mc_samples, -np.inf)
-    x[mask] = beta * (energy_many(d, pts[mask]) + f.value_many(pts[mask]))
+    members = pts[mask]
+    x[mask] = beta * (energy_many(d, members) + f.value_many(members))
     return _mc_estimate(x, rng_seed, effective_count=hits)
 
 

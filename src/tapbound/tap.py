@@ -112,7 +112,7 @@ def tap_energy_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
     n = p.n
     vals = beta * (energy_many(p.disorder, M) + p.model.field.value_many(M))
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
-    vals += 0.5 * beta ** 2 * n * p.model.series.onsager_many(q)
+    vals += 0.5 * beta ** 2 * n * p.model.series._onsager_rows(q)
     if p.flavor == "ising":
         vals -= binary_entropy(M).sum(axis=1)
     elif p.flavor == "spherical":
@@ -147,7 +147,7 @@ def _gradient_rows(p: TapProblem, M: np.ndarray) -> np.ndarray:
     beta = p.model.beta
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
     g = beta * (gradient_many(p.disorder, M) + p.model.field.gradient_many(M))
-    g += (beta ** 2 * p.model.series.onsager_derivative_many(q))[:, None] * M
+    g += (beta ** 2 * p.model.series._onsager_derivative_rows(q))[:, None] * M
     if p.flavor == "ising":
         g -= np.arctanh(M)
     else:

@@ -14,7 +14,11 @@ functionals. The batched projected gradient ascent and the
 maximizer and the mixed-radix grid oracle replaced; they stay here as
 references for them. So does the full-array sphere Monte Carlo estimator
 that the streamed one replaced; it scores its draws with the package's
-`energy_many`, so that the two can be compared bit for bit.
+`energy_many`, so that the two can be compared bit for bit. The row
+contraction that multiplied each axis step into a second block-sized
+array, before the kernel learned to multiply in place, is kept too, with
+`energy_many` and `gradient_many` rebuilt on it, as a bit-equality
+reference for the production kernel.
 """
 
 import itertools
@@ -25,7 +29,7 @@ import numpy as np
 from tapbound import tap
 from tapbound.entropy import general_entropy_upper
 from tapbound.geometry import norm
-from tapbound.hamiltonian import energy_many
+from tapbound.hamiltonian import _ROW_CHUNK, energy_many
 
 
 def _scale(d, p):
@@ -91,6 +95,43 @@ def oracle_gradient(d, sigma):
                     + np.einsum("abid,a,b,d->i", g, s, s, s)
                     + np.einsum("abci,a,b,c->i", g, s, s, s))
         grad += _scale(d, p) * part
+    return grad
+
+
+def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Contraction of g with every row x of X at all axes but the last:
+    shape (rows, g.shape[-1]), for g.ndim >= 2.
+
+    One matmul contracts the first axis; each further axis is a
+    reshape-multiply-sum against the rows. A trailing axis of length 1,
+    g[..., None], gives <g, x^{tensor p}>.
+    """
+    n = X.shape[1]
+    out = np.empty((len(X), g.shape[-1]))
+    for start in range(0, len(X), _ROW_CHUNK):
+        x = X[start:start + _ROW_CHUNK]
+        t = x @ g.reshape(n, -1)
+        for _ in range(g.ndim - 2):
+            t = (t.reshape(len(x), n, -1) * x[:, :, None]).sum(axis=1)
+        out[start:start + len(x)] = t
+    return out
+
+
+def oracle_energy_many_blocked(d, sigmas):
+    """`energy_many` on the out-of-place row contraction above."""
+    X = np.asarray(sigmas, dtype=np.float64)
+    total = np.zeros(len(X))
+    for p, scale, g in d.terms:
+        total += scale * (g if p == 0 else _contract_rows(g[..., None], X)[:, 0])
+    return total
+
+
+def oracle_gradient_many_blocked(d, sigmas):
+    """`gradient_many` on the out-of-place row contraction above."""
+    X = np.asarray(sigmas, dtype=np.float64)
+    grad = np.zeros(X.shape)
+    for p, scale, s in d.gradient_terms:
+        grad += scale * (s if p == 1 else _contract_rows(s, X))
     return grad
 
 

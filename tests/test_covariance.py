@@ -181,9 +181,21 @@ class TestOnsager:
             assert b == pytest.approx(oracle_onsager_derivative(xi.coefficients, x), abs=1e-14)
             assert (xi.onsager(x), xi.onsager_derivative(x)) == (a, b)
 
-    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, np.nan])
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, np.nan, np.inf])
     def test_many_reject_q_outside_unit_interval(self, bad):
         xi = CovarianceSeries((0.0, 0.5, 1.0))
         for many in (xi.onsager_many, xi.onsager_derivative_many):
             with pytest.raises(DomainError):
                 many(np.array([0.5, bad]))
+        for one in (xi.onsager, xi.onsager_derivative):
+            with pytest.raises(DomainError):
+                one(bad)
+
+    def test_unchecked_rows_match_the_public_calls(self):
+        # The TAP rows call the unchecked Horner passes on q = min(1, |m|^2/N)
+        xi = CovarianceSeries((0.0, 0.5, 1.0, 0.25))
+        q = np.concatenate((np.linspace(0.0, 1.0, 33), [1.0 + 1e-13]))
+        inside = np.minimum(q, 1.0)
+        assert np.array_equal(xi.onsager_many(q), xi._onsager_rows(inside))
+        assert np.array_equal(xi.onsager_derivative_many(q),
+                              xi._onsager_derivative_rows(inside))

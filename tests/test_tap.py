@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from tapbound import tap
+from tapbound import covariance, tap
 from tapbound.covariance import CovarianceSeries
 from tapbound.entropy import ising_uniform
 from tapbound.errors import DomainError, ResourceBudgetError, UnsupportedOperationError
@@ -453,6 +453,31 @@ class TestLbfgs:
         monkeypatch.setattr(tap, "_gradient_rows", checked)
         again = maximize_tap(p, 4, 9)
         assert sum(calls) == len(plain.trace)
+        assert again.trace == plain.trace
+        assert np.array_equal(again.m_star, plain.m_star)
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    def test_unchecked_onsager_rows_pass_the_q_check(self, flavor, monkeypatch):
+        # tap_energy_many and _gradient_rows hand the Onsager terms only
+        # q = min(1, |m|^2/N) of accepted rows: checking it again changes
+        # neither a q nor the result
+        p = make_problem(n=6, xi=XI23, beta=0.5, seed=2, flavor=flavor,
+                         field=field_of_kind("linear", 0.3, 6))
+        plain = maximize_tap(p, 4, 9)
+        calls = []
+
+        def checked(name):
+            unchecked = getattr(CovarianceSeries, name)
+
+            def call(series, q):
+                calls.append(len(q))
+                return unchecked(series, covariance._unit_q(q))
+            return call
+
+        for name in ("_onsager_rows", "_onsager_derivative_rows"):
+            monkeypatch.setattr(CovarianceSeries, name, checked(name))
+        again = maximize_tap(p, 4, 9)
+        assert calls
         assert again.trace == plain.trace
         assert np.array_equal(again.m_star, plain.m_star)
 
