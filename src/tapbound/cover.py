@@ -436,9 +436,27 @@ def membership(node: CoverNode, sigma: np.ndarray, epsilon: Optional[float] = No
 
 def thin_projection(node: CoverNode, sigma: np.ndarray) -> np.ndarray:
     """sqrt(1 - q) * P_Vbar(sigma) / ||P_Vbar(sigma)||, zero if the projection
-    vanishes; lands on the slice shell of squared radius 1 - q."""
-    resid = node.project_out(sigma)
-    r = norm(resid)
-    if r < 1e-12:
-        return np.zeros(node.n)
-    return math.sqrt(max(0.0, 1.0 - node.q)) * resid / r
+    vanishes; lands on the slice shell of squared radius 1 - q. The one-row
+    call of thin_projections."""
+    return thin_projections(node, np.asarray(sigma, dtype=np.float64)[None, :])[0]
+
+
+def thin_projections(node: CoverNode, block: np.ndarray) -> np.ndarray:
+    """thin_projection of every row of `block`, in one stacked pass.
+
+    Each stacked matmul runs, row by row, the product that
+    geometry.project_off and geometry.norm take for one vector (a (k, N)
+    by (N,) product, a (k,) by (k, N) one and a dot), so every row is its
+    one-row result bit for bit.
+    """
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    rows = node.basis_rows
+    resid = block.copy()
+    if len(rows):
+        coeffs = (rows @ block[:, :, None])[:, :, 0] / node.n
+        resid -= (coeffs[:, None, :] @ rows)[:, 0, :]
+    r = np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / node.n)
+    keep = r >= 1e-12
+    out = np.zeros_like(resid)
+    out[keep] = math.sqrt(max(0.0, 1.0 - node.q)) * resid[keep] / r[keep, None]
+    return out

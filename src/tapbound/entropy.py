@@ -11,6 +11,16 @@ sphere, plus finite weighted point clouds. Entropy functionals:
   general_entropy_upper   r_delta at the chosen direction; an upper bound of
                           inf_{||lambda||=1} r_delta(m, lambda)
 
+The uniform Ising half-space mass is a subset-sum count: how many sign
+vectors have lambda . sigma >= N t. It is counted meet-in-the-middle
+(Horowitz and Sahni 1974): the first floor(N/2) coordinates of lambda against
+all of their sign patterns give the partial sums A, the other coordinates
+give B, and the count is the number of pairs with B_b >= N t - A_a, found by
+one stable sort of [N t - A | B] per direction. That touches 2^(N/2) sums per
+half instead of N 2^N products, so the mass, `lambda_min_entropy` and
+`general_entropy_upper` reach past ISING_ENUM_MAX_N; `atoms()` still
+enumerates the whole support and is capped there.
+
 The sphere half-space mass is the cap mass of <sigma, u>, whose density is
 proportional to (1 - x^2)^{(N-3)/2}: in closed form the regularized incomplete
 beta function (1/2) I_{1-t^2}((N-1)/2, 1/2) for t >= 0, complemented for t < 0.
@@ -33,8 +43,10 @@ LOG2 = float(np.log(2.0))
 ISING_ENUM_MAX_N = 22
 
 _ATOM_CACHE: dict[int, np.ndarray] = {}
-# Atoms per block in the batched half-space sums: caps their scratch memory
-# at a few MB whatever N, the support size and the number of directions.
+_SIGN_CACHE: dict[int, np.ndarray] = {}
+# Atoms (point clouds) or sort keys (Ising) per block in the batched
+# half-space sums: caps their scratch memory at a few MB whatever N, the
+# support size and the number of directions.
 _ATOM_CHUNK = 1 << 14
 
 
@@ -100,6 +112,13 @@ def _ising_atoms(n: int) -> np.ndarray:
         bits = (idx[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
         _ATOM_CACHE[n] = (1 - 2 * bits.astype(np.int8))
     return _ATOM_CACHE[n]
+
+
+def _sign_table(h: int) -> np.ndarray:
+    """_ising_atoms(h) transposed, as floats: (h, 2^h), one pattern a column."""
+    if h not in _SIGN_CACHE:
+        _SIGN_CACHE[h] = np.ascontiguousarray(_ising_atoms(h).T, dtype=np.float64)
+    return _SIGN_CACHE[h]
 
 
 def ising_uniform(n: int) -> ReferenceMeasure:
@@ -226,9 +245,9 @@ def halfspace_log_mass(E: ReferenceMeasure, lam: np.ndarray, m: np.ndarray,
                        delta: float) -> float:
     """r_delta(m, lambda) = log E[<lambda, sigma - m> >= -delta]; may be -inf.
 
-    Atomic measures are summed exactly (closed inequality, with a 1e-12
-    tie guard) over chunks of the support; the sphere uses the closed-form
-    cap mass.
+    Atomic measures are counted exactly (closed inequality, with a 1e-12
+    tie guard): the uniform Ising measure by split sums, point clouds over
+    chunks of the support; the sphere uses the closed-form cap mass.
     """
     lam = _check_unit_lambda(lam)
     m = np.asarray(m, dtype=np.float64)
@@ -248,23 +267,14 @@ def _log_mass_above(E: ReferenceMeasure, lams: np.ndarray,
                     thresholds: np.ndarray) -> np.ndarray:
     """log E[<lams_j, sigma> >= thresholds_j - 1e-12] for each row j.
 
-    Atoms are visited _ATOM_CHUNK at a time, so scratch memory is bounded
-    by the chunk, not by the support size. The uniform Ising mass is the hit
-    count times 2^-N, which equals the weighted sum exactly: every partial
-    sum is a multiple of 2^-N below 1. Point clouds sum their weights.
+    The uniform Ising mass is the hit count of _ising_hits times 2^-N, which
+    equals the weighted sum exactly: every partial sum is a multiple of 2^-N
+    below 1. Point clouds sum their weights over _ATOM_CHUNK atoms at a
+    time, so scratch memory is bounded by the chunk, not by the support size.
     """
     cut = thresholds - 1e-12
     if E.kind == "ising":
-        atoms = _ising_atoms(E.n)
-        hits = np.zeros(len(lams), dtype=np.int64)
-        for start in range(0, len(atoms), _ATOM_CHUNK):
-            block = atoms[start:start + _ATOM_CHUNK].astype(np.float64)
-            # One row per direction, so each count runs over contiguous memory
-            proj = lams @ block.T
-            proj /= E.n
-            hit = proj >= cut[:, None]
-            hits += [np.count_nonzero(row) for row in hit]
-        masses = hits * 2.0 ** (-E.n)
+        masses = _ising_hits(lams, cut) * 2.0 ** (-E.n)
     else:
         pts, w = E.atoms()
         masses = np.zeros(len(lams))
@@ -277,6 +287,53 @@ def _log_mass_above(E: ReferenceMeasure, lams: np.ndarray,
             masses = np.vstack((masses, hit_w)).sum(axis=0)
     with np.errstate(divide="ignore"):
         return np.log(masses)
+
+
+def _ising_hits(lams: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """#{sigma in {-1, 1}^N : <lams_j, sigma> >= cut_j} for each row j.
+
+    Split sums (Horowitz and Sahni 1974): with h = floor(N/2), A holds
+    lams_j[:h] . s over the 2^h sign patterns s of the first h coordinates
+    and B the same over the last N - h, and the count is the number of pairs
+    (a, b) with B_b >= N cut_j - A_a. Both halves are sorted, so the
+    per-direction keys [N cut_j - A | B] are two ascending runs, and one
+    stable argsort merges them with every target ahead of the B sums equal
+    to it. The k-th target then sits at position p_k with p_k - k smaller B
+    sums before it, and the misses sum to sum_k p_k - 2^h (2^h - 1) / 2.
+
+    Directions are taken a block at a time, at most _ATOM_CHUNK keys per
+    block (one direction when a row alone has more), so scratch memory stays
+    a few MB whatever N and the number of directions.
+
+    The sums A_a + B_b and N cut_j - A_a round differently from the one dot
+    product over all N coordinates that a direct count takes. For a unit
+    direction sum_i |lambda_i| <= N, so each half sum of N/2 terms is off by
+    less than (N/2) N 2^-53, and the comparison by about N^2 2^-52 in
+    lambda . sigma, that is N 2^-52 (7e-15 at N = 32) in <lambda, sigma>
+    = lambda . sigma / N. A count can move only for an atom whose
+    projection lies that close to cut_j itself, which the callers put 1e-12
+    below the threshold: an atom tied with the threshold is counted by
+    either sum.
+    """
+    n = lams.shape[1]
+    h = n // 2
+    lo, hi = 1 << h, 1 << (n - h)
+    head, tail = _sign_table(h), _sign_table(n - h)
+    positions = np.arange(lo + hi)
+    rows = max(1, _ATOM_CHUNK // (lo + hi))
+    target_positions = np.empty(len(lams), dtype=np.int64)
+    for start in range(0, len(lams), rows):
+        block = lams[start:start + rows]
+        a = block[:, :h] @ head
+        b = block[:, h:] @ tail
+        a.sort(axis=1)
+        b.sort(axis=1)
+        targets = (n * cut[start:start + rows])[:, None] - a[:, ::-1]
+        order = np.argsort(np.concatenate((targets, b), axis=1), axis=1,
+                           kind="stable")
+        target_positions[start:start + rows] = np.where(
+            order < lo, positions, 0).sum(axis=1)
+    return lo * hi - (target_positions - lo * (lo - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +414,25 @@ def lambda_min_entropy(E: ReferenceMeasure, m: np.ndarray, delta: float,
     it = 0
     while it < LOCAL_SEARCH_ITERATIONS:
         width = min(n, LOCAL_SEARCH_ITERATIONS - it)
+        k_idx = np.arange(width)
+        coord = (it + k_idx) % n
+        # lam +- probe with a zero-padded probe: lam + 0.0 off the probed
+        # coordinate turns a -0.0 entry into +0.0, lam - 0.0 keeps it
         trials = np.empty((width, 2, n))
-        for k in range(width):
-            probe = np.zeros(n)
-            probe[(it + k) % n] = scale * step
-            trials[k] = (normalize(lam + probe), normalize(lam - probe))
-        # Thresholds pair by pair: a (2, N) product rounds differently from
-        # the same rows inside a taller one.
-        thresholds = np.concatenate([(pair @ m) / n - delta for pair in trials])
+        trials[:, 0] = lam + 0.0
+        trials[:, 1] = lam
+        trials[k_idx, 0, coord] = lam[coord] + scale * step
+        trials[k_idx, 1, coord] = lam[coord] - scale * step
+        # Stacked one-row products: the same dot per row as geometry.norm,
+        # and the same (2, N) product per pair as one pair at a time, which
+        # a (2 width, N) product would not round like.
+        norms = np.sqrt((trials[:, :, None, :] @ trials[:, :, :, None])[..., 0] / n)
+        if not norms.all():
+            raise ValueError("cannot normalize the zero vector")
+        trials /= norms
+        thresholds = (trials @ m) / n - delta
         vals = _log_mass_above(E, trials.reshape(2 * width, n),
-                               thresholds).reshape(width, 2)
+                               thresholds.ravel()).reshape(width, 2)
         j = np.argmin(vals, axis=1)
         pair_best = vals[np.arange(width), j]
         better = np.flatnonzero(pair_best < best - 1e-15)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cover import CoverNode, region_masks, thin_projection
+from .cover import CoverNode, region_masks, thin_projections
 from .entropy import ReferenceMeasure, _ising_atoms, point_cloud
 from .errors import DomainError, ResourceBudgetError
 from .hamiltonian import _ROW_CHUNK, DisorderSample, ExternalField, energy_many
@@ -257,7 +257,7 @@ def slice_measures(E: ReferenceMeasure, node: CoverNode,
             return SliceMeasures(0.0, None, None, True)
         members = pts[mask].astype(np.float64)
         w = wts[mask] / mass
-        tau = np.array([thin_projection(node, s) for s in members])
+        tau = thin_projections(node, members)
         cond = point_cloud(members, w)
         return SliceMeasures(mass, cond, ThinPushforward(tau, w, node.q), False)
     pts = _sphere_samples(E.n, mc_samples, rng_seed)
@@ -269,7 +269,7 @@ def slice_measures(E: ReferenceMeasure, node: CoverNode,
         return SliceMeasures(0.0, None, None, True, mass_std_error=se)
     members = pts[mask]
     w = np.full(hits, 1.0 / hits)
-    tau = np.array([thin_projection(node, s) for s in members])
+    tau = thin_projections(node, members)
     return SliceMeasures(mass, point_cloud(members, w), ThinPushforward(tau, w, node.q),
                          False, mass_std_error=se)
 

@@ -18,7 +18,11 @@ that the streamed one replaced; it scores its draws with the package's
 contraction that multiplied each axis step into a second block-sized
 array, before the kernel learned to multiply in place, is kept too, with
 `energy_many` and `gradient_many` rebuilt on it, as a bit-equality
-reference for the production kernel.
+reference for the production kernel. The uniform Ising half-space count
+that the split-sum count replaced, one BLAS product of every direction
+against every atom in chunks, is the reference for exact hit counts, on its
+own enumeration of the atoms; and the per-vector thin projection that the
+stacked one replaced is a bit-equality reference for it.
 """
 
 import itertools
@@ -361,3 +365,39 @@ def _scan_chunk(p, chunk, best_val, best_m):
     if vals[i] > best_val:
         return float(vals[i]), M[i].copy()
     return best_val, best_m
+
+
+# Atoms per chunk of the Ising half-space count below
+_ISING_CHUNK = 1 << 14
+
+
+def oracle_ising_hits(lams, cut):
+    """#{sigma in {-1, 1}^N : <lams_j, sigma> >= cut_j} for each row j.
+
+    Atoms are built _ISING_CHUNK at a time from the bits of their index (bit
+    b -> sign (-1)^bit of coordinate b), cast from int8 to floats, and
+    projected on every direction with one matmul per chunk; each row's hits
+    are counted over its contiguous projections.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    n = lams.shape[1]
+    shifts = np.arange(n, dtype=np.uint32)
+    hits = np.zeros(len(lams), dtype=np.int64)
+    for start in range(0, 2 ** n, _ISING_CHUNK):
+        idx = np.arange(start, min(start + _ISING_CHUNK, 2 ** n), dtype=np.uint32)
+        atoms = 1 - 2 * ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+        proj = lams @ atoms.astype(np.float64).T
+        proj /= n
+        hit = proj >= np.asarray(cut)[:, None]
+        hits += [np.count_nonzero(row) for row in hit]
+    return hits
+
+
+def oracle_thin_projection(node, sigma):
+    """sqrt(1 - q) P_Vbar(sigma) / ||P_Vbar(sigma)||, zero if the projection
+    vanishes: project_off and norm on one vector."""
+    resid = node.project_out(sigma)
+    r = norm(resid)
+    if r < 1e-12:
+        return np.zeros(node.n)
+    return math.sqrt(max(0.0, 1.0 - node.q)) * resid / r

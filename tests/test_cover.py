@@ -20,12 +20,15 @@ from tapbound.cover import (
     round_down_index,
     round_down_indices,
     thin_projection,
+    thin_projections,
 )
 from tapbound.entropy import ising_uniform, sphere_uniform
 from tapbound.errors import DomainError
 from tapbound.geometry import inner, inner_many, norm, normalize
 from tapbound.hamiltonian import MixedModel, field_linear, gradient, sample_disorder
-from tapbound.partition import node_member_mask
+from tapbound.partition import node_member_mask, slice_measures
+
+from oracles import oracle_thin_projection
 
 XI2 = CovarianceSeries((0.0, 0.0, 1.0))
 
@@ -410,6 +413,43 @@ class TestRegionGeometry:
         point = node.m + resid
         tau = thin_projection(node, point)
         assert np.allclose(tau, point - node.m, atol=1e-9)
+
+
+class TestThinProjectionRows:
+    """The stacked projection equals the per-vector one bit for bit."""
+
+    @staticmethod
+    def assert_rows_match_oracle(node, block):
+        got = thin_projections(node, block)
+        expect = np.array([oracle_thin_projection(node, s) for s in block])
+        assert got.tobytes() == expect.tobytes()
+        for s, row in zip(block, got):
+            assert thin_projection(node, s).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (10, 2), (12, 3)])
+    def test_ising_slice_members(self, n, seed):
+        E = ising_uniform(n)
+        b = make_builder(n=n, seed=seed, epsilon=0.1, delta=0.2)
+        atoms = E.atoms()[0].astype(np.float64)
+        rng = np.random.default_rng(seed)
+        for idx in rng.choice(len(atoms), size=4, replace=False):
+            _, node = b.classify(atoms[idx], eta=0.6)
+            out = slice_measures(E, node)
+            members = out.conditional.points
+            assert out.thin_pushforward.points.tobytes() == np.array(
+                [oracle_thin_projection(node, s) for s in members]).tobytes()
+            self.assert_rows_match_oracle(node, members)
+
+    def test_sphere_rows_and_vanishing_projections(self):
+        n = 12
+        b = make_builder(n=n, measure=sphere_uniform(n), seed=21)
+        rng = np.random.default_rng(16)
+        sigma = normalize(rng.standard_normal(n))
+        _, node = b.classify(sigma, 0.4)
+        block = np.vstack([rng.standard_normal((40, n)), node.basis_rows])
+        self.assert_rows_match_oracle(node, block)
+        # rows inside span(Ubar) have a vanishing projection: zero rows
+        assert not thin_projections(node, node.basis_rows).any()
 
 
 class TestNodeSerialization:

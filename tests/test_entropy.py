@@ -6,15 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
 from tapbound.entropy import (
+    ISING_ENUM_MAX_N,
     LOCAL_SEARCH_ITERATIONS,
     LOCAL_SEARCH_MIN_STEP,
     LOCAL_SEARCH_STEP,
     _candidate_directions,
     _ising_atoms,
+    _ising_hits,
     _log_half_betainc_tail,
+    _log_mass_above,
+    _sign_table,
     binary_entropy,
     general_entropy_upper,
     halfspace_log_mass,
@@ -28,6 +34,8 @@ from tapbound.entropy import (
 )
 from tapbound.errors import DomainError
 from tapbound.geometry import norm, normalize
+
+from oracles import oracle_ising_hits
 
 LOG2 = math.log(2.0)
 
@@ -389,6 +397,11 @@ def reference_lambda_min_entropy(E, m, delta, extra_directions=()):
     return lam, "iterations"
 
 
+def bit_equal(a, b):
+    """Equal bytes: unlike np.array_equal, -0.0 and 0.0 differ."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def magnetization(kind, n, delta, rng):
     if kind == "zero":
         return np.zeros(n)
@@ -418,8 +431,7 @@ class TestLocalSearchMatchesReference:
         extra_directions = [rng.standard_normal(n)] if extra else ()
         E = ising_uniform(n)
         expect, _ = reference_lambda_min_entropy(E, m, delta, extra_directions)
-        assert np.array_equal(lambda_min_entropy(E, m, delta, extra_directions),
-                              expect)
+        assert bit_equal(lambda_min_entropy(E, m, delta, extra_directions), expect)
 
     @pytest.mark.parametrize("kind", ["zero", "inside", "outside"])
     @pytest.mark.parametrize("delta", [0.05, 0.2])
@@ -431,8 +443,7 @@ class TestLocalSearchMatchesReference:
         m = magnetization(kind, n, delta, rng)
         extra_directions = [rng.standard_normal(n)] if extra else ()
         expect, _ = reference_lambda_min_entropy(E, m, delta, extra_directions)
-        assert np.array_equal(lambda_min_entropy(E, m, delta, extra_directions),
-                              expect)
+        assert bit_equal(lambda_min_entropy(E, m, delta, extra_directions), expect)
 
     @pytest.mark.parametrize("cloud", [False, True])
     def test_support_spanning_several_chunks(self, cloud):
@@ -444,7 +455,7 @@ class TestLocalSearchMatchesReference:
             E = point_cloud(pts, np.random.default_rng(5).uniform(0.5, 1.5, len(pts)))
         m = np.random.default_rng(6).uniform(-0.5, 0.5, size=n)
         expect, _ = reference_lambda_min_entropy(E, m, 0.2)
-        assert np.array_equal(lambda_min_entropy(E, m, 0.2), expect)
+        assert bit_equal(lambda_min_entropy(E, m, 0.2), expect)
 
     @pytest.mark.parametrize("seed, delta, exit_rule", [
         (7, 0.05, "min_step"),
@@ -459,7 +470,7 @@ class TestLocalSearchMatchesReference:
         expect, rule = reference_lambda_min_entropy(E, m, delta)
         assert rule == exit_rule
         got = lambda_min_entropy(E, m, delta)
-        assert np.array_equal(got, expect)
+        assert bit_equal(got, expect)
         if exit_rule == "-inf":
             assert halfspace_log_mass(E, got, m, delta) == -np.inf
 
@@ -470,7 +481,7 @@ class TestLocalSearchMatchesReference:
         E = ising_uniform(n)
         expect, rule = reference_lambda_min_entropy(E, m, delta)
         assert rule == "candidate"
-        assert np.array_equal(lambda_min_entropy(E, m, delta), expect)
+        assert bit_equal(lambda_min_entropy(E, m, delta), expect)
 
 
 def test_local_search_memory_is_bounded_by_the_chunk():
@@ -515,3 +526,117 @@ def test_ising_weights_are_one_shared_scalar():
     assert w.shape == (len(pts),) and w.strides == (0,)
     assert not w.flags.writeable
     assert np.all(w == 2.0 ** -10)
+
+
+# ---------------------------------------------------------------------------
+# Split-sum Ising count against the chunked count over every atom, with ties
+# built in: signed standard directions +-sqrt(N) e_i and sign directions on
+# a coordinate subset put whole groups of atoms exactly on thresholds taken
+# on their projection grids (k / sqrt(N) for the standard directions).
+# ---------------------------------------------------------------------------
+
+def tie_directions(n, rng, standard, sparse, gaussian):
+    scale = math.sqrt(n)
+    rows = []
+    for code in rng.choice(2 * n, size=min(standard, 2 * n), replace=False):
+        e = np.zeros(n)
+        e[code % n] = scale if code < n else -scale
+        rows.append((e, 1.0 / scale))
+    for _ in range(sparse):
+        support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        v = np.zeros(n)
+        v[support] = rng.choice([-1.0, 1.0], size=len(support))
+        v = normalize(v)
+        rows.append((v, float(np.abs(v).max()) / n))
+    for _ in range(gaussian):
+        rows.append((normalize(rng.standard_normal(n)), 1.0 / scale))
+    lams = np.array([r for r, _ in rows]).reshape(len(rows), n)
+    grid_step = np.array([g for _, g in rows])
+    return lams, grid_step
+
+
+class TestIsingHitsMatchOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 20), standard=st.integers(0, 6),
+           sparse=st.integers(0, 3), gaussian=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, standard=2, sparse=1, gaussian=1, seed=0)
+    @example(n=2, standard=4, sparse=2, gaussian=2, seed=1)
+    @example(n=20, standard=40, sparse=3, gaussian=3, seed=2)
+    def test_exact_counts(self, n, standard, sparse, gaussian, seed):
+        rng = np.random.default_rng(seed)
+        lams, grid_step = tie_directions(n, rng, standard, sparse, gaussian)
+        if not len(lams):
+            lams, grid_step = tie_directions(n, rng, 1, 0, 0)
+        # twice the largest projection either way: empty and full half-spaces
+        k_max = int(np.ceil(2.0 / grid_step.min()))
+        thresholds = rng.integers(-k_max, k_max + 1, size=len(lams)) * grid_step
+        # and about half of them off the grid
+        off = rng.random(len(lams)) < 0.5
+        thresholds[off] = rng.uniform(-1.0, 1.0, size=int(off.sum()))
+        expect = oracle_ising_hits(lams, thresholds - 1e-12)
+        assert np.array_equal(_ising_hits(lams, thresholds - 1e-12), expect)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(_log_mass_above(ising_uniform(n), lams, thresholds),
+                                  np.log(expect * 2.0 ** -n))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_exact_ties_are_hits(self, n):
+        # Sign directions at a power-of-two N, with unguarded cuts k / N:
+        # every split sum, target and projection is an exact integer over
+        # N, so whole groups of sort keys tie bit for bit and each tie
+        # must count as a hit.
+        rng = np.random.default_rng(n)
+        lams = np.vstack([np.ones(n), rng.choice([-1.0, 1.0], size=(5, n))])
+        for k in range(-n - 1, n + 2):
+            cut = np.full(len(lams), k / n)
+            expect = oracle_ising_hits(lams, cut)
+            assert np.array_equal(_ising_hits(lams, cut), expect)
+        j = n // 4  # <1, sigma> >= (N - 2 j) / N: at most j minus signs
+        assert _ising_hits(np.ones((1, n)), np.array([(n - 2 * j) / n]))[0] == sum(
+            math.comb(n, i) for i in range(j + 1))
+
+
+class TestPastTheEnumerationCap:
+    N = 32
+
+    def test_atoms_still_capped(self):
+        with pytest.raises(DomainError):
+            ising_uniform(ISING_ENUM_MAX_N + 1).atoms()
+
+    @pytest.mark.parametrize("j", [0, 1, 7, 16, 31, 32])
+    def test_all_ones_direction_matches_binomial_tail(self, j):
+        # <1, sigma> = (N - 2 j) / N with j minus signs: the mass of
+        # {<1, sigma> >= (N - 2 j) / N} is sum_{i <= j} C(N, i) / 2^N, and
+        # every atom with j minus signs ties with the threshold
+        n = self.N
+        t = (n - 2 * j) / n
+        got = halfspace_log_mass(ising_uniform(n), np.ones(n), np.full(n, t), 0.0)
+        expect = math.log(sum(math.comb(n, i) for i in range(j + 1)) / 2 ** n)
+        assert got == pytest.approx(expect, rel=1e-15, abs=1e-15)
+
+    def test_lambda_rule_runs_in_bounded_scratch(self):
+        # 2^32 atoms: no enumeration, and unblocked the split sums of one
+        # window (2N directions of 2^17 sort keys each) would take a few
+        # hundred MB; one direction per block stays under 8 MB.
+        n, delta = self.N, 0.2
+        E = ising_uniform(n)
+        _sign_table(n // 2)  # the cached sign table of each half is not scratch
+        m = np.random.default_rng(10).uniform(-0.5, 0.5, size=n)
+        tracemalloc.start()
+        try:
+            lam = lambda_min_entropy(E, m, delta)
+            value = halfspace_log_mass(E, lam, m, delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert abs(norm(lam) - 1.0) <= 1e-12
+        # no worse than any candidate, and under the Chernoff chain bound
+        cands = np.array(_candidate_directions(E, m, delta, ()))
+        start = min(halfspace_log_mass(E, c, m, delta) for c in cands)
+        assert value <= start
+        mt = np.clip(m, -(1 - delta), 1 - delta)
+        bound = ising_entropy(mt) + delta * np.sqrt(n) * float(
+            np.linalg.norm(np.arctanh(mt)))
+        assert value <= bound + 1e-10
