@@ -451,10 +451,8 @@ def thin_projections(node: CoverNode, block: np.ndarray) -> np.ndarray:
     """
     block = np.ascontiguousarray(block, dtype=np.float64)
     rows = node.basis_rows
-    resid = block.copy()
-    if len(rows):
-        coeffs = (rows @ block[:, :, None])[:, :, 0] / node.n
-        resid -= (coeffs[:, None, :] @ rows)[:, 0, :]
+    coeffs = (rows @ block[:, :, None])[:, :, 0] / node.n
+    resid = block - (coeffs[:, None, :] @ rows)[:, 0, :]
     r = np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / node.n)
     keep = r >= 1e-12
     out = np.zeros_like(resid)
