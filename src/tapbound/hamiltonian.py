@@ -11,6 +11,9 @@ analytic gradients.
 
 Seeding: a sample is a deterministic function of (model, seed); the tensor of
 degree p is drawn from the substream SeedSequence(seed, spawn_key=(p,)).
+`sample_disorders` draws the same tensors for a block of seeds, stacked on a
+leading replica axis, and the energy and gradient kernels contract every
+replica of such a block at once; a single sample is a block of one.
 """
 
 from __future__ import annotations
@@ -171,6 +174,10 @@ class MixedModel:
     def active_degrees(self) -> tuple[int, ...]:
         return tuple(p for p, a in enumerate(self.series.coefficients) if a > 0.0)
 
+    def scale(self, p: int) -> float:
+        """sqrt(a_p) N^{(1-p)/2}, the weight of the degree-p tensor in H."""
+        return np.sqrt(self.series.coefficients[p]) * self.n ** ((1 - p) / 2)
+
 
 @dataclass(frozen=True)
 class DisorderSample:
@@ -180,6 +187,8 @@ class DisorderSample:
     seed: int
     tensors: dict  # degree -> ndarray of shape (n,)*degree (degree 0: scalar)
 
+    replicas = 1  # the kernels take a sample as a block of one replica
+
     @property
     def n(self) -> int:
         return self.model.n
@@ -187,9 +196,14 @@ class DisorderSample:
     @cached_property
     def terms(self) -> tuple:
         """(degree, sqrt(a_p) N^{(1-p)/2}, tensor) for every active degree."""
-        a = self.model.series.coefficients
-        return tuple((p, np.sqrt(a[p]) * self.n ** ((1 - p) / 2), g)
-                     for p, g in self.tensors.items())
+        return tuple((p, self.model.scale(p), g) for p, g in self.tensors.items())
+
+    @cached_property
+    def replica_terms(self) -> tuple:
+        """`terms` with a leading replica axis of length 1, as the kernels
+        take them."""
+        return tuple((p, scale, np.reshape(g, (1,) + np.shape(g)))
+                     for p, scale, g in self.terms)
 
     @cached_property
     def gradient_terms(self) -> tuple:
@@ -202,13 +216,32 @@ class DisorderSample:
                      for p, scale, g in self.terms if p)
 
 
-def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
-    """Draw coupling tensors; deterministic in (model, seed).
+@dataclass(frozen=True)
+class DisorderBlock:
+    """The coupling tensors of several realizations of one model, stacked on
+    a leading replica axis: replica i is `sample_disorder(model, seeds[i])`."""
 
-    Raises ResourceBudgetError when a degree-p tensor of n^p doubles exceeds
-    the model's budget, and DomainError past the configured max degree.
-    """
-    tensors = {}
+    model: MixedModel
+    seeds: np.ndarray  # uint64, one per replica
+    tensors: dict  # degree -> ndarray of shape (R,) + (n,)*degree
+
+    @property
+    def n(self) -> int:
+        return self.model.n
+
+    @property
+    def replicas(self) -> int:
+        return len(self.seeds)
+
+    @cached_property
+    def replica_terms(self) -> tuple:
+        """(degree, sqrt(a_p) N^{(1-p)/2}, stacked tensors) for every active
+        degree."""
+        return tuple((p, self.model.scale(p), g) for p, g in self.tensors.items())
+
+
+def _checked_degrees(model: MixedModel) -> tuple:
+    """The model's active degrees, after the degree cap and tensor budget."""
     for p in model.active_degrees:
         if p > model.max_degree:
             raise DomainError(
@@ -219,12 +252,47 @@ def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
                 f"degree-{p} tensor needs {required} bytes "
                 f"(budget {model.tensor_budget_bytes})",
                 required=required, budget=model.tensor_budget_bytes)
+    return model.active_degrees
+
+
+def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
+    """Draw coupling tensors; deterministic in (model, seed).
+
+    Raises ResourceBudgetError when a degree-p tensor of n^p doubles exceeds
+    the model's budget, and DomainError past the configured max degree.
+    """
+    tensors = {}
+    for p in _checked_degrees(model):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
         if p == 0:
             tensors[p] = float(rng.standard_normal())
         else:
             tensors[p] = rng.standard_normal(size=(model.n,) * p)
     return DisorderSample(model, int(seed), tensors)
+
+
+def sample_disorders(model: MixedModel, seeds) -> DisorderBlock:
+    """`sample_disorder(model, s)` for every s in `seeds` (integers below
+    2**64), as one block.
+
+    The streams of all seeds are set up by one array hash, and each
+    replica's draw fills its slice of the stacked tensor, so no per-replica
+    sample is built. Raises as `sample_disorder` does.
+    """
+    # Imported here so that importing the package does not load numpy.random
+    from .seeding import pcg64, spawned_states
+
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    degrees = _checked_degrees(model)
+    # (R, degrees, 4): each seed's words are hashed once for all its degrees
+    states = spawned_states(seeds[:, None], (np.array(degrees, dtype=np.int64),), 4)
+    tensors = {}
+    for j, p in enumerate(degrees):
+        block = np.empty((len(seeds),) + (model.n,) * p)
+        for out, state in zip(block.reshape(len(seeds), model.n ** p), states[:, j]):
+            pcg64(state).standard_normal(out=out)
+        tensors[p] = block
+    return DisorderBlock(model, seeds, tensors)
 
 
 def _check_ball(sigma: np.ndarray, n: int, open_ball: bool = False) -> np.ndarray:
@@ -255,21 +323,35 @@ def _kron_powers(sigma: np.ndarray, top: int) -> list:
 
 
 def _partial(g: np.ndarray, powers: list, k: int) -> np.ndarray:
-    """Contraction of g with sigma at every axis but position k.
+    """Contraction of each replica's g[r] with sigma at every axis but
+    position k: shape (R, N) for g of shape (R, N, ..., N).
 
     Reshapes of the C-ordered tensor turn both sides into plain matvecs:
-    (sigma^{tensor k} @ g.reshape(N^k, -1)).reshape(N, -1) @ sigma^{tensor p-1-k}.
+    (sigma^{tensor k} @ g.reshape(N^k, -1)).reshape(N, -1) @ sigma^{tensor p-1-k},
+    one stacked matmul per step, which makes the same BLAS call for every
+    replica as for a tensor alone.
     """
-    n = len(powers[1])
-    rest = g.ndim - 1 - k
+    reps, n = len(g), len(powers[1])
+    rest = g.ndim - 2 - k
     if k:
-        g = powers[k] @ g.reshape(n ** k, -1)
-    return g.reshape(n, -1) @ powers[rest] if rest else g
+        g = np.matmul(powers[k], g.reshape(reps, n ** k, -1))
+    g = g.reshape(reps, n, -1)
+    return np.matmul(g, powers[rest]) if rest else g[:, :, 0]
+
+
+def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows[r] @ v for every r, each by the 1-D dot product.
+
+    A stacked (1, N) @ (N,) per row: `rows @ v` would be one matrix-vector
+    product, whose summation order moves the last bits.
+    """
+    return np.matmul(rows[:, None, :], v)[:, 0]
 
 
 def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Contraction of g with every row x of X at all axes but the last:
-    shape (rows, g.shape[-1]), for g.ndim >= 2.
+    """Contraction of each replica's g[r] with every row x of X at all axes
+    but the last: shape (R, rows, g.shape[-1]), for g of shape (R, N, ...)
+    with at least two axes after the replica axis.
 
     One matmul contracts the first axis; each further axis is a
     reshape-multiply-sum against the rows. A trailing axis of length 1,
@@ -279,36 +361,61 @@ def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
     the block the matmul or the previous sum made, so the allocator is not
     asked for a second block on every step.
     """
-    n = X.shape[1]
-    out = np.empty((len(X), g.shape[-1]))
+    reps, n = len(g), X.shape[1]
+    out = np.empty((reps, len(X), g.shape[-1]))
     for start in range(0, len(X), _ROW_CHUNK):
         x = X[start:start + _ROW_CHUNK]
-        t = x @ g.reshape(n, -1)
-        for _ in range(g.ndim - 2):
-            t = t.reshape(len(x), n, -1)
+        t = np.matmul(x, g.reshape(reps, n, -1))
+        for _ in range(g.ndim - 3):
+            t = t.reshape(reps, len(x), n, -1)
             t *= x[:, :, None]
-            t = t.sum(axis=1)
-        out[start:start + len(x)] = t
+            t = t.sum(axis=2)
+        out[:, start:start + len(x)] = t
     return out
+
+
+def _energy_at(d, powers) -> np.ndarray:
+    """H at the point powers[1] for each replica of `d` (a sample or a
+    block): shape (R,), from its `_kron_powers` up to at least the top
+    degree minus one, without the ball check."""
+    total = np.zeros(d.replicas)
+    for p, scale, g in d.replica_terms:
+        total += scale * (g if p == 0 else _dots(_partial(g, powers, p - 1), powers[1]))
+    return total
+
+
+def _energy_rows(d, X: np.ndarray) -> np.ndarray:
+    """H over the rows of X for each replica of `d`: shape (R, rows)."""
+    total = np.zeros((d.replicas, len(X)))
+    for p, scale, g in d.replica_terms:
+        total += scale * (g[:, None] if p == 0
+                          else _contract_rows(g[..., None], X)[..., 0])
+    return total
+
+
+def _gradient_at(d, powers) -> np.ndarray:
+    """grad H for each replica of `d` at the point whose `_kron_powers` are
+    given (up to at least the top degree minus one): shape (R, N), without
+    the ball check."""
+    grad = np.zeros((d.replicas, d.n))
+    for p, scale, g in d.replica_terms:
+        if p:
+            part = _partial(g, powers, 0)
+            for k in range(1, p):
+                part = part + _partial(g, powers, k)
+            grad += scale * part
+    return grad
 
 
 def energy(d: DisorderSample, sigma: np.ndarray) -> float:
     """H(sigma) = sum_p sqrt(a_p) N^{(1-p)/2} <g_p, sigma^{tensor p}>."""
     sigma = _check_ball(sigma, d.n)
-    powers = _kron_powers(sigma, max(d.tensors, default=0) - 1)
-    total = 0.0
-    for p, scale, g in d.terms:
-        total += scale * (g if p == 0 else _partial(g, powers, p - 1) @ sigma)
-    return float(total)
+    return float(_energy_at(d, _kron_powers(sigma, max(d.tensors, default=0) - 1))[0])
 
 
 def energy_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     """Vectorized H over the rows of `sigmas` (no per-row domain check)."""
-    X = np.asarray(sigmas, dtype=np.float64)
-    total = np.zeros(len(X))
-    for p, scale, g in d.terms:
-        total += scale * (g if p == 0 else _contract_rows(g[..., None], X)[:, 0])
-    return total
+    return _energy_rows(d, np.asarray(sigmas, dtype=np.float64))[0]
 
 
 def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
@@ -318,20 +425,7 @@ def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
     contractions with index i placed at each position.
     """
     sigma = _check_ball(sigma, d.n, open_ball=True)
-    return _gradient_at(d, _kron_powers(sigma, max(d.tensors, default=0) - 1))
-
-
-def _gradient_at(d: DisorderSample, powers) -> np.ndarray:
-    """`gradient` at the point whose `_kron_powers` are given (up to at least
-    the top degree minus one), without the ball check."""
-    grad = np.zeros(d.n)
-    for p, scale, g in d.terms:
-        if p:
-            part = _partial(g, powers, 0)
-            for k in range(1, p):
-                part = part + _partial(g, powers, k)
-            grad += scale * part
-    return grad
+    return _gradient_at(d, _kron_powers(sigma, max(d.tensors, default=0) - 1))[0]
 
 
 def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
@@ -339,7 +433,7 @@ def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     X = np.asarray(sigmas, dtype=np.float64)
     grad = np.zeros(X.shape)
     for p, scale, s in d.gradient_terms:
-        grad += scale * (s if p == 1 else _contract_rows(s, X))
+        grad += scale * (s if p == 1 else _contract_rows(s[None], X)[0])
     return grad
 
 

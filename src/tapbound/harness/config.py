@@ -13,6 +13,9 @@ from ..errors import ConfigError
 # epsilon <= eta^2 and eta <= 1/sqrt(K).
 COVER_EXPERIMENTS = {"cover-property", "onsager-markov"}
 SLICE_EXPERIMENTS = {"slice-entropy"}
+# Replica-mean experiments: each criterion is a z-score against a standard
+# error over the replicas
+LAW_EXPERIMENTS = {"gaussian-law", "recentering-law"}
 
 _LIST_KEYS = {"xi", "beta", "h"}
 _INT_KEYS = {"n", "replicas", "mc_samples", "starts", "seed", "workers", "points"}
@@ -128,6 +131,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad.append("slice experiments need epsilon <= eta^2")
         if cfg.eta > cfg.delta / 4:
             bad.append("slice entropy needs eta <= delta/4")
+    if cfg.experiment in LAW_EXPERIMENTS and cfg.replicas < 2:
+        bad.append("law experiments need replicas >= 2 (their standard errors "
+                   "divide by replicas - 1)")
     if cfg.experiment == "bound-sphere" and cfg.mc_samples < 100:
         bad.append("bound-sphere needs mc_samples >= 100")
     if bad:

@@ -12,6 +12,14 @@ Models are cached per process: every replica of a cell (the same n, xi,
 beta, field kind and h) samples its disorder for one shared, immutable
 MixedModel, and a process pool builds one cache per worker. Seed-fixed probe
 points are cached per process in the same way.
+
+The two law experiments (gaussian-law, recentering-law) run their replicas
+in blocks of REPLICA_BLOCK: one array hash derives a block's seeds and
+disorder streams (`derive_seeds`, `sample_disorders`), the tensors are drawn
+straight into arrays stacked on a leading replica axis, and every energy and
+gradient of the block is one stacked contraction. Each replica's features
+are bit-equal to those of the replica computed alone, so the reports do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ from ..geometry import inner, inner_many, norm, normalize
 from ..hamiltonian import (
     MixedModel,
     _check_ball,
+    _dots,
+    _energy_at,
+    _energy_rows,
     _gradient_at,
     _kron_powers,
     energy,
@@ -46,6 +57,7 @@ from ..hamiltonian import (
     field_quadratic_spike,
     gradient,
     sample_disorder,
+    sample_disorders,
 )
 from ..partition import (
     log_partition_exact_ising,
@@ -64,9 +76,24 @@ STREAM_MC = 3
 STREAM_ATOM = 4
 
 
+# Replicas per task of the law experiments, which run their replicas as
+# blocks stacked on a leading axis
+REPLICA_BLOCK = 64
+
+
 def derive_seed(master: int, stream: int, index: int) -> int:
     ss = np.random.SeedSequence(master, spawn_key=(stream, index))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def derive_seeds(master: int, stream: int, indices) -> np.ndarray:
+    """`derive_seed(master, stream, r)` for every r in `indices`, as uint64,
+    by one array hash. Indices must lie in [0, 2**32) (DomainError
+    otherwise)."""
+    # Imported here so that importing the harness does not load numpy.random
+    from ..seeding import spawned_states
+
+    return spawned_states(master, (stream, np.asarray(indices)), 1)[..., 0]
 
 
 def make_field(kind: str, h: float, n: int):
@@ -95,8 +122,21 @@ def _disorder(cfg: ExperimentConfig, r: int, xi, beta: float, kind: str,
                            derive_seed(cfg.seed, STREAM_DISORDER, r))
 
 
+def _disorders(cfg: ExperimentConfig, start: int, stop: int):
+    """The disorder of replicas start..stop-1 of a law experiment (beta 1,
+    no field), as one block for the cell's cached model."""
+    return sample_disorders(_model(cfg.n, tuple(cfg.xi), 1.0, "none", 0.0),
+                            derive_seeds(cfg.seed, STREAM_DISORDER,
+                                         np.arange(start, stop)))
+
+
 def _replicas(cfg: ExperimentConfig) -> list:
     return [(r,) for r in range(cfg.replicas)]
+
+
+def _replica_blocks(cfg: ExperimentConfig) -> list:
+    return [(start, min(start + REPLICA_BLOCK, cfg.replicas))
+            for start in range(0, cfg.replicas, REPLICA_BLOCK)]
 
 
 def _map_replicas(func, cfg: ExperimentConfig, tasks: list) -> list:
@@ -178,9 +218,9 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
-# Probes depend only on (n, seed); every replica of a run shares one read-only
-# copy of them, and of the (20, n) block of pair points it scores in one
-# energy_many call, instead of rebuilding them.
+# Probes depend only on (n, seed); every replica block of a run shares one
+# read-only copy of them, and of the (20, n) array of pair points it scores
+# in one stacked contraction, instead of rebuilding them.
 @functools.lru_cache(maxsize=8)
 def _gaussian_law_probes(n, master):
     rng = np.random.default_rng(
@@ -209,11 +249,12 @@ def _gaussian_law_powers(n, master, top):
     return powers
 
 
-def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
+def _five_se_report(cfg, block, names, expected, criterion, tolerance,
                     aggregates) -> ExperimentReport:
     """Replica means of the features against their expected values: passes
-    when every mean lies within 5 standard errors."""
-    feats = np.array(_map_replicas(replica, cfg, _replicas(cfg)))
+    when every mean lies within 5 standard errors. `block(cfg, start, stop)`
+    gives the features of replicas start..stop-1, one row each."""
+    feats = np.concatenate(_map_replicas(block, cfg, _replica_blocks(cfg)))
     means = feats.mean(axis=0)
     ses = feats.std(axis=0, ddof=1) / math.sqrt(len(feats))
     zs = np.abs(means - np.array(expected)) / np.maximum(ses, 1e-300)
@@ -226,21 +267,22 @@ def _five_se_report(cfg, replica, names, expected, criterion, tolerance,
                             rows, [crit], {"max_z": float(zs.max()), **aggregates})
 
 
-def _gaussian_law_replica(cfg, r):
+# dH_i(m) dH_j(m') for these (i, j), and H(a0) dH_i(m') for these i
+_GRAD_PAIRS = ((0, 0), (1, 1), (0, 3), (2, 1))
+_CROSS_INDICES = (0, 2, 5)
+
+
+def _gaussian_law_block(cfg, start, stop):
     pts = _gaussian_law_probes(cfg.n, cfg.seed)[3]
-    d = _disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
-    vals = energy_many(d, pts)
+    d = _disorders(cfg, start, stop)
+    vals = _energy_rows(d, pts)
     pm, pmp = _gaussian_law_powers(cfg.n, cfg.seed, max(d.tensors, default=0) - 1)
     gm = _gradient_at(d, pm)
     gmp = _gradient_at(d, pmp)
-    feats = []
-    for k in range(10):
-        feats.append(vals[2 * k] * vals[2 * k + 1])           # H(a) H(b)
-    for (i, j) in ((0, 0), (1, 1), (0, 3), (2, 1)):
-        feats.append(gm[i] * gmp[j])                          # dH_i(m) dH_j(m')
-    for i in (0, 2, 5):
-        feats.append(vals[0] * gmp[i])                        # H(a0) dH_i(m')
-    return feats
+    feats = [vals[:, 2 * k] * vals[:, 2 * k + 1] for k in range(10)]  # H(a) H(b)
+    feats += [gm[:, i] * gmp[:, j] for i, j in _GRAD_PAIRS]
+    feats += [vals[:, 0] * gmp[:, i] for i in _CROSS_INDICES]
+    return np.stack(feats, axis=1)
 
 
 def run_gaussian_law(cfg: ExperimentConfig) -> ExperimentReport:
@@ -253,15 +295,15 @@ def run_gaussian_law(cfg: ExperimentConfig) -> ExperimentReport:
         expected.append(n * series.evaluate(inner(a, b)))
     q = inner(m, mp)
     xi1, xi2 = series.evaluate(q, 1), series.evaluate(q, 2)
-    for (i, j) in ((0, 0), (1, 1), (0, 3), (2, 1)):
+    for (i, j) in _GRAD_PAIRS:
         names.append(f"cov-grad{i}{j}")
         expected.append((i == j) * xi1 + m[j] * mp[i] / n * xi2)
     a0 = pairs[0][0]
     xi1_cross = series.evaluate(inner(a0, mp), 1)
-    for i in (0, 2, 5):
+    for i in _CROSS_INDICES:
         names.append(f"cov-energy-grad{i}")
         expected.append(a0[i] * xi1_cross)
-    return _five_se_report(cfg, _gaussian_law_replica, names, expected,
+    return _five_se_report(cfg, _gaussian_law_block, names, expected,
                            "covariance-5se", "all empirical covariances within 5 SE",
                            {})
 
@@ -288,19 +330,20 @@ def _recentering_probes(n, master):
     return m, (s1, s2, s3), w
 
 
-def _recentering_replica(cfg, r):
+def _recentering_block(cfg, start, stop):
     m, (s1, s2, s3), w = _recentering_probes(cfg.n, cfg.seed)
-    d = _disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
-    g = gradient(d, m)
-    hm = energy(d, m)
-    pts = np.array([m + s1, m + s2, m + s3])
-    e = energy_many(d, pts)
-    rec = [e[i] - g @ s - hm for i, s in enumerate((s1, s2, s3))]
+    d = _disorders(cfg, start, stop)
+    powers = _kron_powers(_check_ball(m, cfg.n, open_ball=True),
+                          max(d.tensors, default=0) - 1)
+    g = _gradient_at(d, powers)
+    hm = _energy_at(d, powers)
+    e = _energy_rows(d, np.array([m + s1, m + s2, m + s3]))
+    rec = [e[:, i] - _dots(g, s) - hm for i, s in enumerate((s1, s2, s3))]
     mhat = m / np.sqrt(m @ m)
-    g_perp = g - (g @ mhat) * mhat
-    t = float(g_perp @ w)
-    return [rec[0] * rec[1], rec[0] * rec[2], rec[0] * rec[0],
-            rec[0] * hm, rec[1] * t, hm * t]
+    g_perp = g - _dots(g, mhat)[:, None] * mhat
+    t = _dots(g_perp, w)
+    return np.stack([rec[0] * rec[1], rec[0] * rec[2], rec[0] * rec[0],
+                     rec[0] * hm, rec[1] * t, hm * t], axis=1)
 
 
 def run_recentering_law(cfg: ExperimentConfig) -> ExperimentReport:
@@ -312,7 +355,7 @@ def run_recentering_law(cfg: ExperimentConfig) -> ExperimentReport:
              "cross-rec-energy", "cross-rec-gradperp", "cross-energy-gradperp"]
     expected = [n * xi_q(inner(s1, s2)), n * xi_q(inner(s1, s3)),
                 n * xi_q(inner(s1, s1)), 0.0, 0.0, 0.0]
-    return _five_se_report(cfg, _recentering_replica, names, expected,
+    return _five_se_report(cfg, _recentering_block, names, expected,
                            "recentering-5se",
                            "recentered covariances and cross terms within 5 SE",
                            {"q": q})

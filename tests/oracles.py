@@ -22,7 +22,10 @@ reference for the production kernel. The uniform Ising half-space count
 that the split-sum count replaced, one BLAS product of every direction
 against every atom in chunks, is the reference for exact hit counts, on its
 own enumeration of the atoms; and the per-vector thin projection that the
-stacked one replaced is a bit-equality reference for it.
+stacked one replaced is a bit-equality reference for it. The law
+experiments' per-replica features, each replica with its own numpy
+SeedSequence disorder and one-sample kernel calls, are the bit-equality
+references of their replica blocks.
 """
 
 import itertools
@@ -33,7 +36,8 @@ import numpy as np
 from tapbound import tap
 from tapbound.entropy import general_entropy_upper
 from tapbound.geometry import norm
-from tapbound.hamiltonian import _ROW_CHUNK, energy_many
+from tapbound.hamiltonian import _ROW_CHUNK, energy, energy_many, gradient
+from tapbound.harness import experiments
 
 
 def _scale(d, p):
@@ -401,3 +405,40 @@ def oracle_thin_projection(node, sigma):
     if r < 1e-12:
         return np.zeros(node.n)
     return math.sqrt(max(0.0, 1.0 - node.q)) * resid / r
+
+
+def gaussian_law_replica(cfg, r):
+    """The gaussian-law features of replica r alone: products of the energies
+    at the ten probe pairs, of gradient entries at m and m', and of the
+    energy at a0 with gradient entries at m'."""
+    pairs, m, mp, pts = experiments._gaussian_law_probes(cfg.n, cfg.seed)
+    d = experiments._disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
+    vals = energy_many(d, pts)
+    gm = gradient(d, m)
+    gmp = gradient(d, mp)
+    feats = []
+    for k in range(10):
+        feats.append(vals[2 * k] * vals[2 * k + 1])           # H(a) H(b)
+    for (i, j) in ((0, 0), (1, 1), (0, 3), (2, 1)):
+        feats.append(gm[i] * gmp[j])                          # dH_i(m) dH_j(m')
+    for i in (0, 2, 5):
+        feats.append(vals[0] * gmp[i])                        # H(a0) dH_i(m')
+    return feats
+
+
+def recentering_replica(cfg, r):
+    """The recentering-law features of replica r alone: the recentered field
+    at m + s_k, the energy at m and the gradient's component orthogonal to m
+    along w, multiplied in pairs."""
+    m, (s1, s2, s3), w = experiments._recentering_probes(cfg.n, cfg.seed)
+    d = experiments._disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
+    g = gradient(d, m)
+    hm = energy(d, m)
+    pts = np.array([m + s1, m + s2, m + s3])
+    e = energy_many(d, pts)
+    rec = [e[i] - g @ s - hm for i, s in enumerate((s1, s2, s3))]
+    mhat = m / np.sqrt(m @ m)
+    g_perp = g - (g @ mhat) * mhat
+    t = float(g_perp @ w)
+    return [rec[0] * rec[1], rec[0] * rec[2], rec[0] * rec[0],
+            rec[0] * hm, rec[1] * t, hm * t]

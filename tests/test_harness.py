@@ -7,31 +7,39 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tapbound.cli import SUBCOMMANDS, main
 from tapbound.entropy import _cap_log_mass
 from tapbound.errors import ConfigError
 from tapbound.harness import (
     build_config,
+    experiments,
     parse_config_text,
     run,
     validate_config,
     with_overrides,
 )
 from tapbound.harness.config import ExperimentConfig
-from tapbound.harness.experiments import make_field
+from tapbound.harness.experiments import REPLICA_BLOCK, make_field
 from tapbound.harness.report import histogram_svg, polyline_svg
 
+from oracles import gaussian_law_replica, recentering_replica
+
 # Tiny configs of the experiments that map their replicas over the process
-# pool, each with at least two replica tasks
+# pool, each with at least two replica tasks; the law experiments' tasks are
+# replica blocks, three of them with a ragged last one
+LAW_REPLICAS = 2 * REPLICA_BLOCK + 3
 POOLED = {
     "beta0-exact": dict(n=8, replicas=4),
-    "gaussian-law": dict(replicas=40),
-    "recentering-law": dict(replicas=40),
+    "gaussian-law": dict(replicas=LAW_REPLICAS),
+    "recentering-law": dict(replicas=LAW_REPLICAS),
     "cover-property": dict(n=8, replicas=2, points=20),
     "slice-entropy": dict(n=8, replicas=3),
     "onsager-markov": dict(n=10, replicas=4),
@@ -82,6 +90,16 @@ class TestValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             build_config("no-such-thing")
+
+    @pytest.mark.parametrize("experiment", ["gaussian-law", "recentering-law"])
+    def test_law_experiments_need_two_replicas(self, experiment):
+        # one replica has no standard error (ddof=1): a config error, not a
+        # RuntimeWarning and a null criterion value
+        with pytest.raises(ConfigError) as err:
+            build_config(experiment, dict(replicas=1))
+        assert any("replicas >= 2" in v for v in err.value.violations)
+        assert run(build_config(experiment, dict(replicas=2))).criteria[0].value \
+            is not None
 
     def test_with_overrides_revalidates(self):
         cfg = build_config("bound-ising", dict(replicas=2))
@@ -171,7 +189,6 @@ class TestRunAndArtifacts:
 
     @pytest.mark.parametrize("probes", ["_gaussian_law_probes", "_recentering_probes"])
     def test_law_probes_built_once_and_read_only(self, probes):
-        from tapbound.harness import experiments
         build = getattr(experiments, probes)
         first, second = build(8, 123), build(8, 123)
         assert first is second
@@ -186,7 +203,6 @@ class TestRunAndArtifacts:
 
     def test_law_powers_built_once_read_only_and_match_gradient(self):
         from tapbound.hamiltonian import _gradient_at, gradient
-        from tapbound.harness import experiments
         cfg = build_config("gaussian-law", dict(replicas=2))
         _, m, mp, _ = experiments._gaussian_law_probes(cfg.n, cfg.seed)
         for r in range(2):
@@ -199,7 +215,7 @@ class TestRunAndArtifacts:
                 for a in pw[2:]:
                     with pytest.raises(ValueError):
                         a[0] = 1.0
-                assert np.array_equal(_gradient_at(d, pw), gradient(d, x))
+                assert np.array_equal(_gradient_at(d, pw)[0], gradient(d, x))
 
     def test_model_shared_within_a_cell_and_distinct_across_cells(self):
         from tapbound.harness.experiments import _disorder, _model
@@ -222,7 +238,6 @@ class TestRunAndArtifacts:
                 == (key[0], tuple(key[1]), *key[2:])
 
     def test_cold_and_warm_model_cache_give_identical_bytes(self, tmp_path):
-        from tapbound.harness import experiments
         blobs = []
         for tag in ("cold", "warm"):
             if tag == "cold":
@@ -230,10 +245,13 @@ class TestRunAndArtifacts:
                 experiments._gaussian_law_probes.cache_clear()
                 experiments._gaussian_law_powers.cache_clear()
             out = tmp_path / tag
-            run(build_config("gaussian-law", dict(replicas=40, out=str(out))))
+            run(build_config("gaussian-law", dict(replicas=LAW_REPLICAS,
+                                                  out=str(out))))
             blobs.append(b"".join((out / ("gaussian-law" + suffix)).read_bytes()
                                   for suffix in (".report.json", ".rows.csv")))
-        assert experiments._model.cache_info().hits >= 39
+        # one model for the cell, looked up once per replica block
+        assert experiments._model.cache_info().misses == 1
+        assert experiments._model.cache_info().hits == 2 * 3 - 1
         assert blobs[0] == blobs[1]
 
     def test_in_memory_report_matches_written_file(self, tmp_path):
@@ -252,11 +270,80 @@ class TestRunAndArtifacts:
         assert set(EXPERIMENT_DEFAULTS) == set(EXPERIMENTS)
 
 
+LAW_BLOCKS = {"gaussian-law": (experiments._gaussian_law_block, gaussian_law_replica),
+              "recentering-law": (experiments._recentering_block, recentering_replica)}
+
+
+def _replica_features(experiment, cfg, start, stop):
+    oracle = LAW_BLOCKS[experiment][1]
+    return np.array([oracle(cfg, r) for r in range(start, stop)])
+
+
+class TestLawBlocks:
+    """Replica blocks against the per-replica oracles, which draw each
+    disorder through numpy's SeedSequence and call the one-sample kernels."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @example(experiment="gaussian-law", seed=1, coefficients=[0.0, 0.0, 1.0, 0.5],
+             n=8, start=0, length=REPLICA_BLOCK)
+    @example(experiment="gaussian-law", seed=31, coefficients=[0.0, 0.0, 1.0, 0.5],
+             n=8, start=REPLICA_BLOCK, length=1)
+    @example(experiment="gaussian-law", seed=2 ** 32 + 1,
+             coefficients=[0.0, 0.0, 1.0, 0.5], n=8, start=0, length=3)
+    @example(experiment="recentering-law", seed=1, coefficients=[0.0, 0.0, 1.0],
+             n=8, start=0, length=REPLICA_BLOCK)
+    @example(experiment="recentering-law", seed=7,
+             coefficients=[0.1, 0.3, 1.0, 0.5], n=8, start=5, length=REPLICA_BLOCK)
+    @given(experiment=st.sampled_from(sorted(LAW_BLOCKS)),
+           seed=st.one_of(st.integers(0, 2 ** 32 + 2), st.integers(0, 2 ** 64 - 1)),
+           coefficients=st.lists(st.sampled_from([0.0, 0.25, 1.0]),
+                                 min_size=1, max_size=5),
+           n=st.integers(6, 8),
+           start=st.integers(0, 3 * REPLICA_BLOCK),
+           length=st.one_of(st.just(1), st.integers(1, REPLICA_BLOCK)))
+    def test_block_features_bit_equal_replica_oracles(self, experiment, seed,
+                                                      coefficients, n, start,
+                                                      length):
+        # degrees 0-4 at n <= 8 stay far inside the default tensor budget
+        cfg = build_config(experiment, dict(n=n, xi=tuple(coefficients), seed=seed,
+                                            replicas=start + length + 1))
+        block = LAW_BLOCKS[experiment][0](cfg, start, start + length)
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, _replica_features(experiment, cfg, start,
+                                                       start + length))
+
+    @pytest.mark.parametrize("experiment", sorted(LAW_BLOCKS))
+    def test_run_blocks_cover_replicas_in_order_with_a_ragged_tail(self, experiment):
+        cfg = build_config(experiment, dict(replicas=LAW_REPLICAS, seed=5))
+        blocks = experiments._replica_blocks(cfg)
+        assert blocks == [(0, REPLICA_BLOCK), (REPLICA_BLOCK, 2 * REPLICA_BLOCK),
+                          (2 * REPLICA_BLOCK, LAW_REPLICAS)]
+        feats = np.concatenate([LAW_BLOCKS[experiment][0](cfg, *b) for b in blocks])
+        assert np.array_equal(feats, _replica_features(experiment, cfg, 0,
+                                                       LAW_REPLICAS))
+
+    @pytest.mark.parametrize("experiment", sorted(LAW_BLOCKS))
+    def test_one_block_scratch_within_2_mib(self, experiment):
+        # at the default config: the block's tensors are drawn straight into
+        # their stacked arrays, with no per-replica sample alongside
+        block = LAW_BLOCKS[experiment][0]
+        cfg = build_config(experiment)
+        block(cfg, 0, REPLICA_BLOCK)  # warm the model, probe and power caches
+        tracemalloc.start()
+        try:
+            block(cfg, REPLICA_BLOCK, 2 * REPLICA_BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
+
 # Run in a fresh interpreter: which modules a default run loads
 _IMPORT_SURFACE = """
 import json, sys
 import tapbound, tapbound.harness, tapbound.cli
-lazy = ("scipy.special", "concurrent.futures.process", "multiprocessing")
+lazy = ("scipy.special", "concurrent.futures.process", "multiprocessing",
+        "numpy.random")
 report = {"imported": [m for m in lazy if m in sys.modules]}
 from tapbound.harness import build_config, run
 for name, overrides in json.loads(sys.argv[1]).items():
