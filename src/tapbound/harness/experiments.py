@@ -20,6 +20,12 @@ straight into arrays stacked on a leading replica axis, and every energy and
 gradient of the block is one stacked contraction. Each replica's features
 are bit-equal to those of the replica computed alone, so the reports do not
 depend on the block size.
+
+The two gap experiments (bound-ising, bound-sphere) run the problems of their
+beta x h grid in blocks of REPLICA_BLOCK as well: each block computes its
+partition estimates problem by problem, then makes one `maximize_tap_many`
+call over all its problems, whose results are bit-equal to one
+`maximize_tap` per problem.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from ..partition import (
     node_member_mask,
     slice_measures,
 )
-from ..tap import TapProblem, maximize_tap, tap_energy
+from ..tap import TapProblem, maximize_tap, maximize_tap_many, tap_energy
 from .config import ExperimentConfig
 from .report import Criterion, ExperimentReport
 
@@ -77,7 +83,8 @@ STREAM_ATOM = 4
 
 
 # Replicas per task of the law experiments, which run their replicas as
-# blocks stacked on a leading axis
+# blocks stacked on a leading axis, and problems per task of the gap
+# experiments, which run one TAP ascent per block
 REPLICA_BLOCK = 64
 
 
@@ -134,9 +141,14 @@ def _replicas(cfg: ExperimentConfig) -> list:
     return [(r,) for r in range(cfg.replicas)]
 
 
+def _blocks(count: int) -> list:
+    """(start, stop) slices of range(count), REPLICA_BLOCK long but the last."""
+    return [(start, min(start + REPLICA_BLOCK, count))
+            for start in range(0, count, REPLICA_BLOCK)]
+
+
 def _replica_blocks(cfg: ExperimentConfig) -> list:
-    return [(start, min(start + REPLICA_BLOCK, cfg.replicas))
-            for start in range(0, cfg.replicas, REPLICA_BLOCK)]
+    return _blocks(cfg.replicas)
 
 
 def _map_replicas(func, cfg: ExperimentConfig, tasks: list) -> list:
@@ -587,25 +599,58 @@ def _maximizer_aggregates(diagnostics) -> dict:
 
 
 def _bound_grid(cfg: ExperimentConfig) -> list:
-    """(beta, h, replica) tasks over the beta x h grid, cfg.replicas per cell,
+    """(beta, h, replica) cases over the beta x h grid, cfg.replicas per cell,
     replicas numbered across the whole grid."""
     cells = itertools.product(cfg.beta, cfg.h, range(cfg.replicas))
     return [(beta, h, r) for r, (beta, h, _) in enumerate(cells)]
 
 
-def _bound_ising_replica(cfg, beta, h, r):
+def _bound_blocks(cfg: ExperimentConfig) -> list:
+    return _blocks(len(_bound_grid(cfg)))
+
+
+def _bound_block(cfg, start, stop, flavor, log_partition):
+    """Rows and maximizer diagnostics of grid cases start..stop-1: each
+    case's partition estimate `log_partition(d, beta, r)`, a tuple led by
+    log Z, then one TAP ascent over all the block's problems."""
     n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, beta, "linear", h, n)
-    log_z = log_partition_exact_ising(d, d.model.field, beta).log_value
-    sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=cfg.starts,
-                       rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
-    return ([beta, h, r, log_z, sup.value, (log_z - sup.value) / n],
-            _maximizer_diagnostics(sup, n))
+    cases = _bound_grid(cfg)[start:stop]
+    disorders = [_disorder(cfg, r, cfg.xi, beta, "linear", h, n)
+                 for beta, h, r in cases]
+    estimates = [log_partition(d, beta, r)
+                 for d, (beta, _, r) in zip(disorders, cases)]
+    seeds = [derive_seed(cfg.seed, STREAM_STARTS, r) for _, _, r in cases]
+    sups = maximize_tap_many([TapProblem(d.model, d, flavor) for d in disorders],
+                             cfg.starts, seeds)
+    return [([beta, h, r, *est, sup.value, (est[0] - sup.value) / n],
+             _maximizer_diagnostics(sup, n))
+            for (beta, h, r), est, sup in zip(cases, estimates, sups)]
+
+
+def _bound_ising_block(cfg, start, stop):
+    def log_z(d, beta, r):
+        return (log_partition_exact_ising(d, d.model.field, beta).log_value,)
+
+    return _bound_block(cfg, start, stop, "ising", log_z)
+
+
+def _bound_sphere_block(cfg, start, stop):
+    def log_z(d, beta, r):
+        est = log_partition_mc_sphere(d, d.model.field, beta, cfg.mc_samples,
+                                      derive_seed(cfg.seed, STREAM_MC, r))
+        return est.log_value, est.std_error
+
+    return _bound_block(cfg, start, stop, "spherical", log_z)
+
+
+def _bound_rows(block, cfg: ExperimentConfig) -> tuple:
+    """(rows, diagnostics) of every grid case, in grid order."""
+    return tuple(zip(*(case for cases in _map_replicas(block, cfg, _bound_blocks(cfg))
+                       for case in cases)))
 
 
 def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
-    rows, diagnostics = zip(*_map_replicas(_bound_ising_replica, cfg,
-                                           _bound_grid(cfg)))
+    rows, diagnostics = _bound_rows(_bound_ising_block, cfg)
     gaps = np.array([row[5] for row in rows])
     crit = Criterion("gap-bound", bool(np.all(gaps <= cfg.delta_check)),
                      float(gaps.max()), cfg.delta_check,
@@ -620,21 +665,8 @@ def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
                              **_maximizer_aggregates(diagnostics)})
 
 
-def _bound_sphere_replica(cfg, beta, h, r):
-    n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, beta, "linear", h, n)
-    est = log_partition_mc_sphere(d, d.model.field, beta, cfg.mc_samples,
-                                  derive_seed(cfg.seed, STREAM_MC, r))
-    sup = maximize_tap(TapProblem(d.model, d, "spherical"), starts=cfg.starts,
-                       rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
-    gap = (est.log_value - sup.value) / n
-    return ([beta, h, r, est.log_value, est.std_error, sup.value, gap],
-            _maximizer_diagnostics(sup, n))
-
-
 def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
-    rows, diagnostics = zip(*_map_replicas(_bound_sphere_replica, cfg,
-                                           _bound_grid(cfg)))
+    rows, diagnostics = _bound_rows(_bound_sphere_block, cfg)
     gaps = np.array([row[6] for row in rows])
     slack = np.array([3 * row[4] / cfg.n for row in rows])
     adjusted = gaps - slack

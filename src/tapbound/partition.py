@@ -105,9 +105,26 @@ def _sphere_rng(rng_seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=rng_seed))
 
 
+# Rows squared at a time by `_to_sphere`: a scratch that stays in cache
+_SQUARE_ROWS = 512
+
+
 def _to_sphere(z: np.ndarray) -> np.ndarray:
-    """Rescale the rows of z in place onto the sphere |sigma|^2 = N."""
-    z *= (math.sqrt(z.shape[1]) / np.linalg.norm(z, axis=1))[:, None]
+    """Rescale the rows of z in place onto the sphere |sigma|^2 = N.
+
+    The arithmetic of `np.linalg.norm(z, axis=1)`, whose squares fill a
+    block-sized temporary, with the squares taken `_SQUARE_ROWS` rows at a
+    time in one small scratch and the row sums rooted and inverted in place.
+    """
+    sums = np.empty(len(z))
+    scratch = np.empty((min(len(z), _SQUARE_ROWS), z.shape[1]))
+    for lo in range(0, len(z), _SQUARE_ROWS):
+        x = z[lo:lo + _SQUARE_ROWS]
+        np.add.reduce(np.multiply(x, x, out=scratch[:len(x)]), axis=1,
+                      out=sums[lo:lo + len(x)])
+    np.sqrt(sums, out=sums)
+    np.divide(math.sqrt(z.shape[1]), sums, out=sums)
+    z *= sums[:, None]
     return z
 
 

@@ -13,17 +13,24 @@ term is computed once, row-batched, by `tap_energy_many` and
 `tap_gradient` are their one-row calls.
 
 For the ising and spherical flavors maximization is multi-start projected
-L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7): all starts advance
-together as the rows of one (starts, N) array, evaluated by `tap_energy_many`
-and `tap_gradient_many` (which skips its domain check there: every row has
-passed `tap_energy_many`'s), and each row keeps its own curvature history,
-backtracking Armijo search on the projected candidate and stopping state, so
-a start follows the same rules as if it ran alone; ties break toward the
-lowest start index. The earlier projected gradient ascent is kept as a test
-oracle. The general flavor uses a gradient-free coordinate search. The best
-value found is a lower bound on the true supremum and is used as the sup
-surrogate by the bound experiments (cross-checked against an exhaustive grid
-oracle at tiny N).
+L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7), for a block of
+problems at once (`maximize_tap_many`; `maximize_tap` is its block of one).
+The problems share n, flavor and covariance series; their starts advance
+together as the rows of one array, problem-major. Only the disorder and
+field kernels run per problem, on its contiguous run of rows; the domain
+check, beta scaling, Onsager and entropy terms, projection, two-loop
+recursion and Armijo bookkeeping are one call over the stack, and the
+term bodies behind `tap_energy_many` and `tap_gradient_many` are the same
+stacked bodies, called for a block of one. Each row keeps its own curvature
+history, backtracking Armijo search on the projected candidate and stopping
+state, so a start follows the same rules as if it ran alone, and each
+problem's result is bit for bit the one it gets alone; ties break toward
+the lowest start index. The ascent's gradients skip the domain check: every
+row has passed the energy's. The earlier projected gradient ascent and the
+per-problem L-BFGS are kept as test oracles. The general flavor uses a
+gradient-free coordinate search. The best value found is a lower bound on
+the true supremum and is used as the sup surrogate by the bound experiments
+(cross-checked against an exhaustive grid oracle at tiny N).
 """
 
 from __future__ import annotations
@@ -102,26 +109,14 @@ def tap_energy_per_spin(p: TapProblem, m: np.ndarray) -> float:
 
 
 def tap_energy_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
-    """Extensive TAP energy of every magnetization row.
+    """Extensive TAP energy of every magnetization row (a block-of-one
+    `_energy_block`).
 
     The general flavor's entropy term, the half-space surrogate, is
     evaluated one row at a time.
     """
     M = _check_domain_many(p, M)
-    beta = p.model.beta
-    n = p.n
-    vals = beta * (energy_many(p.disorder, M) + p.model.field.value_many(M))
-    q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
-    vals += 0.5 * beta ** 2 * n * p.model.series._onsager_rows(q)
-    if p.flavor == "ising":
-        vals -= binary_entropy(M).sum(axis=1)
-    elif p.flavor == "spherical":
-        vals += 0.5 * n * np.log1p(-q)
-    else:
-        vals += [general_entropy_upper(p.measure, m, p.delta,
-                                       extra_directions=p.model.field.basis)
-                 for m in M]
-    return vals
+    return _energy_block(_Block((p,)), M, np.array([len(M)]))
 
 
 def tap_gradient(p: TapProblem, m: np.ndarray) -> np.ndarray:
@@ -130,7 +125,8 @@ def tap_gradient(p: TapProblem, m: np.ndarray) -> np.ndarray:
 
 
 def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
-    """Analytic gradient of every row, for the ising and spherical flavors.
+    """Analytic gradient of every row, for the ising and spherical flavors
+    (a block-of-one `_gradient_block`).
 
     d/dm_i of the Onsager term is beta^2 On'(q) m_i with On'(q) = -(1-q) xi''(q);
     the entropy gradients are -atanh(m_i) and -m_i / (1 - q). Custom fields
@@ -138,17 +134,73 @@ def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
     """
     if p.flavor == "general":
         raise UnsupportedOperationError("general flavor exposes no gradient")
-    return _gradient_rows(p, _check_domain_many(p, M))
+    M = _check_domain_many(p, M)
+    return _gradient_block(_Block((p,)), M, np.array([len(M)]))
 
 
-def _gradient_rows(p: TapProblem, M: np.ndarray) -> np.ndarray:
-    """`tap_gradient_many` without its checks, for float64 rows that
-    `tap_energy_many` has already accepted."""
-    beta = p.model.beta
-    q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
-    g = beta * (gradient_many(p.disorder, M) + p.model.field.gradient_many(M))
-    g += (beta ** 2 * p.model.series._onsager_derivative_rows(q))[:, None] * M
-    if p.flavor == "ising":
+class _Block:
+    """Problems that share n, flavor and covariance series, with the
+    per-problem coefficients of the stacked term bodies. Rows handed to the
+    bodies are problem-major: `counts[j]` rows of problem j, then those of
+    problem j + 1."""
+
+    def __init__(self, problems):
+        self.problems = problems
+        self.n = problems[0].n
+        self.flavor = problems[0].flavor
+        self.series = problems[0].model.series
+        # each problem's scalars, formed as its own term bodies formed them
+        self.beta = np.array([p.model.beta for p in problems], dtype=np.float64)
+        self.onsager = np.array([0.5 * p.model.beta ** 2 * p.n for p in problems],
+                                dtype=np.float64)
+        self.onsager_grad = np.array([p.model.beta ** 2 for p in problems],
+                                     dtype=np.float64)
+
+    def runs(self, counts: np.ndarray):
+        """(problem, lo, hi) for every problem with rows, over its
+        contiguous run lo:hi."""
+        hi = 0
+        for p, count in zip(self.problems, counts.tolist()):
+            lo, hi = hi, hi + count
+            if count:
+                yield p, lo, hi
+
+
+def _energy_block(block: _Block, M: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """TAP energy of the problem-major rows of M, which have passed the
+    domain check. The disorder and field kernels run once per problem on
+    its run of rows; every other term is one call over all rows."""
+    n = block.n
+    vals = np.empty(len(M))
+    for p, lo, hi in block.runs(counts):
+        X = M[lo:hi]
+        vals[lo:hi] = energy_many(p.disorder, X) + p.model.field.value_many(X)
+    vals *= np.repeat(block.beta, counts)
+    q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
+    vals += np.repeat(block.onsager, counts) * block.series._onsager_rows(q)
+    if block.flavor == "ising":
+        vals -= binary_entropy(M).sum(axis=1)
+    elif block.flavor == "spherical":
+        vals += 0.5 * n * np.log1p(-q)
+    else:
+        vals += [general_entropy_upper(p.measure, m, p.delta,
+                                       extra_directions=p.model.field.basis)
+                 for p, lo, hi in block.runs(counts) for m in M[lo:hi]]
+    return vals
+
+
+def _gradient_block(block: _Block, M: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """TAP gradient of the problem-major rows of M (ising or spherical),
+    which have passed the domain check; kernels run as in `_energy_block`."""
+    g = np.empty(M.shape)
+    for p, lo, hi in block.runs(counts):
+        X = M[lo:hi]
+        g[lo:hi] = gradient_many(p.disorder, X) + p.model.field.gradient_many(X)
+    g *= np.repeat(block.beta, counts)[:, None]
+    q = np.minimum(1.0, (M ** 2).sum(axis=1) / block.n)
+    g += (np.repeat(block.onsager_grad, counts)
+          * block.series._onsager_derivative_rows(q))[:, None] * M
+    if block.flavor == "ising":
         g -= np.arctanh(M)
     else:
         g -= M / (1.0 - q)[:, None]
@@ -190,50 +242,88 @@ class MaximizeResult:
 
 
 def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
-    """Best magnetization over multi-start projected L-BFGS.
+    """Best magnetization over multi-start projected L-BFGS (a block-of-one
+    `maximize_tap_many`), or over the coordinate search for the general
+    flavor. The returned value is a lower bound of the true supremum."""
+    if p.flavor == "general":
+        if starts < 1:
+            raise DomainError("starts must be >= 1")
+        return _maximize_general(p, starts, rng_seed)
+    return maximize_tap_many([p], starts, [rng_seed])[0]
 
-    All starts advance together as the rows of one (starts, N) array, but
-    each row keeps its own curvature history, line search and stopping
-    state, as if it ran alone up to rounding: the batched kernels can differ
-    in the last bit at different batch heights. Up to 500 iterations each
-    record a trace row (the step column is the t accepted at the previous
-    iteration, `INITIAL_STEP` at the first) and stop the start once the
-    normalized gradient norm drops below 1e-8. Otherwise the direction D is the
-    L-BFGS two-loop product of the row's last `HISTORY` curvature pairs
-    with its gradient (`INITIAL_STEP` times the gradient without pairs, or
-    when D is no ascent direction), and t = 1 is halved until the projected
-    candidate `_project(M + t D)` passes Armijo on the slope <g, D>; a start
-    with no acceptable t above 1e-14 stops, converged when its gradient
-    norm is below 1e-6. The trace lists all of start 0, then start 1, and
-    so on. Ties between starts break toward the lowest start index. The
-    returned value is a lower bound of the true supremum.
+
+def maximize_tap_many(problems, starts: int, rng_seeds) -> list:
+    """`MaximizeResult`s of multi-start projected L-BFGS for a block of
+    problems, one ascent over all their starts.
+
+    The problems must share n, the flavor (ising or spherical) and the
+    covariance series (DomainError otherwise; the general flavor raises
+    UnsupportedOperationError); each keeps its own beta, field and
+    disorder. Problem j's starts are seeded from `rng_seeds[j]` and stacked
+    problem-major as rows of one (problems * starts, N) array. The disorder
+    and field kernels run once per problem on its contiguous run of rows;
+    every other step is one call over the whole stack. Each row keeps its
+    own curvature history, line search and stopping state, and each kernel
+    sees the rows it would see for its problem alone, so every result is
+    bit for bit the one its problem gets alone, and a start follows the same
+    rules as if it ran alone up to rounding (the batched kernels can differ
+    in the last bit at different batch heights).
+
+    Up to 500 iterations each record a trace row (the step column is the t
+    accepted at the previous iteration, `INITIAL_STEP` at the first) and
+    stop the start once the normalized gradient norm drops below 1e-8.
+    Otherwise the direction D is the L-BFGS two-loop product of the row's
+    last `HISTORY` curvature pairs with its gradient (`INITIAL_STEP` times
+    the gradient without pairs, or when D is no ascent direction), and t = 1
+    is halved until the projected candidate `_project(M + t D)` passes
+    Armijo on the slope <g, D>; a start with no acceptable t above 1e-14
+    stops, converged when its gradient norm is below 1e-6. A problem's trace
+    lists all of its start 0, then start 1, and so on. Ties between starts
+    break toward the lowest start index. Each returned value is a lower
+    bound of its problem's true supremum.
     """
+    problems, rng_seeds = list(problems), list(rng_seeds)
     if starts < 1:
         raise DomainError("starts must be >= 1")
-    if p.flavor == "general":
-        return _maximize_general(p, starts, rng_seed)
-    n = p.n
-    M = _project(p, np.array([
+    if not problems:
+        raise DomainError("a block needs at least one problem")
+    if len(rng_seeds) != len(problems):
+        raise DomainError(f"{len(rng_seeds)} seeds for {len(problems)} problems")
+    if any(p.flavor == "general" for p in problems):
+        raise UnsupportedOperationError(
+            "the general flavor has no gradient ascent; maximize_tap runs its "
+            "coordinate search")
+    first = problems[0]
+    if any(p.n != first.n or p.flavor != first.flavor
+           or p.model.series != first.model.series for p in problems):
+        raise DomainError("a block's problems must share n, flavor and series")
+    block = _Block(problems)
+    n = first.n
+
+    def counts(rows):
+        return np.bincount(rows // starts, minlength=len(problems))
+
+    M = _project(first, np.array([
         _draw_start(p, np.random.default_rng(
-            np.random.SeedSequence(rng_seed, spawn_key=(s,))))
-        for s in range(starts)]))
-    val = tap_energy_many(p, M)
-    step = np.full(starts, INITIAL_STEP)
-    converged = np.zeros(starts, dtype=bool)
+            np.random.SeedSequence(seed, spawn_key=(s,))))
+        for p, seed in zip(problems, rng_seeds) for s in range(starts)]))
+    active = np.arange(len(M))
+    val = _energy_block(block, _check_domain_many(first, M), counts(active))
+    step = np.full(len(M), INITIAL_STEP)
+    converged = np.zeros(len(M), dtype=bool)
     # Curvature pairs of -TAP, newest last; an empty slot has rho = 0.
-    hist_s = np.zeros((starts, HISTORY, n))
-    hist_y = np.zeros((starts, HISTORY, n))
-    rho = np.zeros((starts, HISTORY))
-    gamma = np.full(starts, INITIAL_STEP)
+    hist_s = np.zeros((len(M), HISTORY, n))
+    hist_y = np.zeros((len(M), HISTORY, n))
+    rho = np.zeros((len(M), HISTORY))
+    gamma = np.full(len(M), INITIAL_STEP)
     M_prev = np.empty_like(M)
     g_prev = np.empty_like(M)
-    active = np.arange(starts)
-    records = []  # per iteration: (starts, iteration, values, gradient norms, steps)
+    records = []  # per iteration: (rows, iteration, values, gradient norms, steps)
     for it in range(MAX_ITERATIONS):
         if not len(active):
             break
-        # every row of M passed tap_energy_many's domain check
-        g = _gradient_rows(p, M[active])
+        # every row of M passed the domain check
+        g = _gradient_block(block, M[active], counts(active))
         if it:
             _push_pairs(active, M[active] - M_prev[active], g_prev[active] - g,
                         hist_s, hist_y, rho, gamma)
@@ -256,8 +346,9 @@ def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
         pending = np.arange(len(rows))
         while len(pending):
             idx = rows[pending]
-            cand = _project(p, M[idx] + trial[pending, None] * D[pending])
-            cand_val = tap_energy_many(p, cand)
+            cand = _project(first, M[idx] + trial[pending, None] * D[pending])
+            cand_val = _energy_block(block, _check_domain_many(first, cand),
+                                     counts(idx))
             ok = cand_val > val[idx] + 1e-4 * trial[pending] * slope[pending]
             M[idx[ok]] = cand[ok]
             val[idx[ok]] = cand_val[ok]
@@ -268,9 +359,14 @@ def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
             pending = pending[trial[pending] > 1e-14]
         converged[rows[~accepted]] = gn[~accepted] < 1e-6
         active = rows[accepted]
-    best = int(np.argmax(val))
-    return MaximizeResult(M[best].copy(), float(val[best]), _trace_rows(records),
-                          best, bool(converged.any()))
+    traces = _trace_rows(records, starts, len(problems))
+    converged = converged.reshape(-1, starts).any(axis=1)
+    results = []
+    for j, best in enumerate(val.reshape(-1, starts).argmax(axis=1).tolist()):
+        row = j * starts + best
+        results.append(MaximizeResult(M[row].copy(), float(val[row]), traces[j],
+                                      best, bool(converged[j])))
+    return results
 
 
 def _push_pairs(rows, s, y, hist_s, hist_y, rho, gamma) -> None:
@@ -305,12 +401,17 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _trace_rows(records: list) -> list:
-    """Per-iteration records as TraceRows of Python numbers, start-major
-    (each start's rows in iteration order)."""
-    cols = [np.concatenate(col) for col in zip(*records)]
-    order = np.argsort(cols[0], kind="stable")
-    return [TraceRow(*row) for row in zip(*(c[order].tolist() for c in cols))]
+def _trace_rows(records: list, starts: int, problems: int) -> list:
+    """Per-iteration records of stacked rows as one list of TraceRows of
+    Python numbers per problem, start-major (each start's rows in iteration
+    order)."""
+    rows, *cols = [np.concatenate(col) for col in zip(*records)]
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    trace = [TraceRow(*row) for row in zip((rows % starts).tolist(),
+                                           *(c[order].tolist() for c in cols))]
+    ends = np.cumsum(np.bincount(rows // starts, minlength=problems)).tolist()
+    return [trace[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _maximize_general(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:

@@ -12,7 +12,10 @@ package's own. The sequential TAP ascent runs one start at a time on
 functionals. The batched projected gradient ascent and the
 `itertools.product` grid walk are the production paths that the L-BFGS
 maximizer and the mixed-radix grid oracle replaced; they stay here as
-references for them. So does the full-array sphere Monte Carlo estimator
+references for them. So does the per-problem L-BFGS ascent, with the TAP
+energy and gradient bodies of one problem it ran on, that the ascent over
+a block of problems replaced; it is the block ascent's bit-equality
+reference. So does the full-array sphere Monte Carlo estimator
 that the streamed one replaced; it scores its draws with the package's
 `energy_many`, so that the two can be compared bit for bit. The row
 contraction that multiplied each axis step into a second block-sized
@@ -34,9 +37,15 @@ import math
 import numpy as np
 
 from tapbound import tap
-from tapbound.entropy import general_entropy_upper
+from tapbound.entropy import binary_entropy, general_entropy_upper
 from tapbound.geometry import norm
-from tapbound.hamiltonian import _ROW_CHUNK, energy, energy_many, gradient
+from tapbound.hamiltonian import (
+    _ROW_CHUNK,
+    energy,
+    energy_many,
+    gradient,
+    gradient_many,
+)
 from tapbound.harness import experiments
 
 
@@ -334,7 +343,114 @@ def maximize_tap_projected_ascent(p, starts, rng_seed):
         converged[rows[~accepted]] = gn[~accepted] < 1e-6
         active = rows[accepted]
     best = int(np.argmax(val))
-    return tap.MaximizeResult(M[best].copy(), float(val[best]), tap._trace_rows(records),
+    return tap.MaximizeResult(M[best].copy(), float(val[best]), _trace_rows(records),
+                              best, bool(converged.any()))
+
+
+def _trace_rows(records):
+    """Per-iteration records of one problem's starts as TraceRows of Python
+    numbers, start-major (each start's rows in iteration order)."""
+    cols = [np.concatenate(col) for col in zip(*records)]
+    order = np.argsort(cols[0], kind="stable")
+    return [tap.TraceRow(*row) for row in zip(*(c[order].tolist() for c in cols))]
+
+
+def _tap_energy_rows(p, M):
+    """The TAP energy of one problem's rows, term by term, as
+    `tap_energy_many` computed it before its terms were stacked across
+    problems (ising and spherical flavors)."""
+    M = tap._check_domain_many(p, M)
+    beta = p.model.beta
+    n = p.n
+    vals = beta * (energy_many(p.disorder, M) + p.model.field.value_many(M))
+    q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
+    vals += 0.5 * beta ** 2 * n * p.model.series._onsager_rows(q)
+    if p.flavor == "ising":
+        vals -= binary_entropy(M).sum(axis=1)
+    else:
+        vals += 0.5 * n * np.log1p(-q)
+    return vals
+
+
+def _tap_gradient_rows(p, M):
+    """The unchecked TAP gradient of one problem's rows, as the package's
+    one-problem gradient body computed it before its terms were stacked
+    across problems."""
+    beta = p.model.beta
+    q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
+    g = beta * (gradient_many(p.disorder, M) + p.model.field.gradient_many(M))
+    g += (beta ** 2 * p.model.series._onsager_derivative_rows(q))[:, None] * M
+    if p.flavor == "ising":
+        g -= np.arctanh(M)
+    else:
+        g -= M / (1.0 - q)[:, None]
+    return g
+
+
+def maximize_tap_per_problem(p, starts, rng_seed):
+    """`maximize_tap` for the ising and spherical flavors as it ran before
+    the ascent was stacked across problems: one problem's starts as the rows
+    of one (S, N) array, on that problem's own term bodies. The block
+    ascent must reproduce it bit for bit."""
+    n = p.n
+    M = tap._project(p, np.array([
+        tap._draw_start(p, np.random.default_rng(
+            np.random.SeedSequence(rng_seed, spawn_key=(s,))))
+        for s in range(starts)]))
+    val = _tap_energy_rows(p, M)
+    step = np.full(starts, tap.INITIAL_STEP)
+    converged = np.zeros(starts, dtype=bool)
+    # Curvature pairs of -TAP, newest last; an empty slot has rho = 0.
+    hist_s = np.zeros((starts, tap.HISTORY, n))
+    hist_y = np.zeros((starts, tap.HISTORY, n))
+    rho = np.zeros((starts, tap.HISTORY))
+    gamma = np.full(starts, tap.INITIAL_STEP)
+    M_prev = np.empty_like(M)
+    g_prev = np.empty_like(M)
+    active = np.arange(starts)
+    records = []  # per iteration: (starts, iteration, values, gradient norms, steps)
+    for it in range(tap.MAX_ITERATIONS):
+        if not len(active):
+            break
+        # every row of M passed _tap_energy_rows' domain check
+        g = _tap_gradient_rows(p, M[active])
+        if it:
+            tap._push_pairs(active, M[active] - M_prev[active], g_prev[active] - g,
+                            hist_s, hist_y, rho, gamma)
+        gn = tap._row_norms(g)
+        records.append((active, np.full(len(active), it), val[active], gn, step[active]))
+        small = gn < tap.GRAD_TOLERANCE
+        converged[active[small]] = True
+        rows, g, gn = active[~small], g[~small], gn[~small]
+        M_prev[rows], g_prev[rows] = M[rows], g
+        # a row has at most `it` pairs, all in the newest slots
+        k = min(it, tap.HISTORY)
+        D = tap._two_loop(g, hist_s[rows, tap.HISTORY - k:],
+                          hist_y[rows, tap.HISTORY - k:],
+                          rho[rows, tap.HISTORY - k:], gamma[rows])
+        slope = tap._dot_rows(g, D) / n
+        uphill = ~(slope > 0.0)
+        D[uphill] = tap.INITIAL_STEP * g[uphill]
+        slope[uphill] = tap.INITIAL_STEP * gn[uphill] ** 2
+        trial = np.ones(len(rows))
+        accepted = np.zeros(len(rows), dtype=bool)
+        pending = np.arange(len(rows))
+        while len(pending):
+            idx = rows[pending]
+            cand = tap._project(p, M[idx] + trial[pending, None] * D[pending])
+            cand_val = _tap_energy_rows(p, cand)
+            ok = cand_val > val[idx] + 1e-4 * trial[pending] * slope[pending]
+            M[idx[ok]] = cand[ok]
+            val[idx[ok]] = cand_val[ok]
+            step[idx[ok]] = trial[pending[ok]]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            trial[pending] *= tap.BACKTRACK_FACTOR
+            pending = pending[trial[pending] > 1e-14]
+        converged[rows[~accepted]] = gn[~accepted] < 1e-6
+        active = rows[accepted]
+    best = int(np.argmax(val))
+    return tap.MaximizeResult(M[best].copy(), float(val[best]), _trace_rows(records),
                               best, bool(converged.any()))
 
 

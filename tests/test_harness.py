@@ -34,8 +34,11 @@ from oracles import gaussian_law_replica, recentering_replica
 
 # Tiny configs of the experiments that map their replicas over the process
 # pool, each with at least two replica tasks; the law experiments' tasks are
-# replica blocks, three of them with a ragged last one
+# replica blocks, three of them with a ragged last one, and the gap
+# experiments' tasks are blocks of their 2 x 2 beta x h grid's problems, two
+# of them with a ragged last one
 LAW_REPLICAS = 2 * REPLICA_BLOCK + 3
+BOUND_REPLICAS = REPLICA_BLOCK // 4 + 1
 POOLED = {
     "beta0-exact": dict(n=8, replicas=4),
     "gaussian-law": dict(replicas=LAW_REPLICAS),
@@ -43,8 +46,8 @@ POOLED = {
     "cover-property": dict(n=8, replicas=2, points=20),
     "slice-entropy": dict(n=8, replicas=3),
     "onsager-markov": dict(n=10, replicas=4),
-    "bound-ising": dict(n=8, replicas=1),
-    "bound-sphere": dict(n=8, replicas=1, mc_samples=1000),
+    "bound-ising": dict(n=8, replicas=BOUND_REPLICAS),
+    "bound-sphere": dict(n=8, replicas=BOUND_REPLICAS, mc_samples=1000),
 }
 
 
@@ -336,6 +339,30 @@ class TestLawBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20
+
+
+BOUND_BLOCKS = {"bound-ising": experiments._bound_ising_block,
+                "bound-sphere": experiments._bound_sphere_block}
+
+
+class TestBoundBlocks:
+    @pytest.mark.parametrize("experiment", sorted(BOUND_BLOCKS))
+    def test_pooled_config_maps_two_blocks_with_a_ragged_tail(self, experiment):
+        cfg = build_config(experiment, POOLED[experiment])
+        assert experiments._bound_blocks(cfg) == [
+            (0, REPLICA_BLOCK), (REPLICA_BLOCK, 4 * BOUND_REPLICAS)]
+
+    @pytest.mark.parametrize("experiment", sorted(BOUND_BLOCKS))
+    def test_block_rows_equal_one_problem_blocks(self, experiment):
+        # one ascent over a block gives each case the bytes it gets alone
+        block = BOUND_BLOCKS[experiment]
+        cfg = build_config(experiment, dict(n=6, replicas=2, seed=3,
+                                            mc_samples=500, starts=3))
+        together = block(cfg, 1, 8)
+        alone = [case for i in range(1, 8) for case in block(cfg, i, i + 1)]
+        assert repr(together) == repr(alone)
+        assert [row[:3] for row, _ in together] == [
+            [beta, h, r] for beta, h, r in experiments._bound_grid(cfg)[1:8]]
 
 
 # Run in a fresh interpreter: which modules a default run loads

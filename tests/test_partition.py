@@ -26,7 +26,9 @@ from tapbound.hamiltonian import (
 from tapbound.partition import (
     PartitionEstimate,
     ThinPushforward,
+    _sphere_rng,
     _sphere_samples,
+    _to_sphere,
     log_partition_exact_ising,
     log_partition_mc_sphere,
     restricted_log_partition,
@@ -210,6 +212,27 @@ class TestSphereMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("rows", [1, 1696, 8192])
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_to_sphere_matches_linalg_norm_bitwise(self, rows, n):
+        # chunked squares, sums and in-place roots against the np.linalg.norm
+        # form; 1696 rows end in a ragged chunk
+        z = _sphere_rng(rows + n).standard_normal((rows, n))
+        expect = z * (math.sqrt(n) / np.linalg.norm(z, axis=1))[:, None]
+        got = z.copy()
+        assert _to_sphere(got) is got
+        assert got.tobytes() == expect.tobytes()
+
+    def test_to_sphere_allocates_no_block(self):
+        z = _sphere_rng(3).standard_normal((8192, 16))
+        tracemalloc.start()
+        try:
+            _to_sphere(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < z.nbytes // 4  # row-length vectors, no block-sized array
 
     def test_minimum_samples(self):
         d = sample_disorder(MixedModel(6, XI2), 5)

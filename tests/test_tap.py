@@ -1,10 +1,11 @@
 """TAP functionals: values, gradients, maximizers, and the grid oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -28,6 +29,7 @@ from tapbound.tap import (
     brute_force_tap_max,
     export_trace_csv,
     maximize_tap,
+    maximize_tap_many,
     tap_energy,
     tap_energy_many,
     tap_energy_per_spin,
@@ -37,6 +39,7 @@ from tapbound.tap import (
 
 from oracles import (
     brute_force_tap_max_product,
+    maximize_tap_per_problem,
     maximize_tap_projected_ascent,
     maximize_tap_sequential,
     oracle_tap_energy,
@@ -438,19 +441,20 @@ class TestLbfgs:
     @pytest.mark.parametrize("kind", ["none", "linear", "custom-fd"])
     def test_unchecked_gradient_rows_pass_the_domain_check(self, flavor, kind,
                                                            monkeypatch):
-        # the ascent hands `_gradient_rows` only rows that tap_energy_many has
-        # accepted: checking them again changes neither a row nor the result
-        unchecked = tap._gradient_rows
+        # the ascent hands `_gradient_block` only rows that the energy's
+        # domain check has accepted: checking them again changes neither a
+        # row nor the result
+        unchecked = tap._gradient_block
         p = make_problem(n=6, xi=XI23, beta=0.5, seed=2, flavor=flavor,
                          field=field_of_kind(kind, 0.3, 6))
         plain = maximize_tap(p, 4, 9)
         calls = []
 
-        def checked(p, M):
+        def checked(block, M, counts):
             calls.append(len(M))
-            return unchecked(p, tap._check_domain_many(p, M))
+            return unchecked(block, tap._check_domain_many(p, M), counts)
 
-        monkeypatch.setattr(tap, "_gradient_rows", checked)
+        monkeypatch.setattr(tap, "_gradient_block", checked)
         again = maximize_tap(p, 4, 9)
         assert sum(calls) == len(plain.trace)
         assert again.trace == plain.trace
@@ -458,7 +462,7 @@ class TestLbfgs:
 
     @pytest.mark.parametrize("flavor", ["ising", "spherical"])
     def test_unchecked_onsager_rows_pass_the_q_check(self, flavor, monkeypatch):
-        # tap_energy_many and _gradient_rows hand the Onsager terms only
+        # the stacked term bodies hand the Onsager terms only
         # q = min(1, |m|^2/N) of accepted rows: checking it again changes
         # neither a q nor the result
         p = make_problem(n=6, xi=XI23, beta=0.5, seed=2, flavor=flavor,
@@ -526,6 +530,116 @@ class TestLbfgs:
         assert gamma[0] == (tap.HISTORY + 2.0) / 2.0
         assert not hist_s[1].any() and not rho[1].any()
         assert gamma[1] == tap.INITIAL_STEP
+
+
+BLOCK_XI = ((1.0,), (0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
+            (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.5, 1.0, 0.5), (0.2, 0.0, 1.0, 0.0, 0.3))
+
+
+def block_field(kind, h, n):
+    """`field_of_kind`, or "stuck": a field gradient no step can follow, so
+    every start's first line search fails."""
+    if kind == "stuck":
+        return field_custom(np.ones((1, n)), lambda t: 0.0, lambda t: [1e9])
+    return field_of_kind(kind, h, n)
+
+
+def block_problems(flavor, n, xi, cases):
+    """One problem per (beta, field kind, h, seed) case, the seed drawing its
+    disorder and its starts."""
+    problems = [make_problem(n=n, xi=CovarianceSeries(xi), beta=beta, seed=seed,
+                             flavor=flavor, field=block_field(kind, h, n))
+                for beta, kind, h, seed in cases]
+    return problems, [seed for *_, seed in cases]
+
+
+def trace_bits(trace):
+    return [tuple(v.hex() if isinstance(v, float) else v
+                  for v in dataclasses.astuple(row)) for row in trace]
+
+
+def assert_block_matches_per_problem(problems, starts, seeds):
+    """maximize_tap_many against the per-problem oracle, bit for bit:
+    value, m_star bytes, best start, converged flag and every trace row."""
+    got = maximize_tap_many(problems, starts, seeds)
+    assert len(got) == len(problems)
+    for p, seed, out in zip(problems, seeds, got):
+        ref = maximize_tap_per_problem(p, starts, seed)
+        assert type(out.value) is float and out.value.hex() == ref.value.hex()
+        assert out.m_star.tobytes() == ref.m_star.tobytes()
+        assert type(out.best_start) is int and out.best_start == ref.best_start
+        assert out.converged is ref.converged
+        assert trace_bits(out.trace) == trace_bits(ref.trace)
+    return got
+
+
+# Blocks mixing starts that run into MAX_ITERATIONS (beta = 2.35 on the
+# 1-spin model with a custom field), starts whose first line search fails
+# ("stuck") and starts that converge
+CAPPED_BLOCK = dict(flavor="ising", n=10, xi=(0.0, 1.0),
+                    cases=[(2.35, "custom", 0.11, 629), (0.4, "linear", 0.3, 5),
+                           (2.35, "stuck", 0.0, 7), (1.0, "none", 0.0, 11)])
+MIXED_CAP_BLOCK = dict(flavor="ising", n=14, xi=(0.0, 1.0),
+                       cases=[(0.2, "custom-fd", 0.3, 1),
+                              (2.3, "quadratic_spike", 0.19, 765)])
+STUCK_SPHERE_BLOCK = dict(flavor="spherical", n=6, xi=(0.0, 0.0, 1.0, 0.5),
+                          cases=[(0.5, "stuck", 0.0, 3), (0.5, "custom", 0.3, 3),
+                                 (2.5, "quadratic_spike", 0.5, 4)])
+
+
+class TestBlockAscentMatchesPerProblem:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(flavor=st.sampled_from(["ising", "spherical"]), n=st.integers(1, 16),
+           xi=st.sampled_from(BLOCK_XI), starts=st.integers(1, 8),
+           cases=st.lists(st.tuples(st.floats(0.0, 2.5),
+                                    st.sampled_from(FIELD_KINDS + ("stuck",)),
+                                    st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1)),
+                          min_size=1, max_size=9))
+    @example(starts=3, **CAPPED_BLOCK)
+    @example(starts=3, **MIXED_CAP_BLOCK)
+    @example(starts=4, **STUCK_SPHERE_BLOCK)
+    @example(flavor="spherical", n=1, xi=(0.0, 0.0, 1.0), starts=8,
+             cases=[(0.1 * k, FIELD_KINDS[k % 5], 0.1, k) for k in range(9)])
+    def test_property(self, flavor, n, xi, starts, cases):
+        problems, seeds = block_problems(flavor, n, xi, cases)
+        assert_block_matches_per_problem(problems, starts, seeds)
+
+    def test_capped_and_stuck_starts(self):
+        problems, seeds = block_problems(**CAPPED_BLOCK)
+        capped, _, stuck, _ = assert_block_matches_per_problem(problems, 3, seeds)
+        assert iterations_per_start(capped, 3) == [tap.MAX_ITERATIONS] * 3
+        assert not capped.converged
+        assert [row.iteration for row in stuck.trace] == [0, 0, 0]
+        assert not stuck.converged
+
+    def test_a_problem_alone_is_a_block_of_one(self):
+        problems, seeds = block_problems(**MIXED_CAP_BLOCK)
+        for p, seed, out in zip(problems, seeds, maximize_tap_many(problems, 3, seeds)):
+            alone = maximize_tap(p, 3, seed)
+            assert alone.m_star.tobytes() == out.m_star.tobytes()
+            assert trace_bits(alone.trace) == trace_bits(out.trace)
+
+    def test_rejected_blocks(self):
+        p = make_problem(n=6, seed=1)
+        with pytest.raises(DomainError):
+            maximize_tap_many([], 2, [])
+        with pytest.raises(DomainError):
+            maximize_tap_many([p, p], 2, [1])
+        with pytest.raises(DomainError):
+            maximize_tap_many([p], 0, [1])
+        for other in (make_problem(n=7, seed=1),
+                      make_problem(n=6, seed=1, flavor="spherical"),
+                      make_problem(n=6, xi=XI23, seed=1)):
+            with pytest.raises(DomainError):
+                maximize_tap_many([p, other], 2, [1, 2])
+        general = make_problem(n=6, seed=1, flavor="general",
+                               measure=ising_uniform(6), delta=0.1)
+        with pytest.raises(UnsupportedOperationError):
+            maximize_tap_many([general], 2, [1])
+        # an equal series in another object is the same series
+        twin = make_problem(n=6, xi=CovarianceSeries(XI2.coefficients), beta=0.5,
+                            seed=2)
+        assert len(maximize_tap_many([p, twin], 2, [1, 2])) == 2
 
 
 class TestMaximize:
