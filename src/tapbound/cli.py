@@ -58,7 +58,12 @@ def main(argv=None) -> int:
 
     overrides = {}
     if args.config:
-        overrides.update(load_config(args.config))
+        try:
+            overrides.update(load_config(args.config))
+        except ConfigError as err:
+            for violation in err.violations:
+                print(f"FAIL config ({violation})")
+            return 1
     for key in ("seed", "replicas", "out", "workers"):
         val = getattr(args, key)
         if val is not None:

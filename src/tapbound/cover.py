@@ -222,12 +222,6 @@ class CoverNode:
         return np.vstack(mats) if mats else np.zeros((0, self.n))
 
     @property
-    def used_rows(self) -> np.ndarray:
-        """Rows of levels 1..k only (the directions carrying increments)."""
-        mats = [lv for lv in self.levels[:-1] if len(lv)]
-        return np.vstack(mats) if mats else np.zeros((0, self.n))
-
-    @property
     def final_pair(self) -> np.ndarray:
         return self.levels[-1]
 

@@ -94,14 +94,6 @@ class ReferenceMeasure:
             return atoms, np.broadcast_to(2.0 ** (-self.n), len(atoms))
         raise DomainError("sphere measure has no atom list")
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "sphere":
-            z = rng.standard_normal((count, self.n))
-            return z * (np.sqrt(self.n) / np.linalg.norm(z, axis=1))[:, None]
-        pts, w = self.atoms()
-        idx = rng.choice(len(pts), size=count, p=w)
-        return pts[idx].astype(np.float64)
-
 
 def _ising_atoms(n: int) -> np.ndarray:
     """All of {-1, 1}^n as an int8 matrix; row index bit b -> sign (-1)^bit."""

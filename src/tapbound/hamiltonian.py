@@ -9,6 +9,12 @@ so that E[H(sigma) H(sigma')] = N xi(<sigma, sigma'>) exactly. Only the law is
 contractual; the tensor representation is chosen for simple sampling and
 analytic gradients.
 
+A `MixedModel` holds what fixes that law, n and xi, with the tensor budget
+that bounds every degree. The inverse temperature beta and the external field
+f are parameters of the Gibbs measure and of the TAP functional, not of H:
+the partition functions, the cover and `tap.TapProblem` take them beside the
+disorder.
+
 Seeding: a sample is a deterministic function of (model, seed); the tensor of
 degree p is drawn from the substream SeedSequence(seed, spawn_key=(p,)).
 `sample_disorders` draws the same tensors for a block of seeds, stacked on a
@@ -30,7 +36,6 @@ from .errors import DomainError, ResourceBudgetError
 from .geometry import norm
 
 NORM_TOLERANCE = 1e-9
-MAX_DEGREE_DEFAULT = 4
 TENSOR_BUDGET_BYTES_DEFAULT = 1 << 28  # 256 MiB per tensor
 
 _MAGIC = b"TAPD"
@@ -57,7 +62,7 @@ class ExternalField:
     normalized norm (order N for the built-in kinds).
 
     The field keeps a read-only copy of `basis`, so one field can be shared
-    by many models and replicas.
+    by many problems and replicas.
     """
 
     kind: str
@@ -153,22 +158,16 @@ def field_custom(basis, func, func_grad=None, lipschitz_bound=0.0) -> ExternalFi
 
 @dataclass(frozen=True)
 class MixedModel:
+    """The law of H: E[H(sigma) H(sigma')] = N xi(<sigma, sigma'>), with a
+    byte budget for each degree's coupling tensor."""
+
     n: int
     series: CovarianceSeries
-    beta: float = 1.0
-    field: ExternalField = None
-    max_degree: int = MAX_DEGREE_DEFAULT
     tensor_budget_bytes: int = TENSOR_BUDGET_BYTES_DEFAULT
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
-        if self.beta < 0:
-            raise DomainError("beta must be >= 0")
-        if self.field is None:
-            object.__setattr__(self, "field", field_none(self.n))
-        elif self.field.n != self.n:
-            raise DomainError("field dimension does not match model")
 
     @property
     def active_degrees(self) -> tuple[int, ...]:
@@ -241,11 +240,8 @@ class DisorderBlock:
 
 
 def _checked_degrees(model: MixedModel) -> tuple:
-    """The model's active degrees, after the degree cap and tensor budget."""
+    """The model's active degrees, after the tensor budget."""
     for p in model.active_degrees:
-        if p > model.max_degree:
-            raise DomainError(
-                f"degree {p} above configured maximum {model.max_degree}")
         required = 8 * model.n ** p
         if required > model.tensor_budget_bytes:
             raise ResourceBudgetError(
@@ -259,7 +255,7 @@ def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
     """Draw coupling tensors; deterministic in (model, seed).
 
     Raises ResourceBudgetError when a degree-p tensor of n^p doubles exceeds
-    the model's budget, and DomainError past the configured max degree.
+    the model's budget.
     """
     tensors = {}
     for p in _checked_degrees(model):

@@ -13,7 +13,7 @@ from .config import (
     validate_config,
     with_overrides,
 )
-from .experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, derive_seed
+from .experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS
 from .report import Criterion, ExperimentReport, histogram_svg, polyline_svg, write_report
 
 

@@ -17,10 +17,19 @@ SLICE_EXPERIMENTS = {"slice-entropy"}
 # error over the replicas
 LAW_EXPERIMENTS = {"gaussian-law", "recentering-law"}
 
-_LIST_KEYS = {"xi", "beta", "h"}
-_INT_KEYS = {"n", "replicas", "mc_samples", "starts", "seed", "workers", "points"}
-_FLOAT_KEYS = {"epsilon", "eta", "delta", "delta_check", "grid_step"}
-_STR_KEYS = {"experiment", "field", "measure", "out"}
+
+def _floats(value: str) -> tuple:
+    return tuple(float(x) for x in value.split(",") if x.strip())
+
+
+# How each key's value is read; lists are comma-separated floats
+_PARSERS = {
+    **dict.fromkeys(("xi", "beta", "h"), _floats),
+    **dict.fromkeys(("n", "replicas", "mc_samples", "starts", "seed", "workers",
+                     "points"), int),
+    **dict.fromkeys(("epsilon", "eta", "delta", "delta_check"), float),
+    **dict.fromkeys(("experiment", "field", "measure", "out"), str),
+}
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,9 @@ class ExperimentConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; lists are comma-separated."""
+    """Flat `key = value` lines; '#' starts a comment; lists are comma-separated.
+    A line that is not `key = value`, names an unknown key or holds a value
+    of the wrong type raises ConfigError naming the line."""
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -64,16 +75,14 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError([f"line {lineno}: expected key = value"])
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _LIST_KEYS:
-            raw[key] = tuple(float(x) for x in value.split(",") if x.strip())
-        elif key in _INT_KEYS:
-            raw[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            raw[key] = float(value)
-        elif key in _STR_KEYS:
-            raw[key] = value
-        else:
+        parse = _PARSERS.get(key)
+        if parse is None:
             raise ConfigError([f"line {lineno}: unknown key {key!r}"])
+        try:
+            raw[key] = parse(value)
+        except ValueError:
+            raise ConfigError([f"line {lineno}: bad value {value!r} for {key!r}"]) \
+                from None
     return raw
 
 
@@ -89,6 +98,9 @@ def build_config(experiment: str, overrides: Optional[dict] = None) -> "Experime
     base = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
     base["experiment"] = experiment
     if overrides:
+        unknown = sorted(set(overrides) - set(ExperimentConfig.__dataclass_fields__))
+        if unknown:
+            raise ConfigError([f"unknown key {key!r}" for key in unknown])
         base.update({k: v for k, v in overrides.items() if k != "experiment"})
     if base.get("out") is None and os.environ.get("TAPBOUND_OUT"):
         base["out"] = os.environ["TAPBOUND_OUT"]

@@ -8,10 +8,12 @@ Seed scheme: replica r of stream s uses the 64-bit integer drawn from
 SeedSequence(master_seed, spawn_key=(s, r)). Streams: 0 disorder, 1 probe
 points, 2 maximizer starts, 3 Monte Carlo, 4 atom picks.
 
-Models are cached per process: every replica of a cell (the same n, xi,
-beta, field kind and h) samples its disorder for one shared, immutable
-MixedModel, and a process pool builds one cache per worker. Seed-fixed probe
-points are cached per process in the same way.
+Models and fields are cached per process: every replica with the same n and
+xi samples its disorder for one shared, immutable MixedModel (the law of H),
+every case with the same field kind, h and n reads one shared ExternalField,
+and a process pool builds one cache per worker. Beta and the field are passed
+beside the disorder to the partition functions, the cover and `TapProblem`.
+Seed-fixed probe points are cached per process in the same way.
 
 The two law experiments (gaussian-law, recentering-law) run their replicas
 in blocks of REPLICA_BLOCK: one array hash derives a block's seeds and
@@ -103,7 +105,10 @@ def derive_seeds(master: int, stream: int, indices) -> np.ndarray:
     return spawned_states(master, (stream, np.asarray(indices)), 1)[..., 0]
 
 
+@functools.lru_cache(maxsize=32)
 def make_field(kind: str, h: float, n: int):
+    """The external field of one kind, built once per process and shared
+    (fields and their bases are immutable)."""
     if kind == "none":
         return field_none(n)
     if kind == "linear":
@@ -114,25 +119,23 @@ def make_field(kind: str, h: float, n: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _model(n: int, xi: tuple, beta: float, kind: str, h: float) -> MixedModel:
-    """The model of one cell, built once per process and shared by its
-    replicas (models and their field bases are immutable)."""
-    return MixedModel(n, CovarianceSeries(xi), beta=beta,
-                      field=make_field(kind, h, n))
+def _model(n: int, xi: tuple) -> MixedModel:
+    """The law of H for (n, xi), built once per process and shared by every
+    replica that samples from it (models are immutable)."""
+    return MixedModel(n, CovarianceSeries(xi))
 
 
-def _disorder(cfg: ExperimentConfig, r: int, xi, beta: float, kind: str,
-              h: float, n: int):
-    """Replica r's disorder, drawn from the disorder stream for the cell's
-    cached model (attached as its `.model`)."""
-    return sample_disorder(_model(n, tuple(xi), beta, kind, h),
+def _disorder(cfg: ExperimentConfig, r: int, xi, n: int):
+    """Replica r's disorder, drawn from the disorder stream for the cached
+    model of (n, xi) (attached as its `.model`)."""
+    return sample_disorder(_model(n, tuple(xi)),
                            derive_seed(cfg.seed, STREAM_DISORDER, r))
 
 
 def _disorders(cfg: ExperimentConfig, start: int, stop: int):
-    """The disorder of replicas start..stop-1 of a law experiment (beta 1,
-    no field), as one block for the cell's cached model."""
-    return sample_disorders(_model(cfg.n, tuple(cfg.xi), 1.0, "none", 0.0),
+    """The disorder of replicas start..stop-1 of a law experiment, as one
+    block for the cached model of (cfg.n, cfg.xi)."""
+    return sample_disorders(_model(cfg.n, tuple(cfg.xi)),
                             derive_seeds(cfg.seed, STREAM_DISORDER,
                                          np.arange(start, stop)))
 
@@ -169,9 +172,10 @@ def _map_replicas(func, cfg: ExperimentConfig, tasks: list) -> list:
 # ---------------------------------------------------------------------------
 
 def _beta0_case(cfg, r, n, xi):
-    d = _disorder(cfg, r, xi, 0.0, "none", 0.0, n)
-    log_z = log_partition_exact_ising(d, d.model.field, 0.0).log_value
-    sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=2,
+    d = _disorder(cfg, r, xi, n)
+    f = make_field("none", 0.0, n)
+    log_z = log_partition_exact_ising(d, f, 0.0).log_value
+    sup = maximize_tap(TapProblem(d, f, 0.0, "ising"), starts=2,
                        rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
     gap = (log_z - sup.value) / n
     return [n, repr(list(xi)), r, log_z, sup.value, gap]
@@ -202,10 +206,11 @@ def run_zero_disorder(cfg: ExperimentConfig) -> ExperimentReport:
     z_errs, tap_errs = [], []
     for i, h in enumerate(cfg.h):
         for b in cfg.beta:
-            d = _disorder(cfg, i, (0.0,), b, "linear", h, n)
+            d = _disorder(cfg, i, (0.0,), n)
+            f = make_field("linear", h, n)
             target = n * math.log(math.cosh(b * h))
-            log_z = log_partition_exact_ising(d, d.model.field, b).log_value
-            sup = maximize_tap(TapProblem(d.model, d, "ising"), starts=cfg.starts,
+            log_z = log_partition_exact_ising(d, f, b).log_value
+            sup = maximize_tap(TapProblem(d, f, b, "ising"), starts=cfg.starts,
                                rng_seed=derive_seed(cfg.seed, STREAM_STARTS, i))
             z_errs.append(abs(log_z - target))
             tap_errs.append(abs(sup.value - target))
@@ -385,7 +390,7 @@ def run_gradient_check(cfg: ExperimentConfig) -> ExperimentReport:
     worst = 0.0
     for trial in range(cfg.replicas):
         n = int(rng.integers(4, 10))
-        d = _disorder(cfg, trial, cfg.xi, 1.0, "none", 0.0, n)
+        d = _disorder(cfg, trial, cfg.xi, n)
         sigma = rng.uniform(0.2, 0.9) * normalize(rng.standard_normal(n))
         g = gradient(d, sigma)
         fd = np.empty(n)
@@ -407,14 +412,15 @@ def run_gradient_check(cfg: ExperimentConfig) -> ExperimentReport:
 # 6. cover-property: classification covers the sphere with controlled geometry
 # ---------------------------------------------------------------------------
 
-def _cover_h(cfg: ExperimentConfig) -> float:
-    return cfg.h[0] if cfg.h else 0.3
+def _cover_field(cfg: ExperimentConfig, n: int):
+    return make_field("linear", cfg.h[0] if cfg.h else 0.3, n)
 
 
 def _cover_sphere_replica(cfg, r):
     n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, 1.0, "linear", _cover_h(cfg), n)
-    builder = CoverBuilder(d, sphere_uniform(n), d.model.field, cfg.epsilon, cfg.delta)
+    d = _disorder(cfg, r, cfg.xi, n)
+    builder = CoverBuilder(d, sphere_uniform(n), _cover_field(cfg, n), cfg.epsilon,
+                           cfg.delta)
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, r)))
     out = []
@@ -463,9 +469,9 @@ def run_cover_property(cfg: ExperimentConfig) -> ExperimentReport:
     # exhaustive check over all ising atoms at a smaller size; eta is widened
     # so the stopping rule can fire before the dimensions run out
     n2, eta2 = 12, 0.8
-    d2 = _disorder(cfg, 10**6, cfg.xi, 1.0, "linear", _cover_h(cfg), n2)
+    d2 = _disorder(cfg, 10**6, cfg.xi, n2)
     E2 = ising_uniform(n2)
-    builder2 = CoverBuilder(d2, E2, d2.model.field, cfg.epsilon, cfg.delta)
+    builder2 = CoverBuilder(d2, E2, _cover_field(cfg, n2), cfg.epsilon, cfg.delta)
     atoms, _ = E2.atoms()
     ok = 0
     kmax2 = 0
@@ -493,13 +499,13 @@ def run_cover_property(cfg: ExperimentConfig) -> ExperimentReport:
 # 7. slice-entropy: region mass vs the entropy surrogate at its center
 # ---------------------------------------------------------------------------
 
-def _classified_atom(cfg, r, beta):
+def _classified_atom(cfg, r):
     """Replica r's Ising cover builder and the (alpha, node) of one uniformly
     drawn atom."""
     n = cfg.n
-    d = _disorder(cfg, r, cfg.xi, beta, "linear", _cover_h(cfg), n)
+    d = _disorder(cfg, r, cfg.xi, n)
     E = ising_uniform(n)
-    builder = CoverBuilder(d, E, d.model.field, cfg.epsilon, cfg.delta)
+    builder = CoverBuilder(d, E, _cover_field(cfg, n), cfg.epsilon, cfg.delta)
     atoms, _ = E.atoms()
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_ATOM, r)))
@@ -509,7 +515,7 @@ def _classified_atom(cfg, r, beta):
 
 
 def _slice_entropy_replica(cfg, r):
-    builder, alpha, node = _classified_atom(cfg, r, 1.0)
+    builder, alpha, node = _classified_atom(cfg, r)
     E, delta = builder.measure, cfg.delta
     mask = node_member_mask(node, E.atoms()[0].astype(np.float64))
     mass = mask.mean()  # uniform atoms
@@ -538,7 +544,7 @@ def run_slice_entropy(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _onsager_replica(cfg, r):
     n, beta = cfg.n, cfg.beta[0]
-    builder, alpha, node = _classified_atom(cfg, r, beta)
+    builder, alpha, node = _classified_atom(cfg, r)
     d = builder.disorder
     # the recentered Hamiltonian on the thin-slice image of the region
     taus = slice_measures(builder.measure, node).thin_pushforward.points
@@ -611,32 +617,31 @@ def _bound_blocks(cfg: ExperimentConfig) -> list:
 
 def _bound_block(cfg, start, stop, flavor, log_partition):
     """Rows and maximizer diagnostics of grid cases start..stop-1: each
-    case's partition estimate `log_partition(d, beta, r)`, a tuple led by
+    case's partition estimate `log_partition(problem, r)`, a tuple led by
     log Z, then one TAP ascent over all the block's problems."""
     n = cfg.n
     cases = _bound_grid(cfg)[start:stop]
-    disorders = [_disorder(cfg, r, cfg.xi, beta, "linear", h, n)
-                 for beta, h, r in cases]
-    estimates = [log_partition(d, beta, r)
-                 for d, (beta, _, r) in zip(disorders, cases)]
+    problems = [TapProblem(_disorder(cfg, r, cfg.xi, n), make_field("linear", h, n),
+                           beta, flavor)
+                for beta, h, r in cases]
+    estimates = [log_partition(p, r) for p, (_, _, r) in zip(problems, cases)]
     seeds = [derive_seed(cfg.seed, STREAM_STARTS, r) for _, _, r in cases]
-    sups = maximize_tap_many([TapProblem(d.model, d, flavor) for d in disorders],
-                             cfg.starts, seeds)
+    sups = maximize_tap_many(problems, cfg.starts, seeds)
     return [([beta, h, r, *est, sup.value, (est[0] - sup.value) / n],
              _maximizer_diagnostics(sup, n))
             for (beta, h, r), est, sup in zip(cases, estimates, sups)]
 
 
 def _bound_ising_block(cfg, start, stop):
-    def log_z(d, beta, r):
-        return (log_partition_exact_ising(d, d.model.field, beta).log_value,)
+    def log_z(p, r):
+        return (log_partition_exact_ising(p.disorder, p.field, p.beta).log_value,)
 
     return _bound_block(cfg, start, stop, "ising", log_z)
 
 
 def _bound_sphere_block(cfg, start, stop):
-    def log_z(d, beta, r):
-        est = log_partition_mc_sphere(d, d.model.field, beta, cfg.mc_samples,
+    def log_z(p, r):
+        est = log_partition_mc_sphere(p.disorder, p.field, p.beta, cfg.mc_samples,
                                       derive_seed(cfg.seed, STREAM_MC, r))
         return est.log_value, est.std_error
 
@@ -803,8 +808,8 @@ def run_tap_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     for r in range(cfg.replicas):
         beta = cfg.beta[r % len(cfg.beta)]
         h = cfg.h[r % len(cfg.h)]
-        d = _disorder(cfg, r, cfg.xi, beta, "linear", h, n)
-        problem = TapProblem(d.model, d, "ising")
+        problem = TapProblem(_disorder(cfg, r, cfg.xi, n), make_field("linear", h, n),
+                             beta, "ising")
         L = max(beta, L_xi, 1.0)
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 5, r)))
@@ -875,9 +880,9 @@ def run_series_identities(cfg: ExperimentConfig) -> ExperimentReport:
 def run_tap_max(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n
     h = cfg.h[0] if cfg.h else 0.0
-    d = _disorder(cfg, 0, cfg.xi, cfg.beta[0], cfg.field, h, n)
     flavor = "ising" if cfg.measure == "ising" else "spherical"
-    problem = TapProblem(d.model, d, flavor)
+    problem = TapProblem(_disorder(cfg, 0, cfg.xi, n), make_field(cfg.field, h, n),
+                         cfg.beta[0], flavor)
     out = maximize_tap(problem, starts=cfg.starts,
                        rng_seed=derive_seed(cfg.seed, STREAM_STARTS, 0))
     rows = [[row.start, row.iteration, row.value, row.grad_norm, row.step]

@@ -4,7 +4,9 @@ For a magnetization m the energy is
 
     beta * (H + f)(m) + I(m) + (beta^2 / 2) * N * On(||m||^2),
 
-with I the Ising entropy -sum_i J(m_i) on (-1,1)^N, the spherical entropy
+where a `TapProblem` holds the disorder H, the field f and beta, and n and
+the On of xi come from the disorder's model, the law of H. I is the Ising
+entropy -sum_i J(m_i) on (-1,1)^N, the spherical entropy
 (N/2) log(1 - ||m||^2) on the open ball, or the half-space log-mass surrogate
 for a general reference measure on the closed ball. All terms are extensive
 (order N); per-spin values are reported alongside, never mixed in. Each
@@ -12,8 +14,8 @@ term is computed once, row-batched, by `tap_energy_many` and
 `tap_gradient_many` (the general flavor has no gradient); `tap_energy` and
 `tap_gradient` are their one-row calls.
 
-For the ising and spherical flavors maximization is multi-start projected
-L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7), for a block of
+Maximization is multi-start projected L-BFGS (Nocedal & Wright, Numerical
+Optimization, ch. 7), for the ising and spherical flavors and a block of
 problems at once (`maximize_tap_many`; `maximize_tap` is its block of one).
 The problems share n, flavor and covariance series; their starts advance
 together as the rows of one array, problem-major. Only the disorder and
@@ -27,8 +29,8 @@ state, so a start follows the same rules as if it ran alone, and each
 problem's result is bit for bit the one it gets alone; ties break toward
 the lowest start index. The ascent's gradients skip the domain check: every
 row has passed the energy's. The earlier projected gradient ascent and the
-per-problem L-BFGS are kept as test oracles. The general flavor uses a
-gradient-free coordinate search. The best value found is a lower bound on
+per-problem L-BFGS are kept as test oracles. The general flavor has no
+gradient and no maximizer. The best value found is a lower bound on
 the true supremum and is used as the sup surrogate by the bound experiments
 (cross-checked against an exhaustive grid oracle at tiny N).
 """
@@ -45,7 +47,7 @@ import numpy as np
 from .entropy import ReferenceMeasure, binary_entropy, general_entropy_upper
 from .errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from .geometry import norm
-from .hamiltonian import DisorderSample, energy_many, gradient_many
+from .hamiltonian import DisorderSample, ExternalField, energy_many, gradient_many
 
 FLAVORS = ("ising", "spherical", "general")
 
@@ -60,8 +62,12 @@ START_SHRINK = 0.9
 
 @dataclass(frozen=True)
 class TapProblem:
-    model: object  # MixedModel
+    """The TAP functional of one disorder at inverse temperature `beta` with
+    external field `field`; n and xi are those of `disorder.model`."""
+
     disorder: DisorderSample
+    field: ExternalField
+    beta: float
     flavor: str
     measure: Optional[ReferenceMeasure] = None
     delta: Optional[float] = None
@@ -71,10 +77,16 @@ class TapProblem:
             raise DomainError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "general" and (self.measure is None or self.delta is None):
             raise DomainError("general flavor needs a measure and a delta")
+        if self.field.n != self.disorder.n:
+            raise DomainError(f"field of dimension {self.field.n} for a disorder "
+                              f"of dimension {self.disorder.n}")
+        # written so that a NaN beta fails
+        if not self.beta >= 0:
+            raise DomainError("beta must be >= 0")
 
     @property
     def n(self) -> int:
-        return self.model.n
+        return self.disorder.n
 
 
 def _check_domain_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
@@ -148,12 +160,12 @@ class _Block:
         self.problems = problems
         self.n = problems[0].n
         self.flavor = problems[0].flavor
-        self.series = problems[0].model.series
+        self.series = problems[0].disorder.model.series
         # each problem's scalars, formed as its own term bodies formed them
-        self.beta = np.array([p.model.beta for p in problems], dtype=np.float64)
-        self.onsager = np.array([0.5 * p.model.beta ** 2 * p.n for p in problems],
+        self.beta = np.array([p.beta for p in problems], dtype=np.float64)
+        self.onsager = np.array([0.5 * p.beta ** 2 * p.n for p in problems],
                                 dtype=np.float64)
-        self.onsager_grad = np.array([p.model.beta ** 2 for p in problems],
+        self.onsager_grad = np.array([p.beta ** 2 for p in problems],
                                      dtype=np.float64)
 
     def runs(self, counts: np.ndarray):
@@ -174,7 +186,7 @@ def _energy_block(block: _Block, M: np.ndarray, counts: np.ndarray) -> np.ndarra
     vals = np.empty(len(M))
     for p, lo, hi in block.runs(counts):
         X = M[lo:hi]
-        vals[lo:hi] = energy_many(p.disorder, X) + p.model.field.value_many(X)
+        vals[lo:hi] = energy_many(p.disorder, X) + p.field.value_many(X)
     vals *= np.repeat(block.beta, counts)
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
     vals += np.repeat(block.onsager, counts) * block.series._onsager_rows(q)
@@ -184,7 +196,7 @@ def _energy_block(block: _Block, M: np.ndarray, counts: np.ndarray) -> np.ndarra
         vals += 0.5 * n * np.log1p(-q)
     else:
         vals += [general_entropy_upper(p.measure, m, p.delta,
-                                       extra_directions=p.model.field.basis)
+                                       extra_directions=p.field.basis)
                  for p, lo, hi in block.runs(counts) for m in M[lo:hi]]
     return vals
 
@@ -195,7 +207,7 @@ def _gradient_block(block: _Block, M: np.ndarray, counts: np.ndarray) -> np.ndar
     g = np.empty(M.shape)
     for p, lo, hi in block.runs(counts):
         X = M[lo:hi]
-        g[lo:hi] = gradient_many(p.disorder, X) + p.model.field.gradient_many(X)
+        g[lo:hi] = gradient_many(p.disorder, X) + p.field.gradient_many(X)
     g *= np.repeat(block.beta, counts)[:, None]
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / block.n)
     g += (np.repeat(block.onsager_grad, counts)
@@ -243,12 +255,8 @@ class MaximizeResult:
 
 def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
     """Best magnetization over multi-start projected L-BFGS (a block-of-one
-    `maximize_tap_many`), or over the coordinate search for the general
-    flavor. The returned value is a lower bound of the true supremum."""
-    if p.flavor == "general":
-        if starts < 1:
-            raise DomainError("starts must be >= 1")
-        return _maximize_general(p, starts, rng_seed)
+    `maximize_tap_many`). The returned value is a lower bound of the true
+    supremum."""
     return maximize_tap_many([p], starts, [rng_seed])[0]
 
 
@@ -290,12 +298,11 @@ def maximize_tap_many(problems, starts: int, rng_seeds) -> list:
     if len(rng_seeds) != len(problems):
         raise DomainError(f"{len(rng_seeds)} seeds for {len(problems)} problems")
     if any(p.flavor == "general" for p in problems):
-        raise UnsupportedOperationError(
-            "the general flavor has no gradient ascent; maximize_tap runs its "
-            "coordinate search")
+        raise UnsupportedOperationError("the general flavor has no gradient ascent")
     first = problems[0]
     if any(p.n != first.n or p.flavor != first.flavor
-           or p.model.series != first.model.series for p in problems):
+           or p.disorder.model.series != first.disorder.model.series
+           for p in problems):
         raise DomainError("a block's problems must share n, flavor and series")
     block = _Block(problems)
     n = first.n
@@ -412,39 +419,6 @@ def _trace_rows(records: list, starts: int, problems: int) -> list:
                                            *(c[order].tolist() for c in cols))]
     ends = np.cumsum(np.bincount(rows // starts, minlength=problems)).tolist()
     return [trace[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
-def _maximize_general(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
-    """Gradient-free coordinate search for the general flavor."""
-    best_val = -np.inf
-    best_m = None
-    best_start = -1
-    trace: list[TraceRow] = []
-    for s in range(starts):
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(s,)))
-        m = _draw_start(p, rng)
-        val = tap_energy(p, m)
-        step = 0.2
-        it = 0
-        while step > 1e-4 and it < MAX_ITERATIONS:
-            improved = False
-            for i in range(p.n):
-                for sign in (1.0, -1.0):
-                    cand = m.copy()
-                    cand[i] += sign * step * math.sqrt(p.n)
-                    r = norm(cand)
-                    if r > 1.0:
-                        cand /= r
-                    cand_val = tap_energy(p, cand)
-                    it += 1
-                    if cand_val > val + 1e-12:
-                        m, val, improved = cand, cand_val, True
-            trace.append(TraceRow(s, it, val, np.nan, step))
-            if not improved:
-                step *= 0.5
-        if val > best_val:
-            best_val, best_m, best_start = val, m, s
-    return MaximizeResult(best_m, float(best_val), trace, best_start, True)
 
 
 def export_trace_csv(result: MaximizeResult, path) -> None:

@@ -53,8 +53,12 @@ def _scale(d, p):
     return np.sqrt(d.model.series.coefficients[p]) * d.n ** ((1 - p) / 2)
 
 
+# einsum index letters of a tensor's axes, one per axis (any degree up to 8)
+_AXES = "abcdefgh"
+
+
 def oracle_energy(d, sigma):
-    """H(sigma) by per-degree einsum contractions (degrees 0-4)."""
+    """H(sigma) by per-degree einsum contractions (any degree)."""
     s = np.asarray(sigma, dtype=np.float64)
     total = 0.0
     for p, g in d.tensors.items():
@@ -64,10 +68,9 @@ def oracle_energy(d, sigma):
             contr = g @ s
         elif p == 2:
             contr = s @ g @ s
-        elif p == 3:
-            contr = np.einsum("abc,a,b,c->", g, s, s, s)
         else:
-            contr = np.einsum("abcd,a,b,c,d->", g, s, s, s, s)
+            axes = _AXES[:p]
+            contr = np.einsum(f"{axes},{','.join(axes)}->", g, *[s] * p)
         total += _scale(d, p) * contr
     return float(total)
 
@@ -83,10 +86,10 @@ def oracle_energy_many(d, sigmas):
             contr = X @ g
         elif p == 2:
             contr = np.einsum("ri,ij,rj->r", X, g, X)
-        elif p == 3:
-            contr = np.einsum("abc,ra,rb,rc->r", g, X, X, X)
         else:
-            contr = np.einsum("abcd,ra,rb,rc,rd->r", g, X, X, X, X)
+            axes = _AXES[:p]
+            contr = np.einsum(f"{axes},{','.join('r' + a for a in axes)}->r",
+                              g, *[X] * p)
         total += _scale(d, p) * contr
     return total
 
@@ -102,15 +105,14 @@ def oracle_gradient(d, sigma):
             part = g
         elif p == 2:
             part = g @ s + g.T @ s
-        elif p == 3:
-            part = (np.einsum("ibc,b,c->i", g, s, s)
-                    + np.einsum("aic,a,c->i", g, s, s)
-                    + np.einsum("abi,a,b->i", g, s, s))
         else:
-            part = (np.einsum("ibcd,b,c,d->i", g, s, s, s)
-                    + np.einsum("aicd,a,c,d->i", g, s, s, s)
-                    + np.einsum("abid,a,b,d->i", g, s, s, s)
-                    + np.einsum("abci,a,b,c->i", g, s, s, s))
+            # the derivative index i in place of each axis k in turn
+            axes = _AXES[:p]
+            part = 0.0
+            for k in range(p):
+                rest = axes[:k] + axes[k + 1:]
+                part = part + np.einsum(f"{axes[:k]}i{axes[k + 1:]},{','.join(rest)}->i",
+                                        g, *[s] * (p - 1))
         grad += _scale(d, p) * part
     return grad
 
@@ -223,7 +225,7 @@ def oracle_tap_energy(p, m):
     field's closed form, the entropy -sum_i J(m_i), (N/2) log(1 - q) or the
     general surrogate, and (beta^2 / 2) N On(q) from the coefficients."""
     m = np.asarray(m, dtype=np.float64)
-    n, beta = p.n, p.model.beta
+    n, beta = p.n, p.beta
     q = min(1.0, float(m @ m) / n)
     if p.flavor == "ising":
         entropy = -math.fsum((1 + x) / 2 * math.log1p(x) + (1 - x) / 2 * math.log1p(-x)
@@ -232,10 +234,10 @@ def oracle_tap_energy(p, m):
         entropy = 0.5 * n * math.log1p(-q)
     else:
         entropy = general_entropy_upper(p.measure, m, p.delta,
-                                        extra_directions=p.model.field.basis)
-    return (beta * (oracle_energy(p.disorder, m) + _field_closed_form(p.model.field, m))
+                                        extra_directions=p.field.basis)
+    return (beta * (oracle_energy(p.disorder, m) + _field_closed_form(p.field, m))
             + entropy
-            + 0.5 * beta ** 2 * n * oracle_onsager(p.model.series.coefficients, q))
+            + 0.5 * beta ** 2 * n * oracle_onsager(p.disorder.model.series.coefficients, q))
 
 
 def oracle_tap_gradient(p, m):
@@ -244,10 +246,10 @@ def oracle_tap_gradient(p, m):
     partials takes the package's central differences), beta^2 On'(q) m, and
     -atanh(m_i) = -log((1 + m_i) / (1 - m_i)) / 2 or -m / (1 - q)."""
     m = np.asarray(m, dtype=np.float64)
-    beta = p.model.beta
+    beta = p.beta
     q = min(1.0, float(m @ m) / p.n)
-    g = beta * (oracle_gradient(p.disorder, m) + _field_gradient_closed_form(p.model.field, m))
-    g += beta ** 2 * oracle_onsager_derivative(p.model.series.coefficients, q) * m
+    g = beta * (oracle_gradient(p.disorder, m) + _field_gradient_closed_form(p.field, m))
+    g += beta ** 2 * oracle_onsager_derivative(p.disorder.model.series.coefficients, q) * m
     if p.flavor == "ising":
         return g - 0.5 * (np.log1p(m) - np.log1p(-m))
     return g - m / (1.0 - q)
@@ -360,11 +362,11 @@ def _tap_energy_rows(p, M):
     `tap_energy_many` computed it before its terms were stacked across
     problems (ising and spherical flavors)."""
     M = tap._check_domain_many(p, M)
-    beta = p.model.beta
+    beta = p.beta
     n = p.n
-    vals = beta * (energy_many(p.disorder, M) + p.model.field.value_many(M))
+    vals = beta * (energy_many(p.disorder, M) + p.field.value_many(M))
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
-    vals += 0.5 * beta ** 2 * n * p.model.series._onsager_rows(q)
+    vals += 0.5 * beta ** 2 * n * p.disorder.model.series._onsager_rows(q)
     if p.flavor == "ising":
         vals -= binary_entropy(M).sum(axis=1)
     else:
@@ -376,10 +378,10 @@ def _tap_gradient_rows(p, M):
     """The unchecked TAP gradient of one problem's rows, as the package's
     one-problem gradient body computed it before its terms were stacked
     across problems."""
-    beta = p.model.beta
+    beta = p.beta
     q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
-    g = beta * (gradient_many(p.disorder, M) + p.model.field.gradient_many(M))
-    g += (beta ** 2 * p.model.series._onsager_derivative_rows(q))[:, None] * M
+    g = beta * (gradient_many(p.disorder, M) + p.field.gradient_many(M))
+    g += (beta ** 2 * p.disorder.model.series._onsager_derivative_rows(q))[:, None] * M
     if p.flavor == "ising":
         g -= np.arctanh(M)
     else:
@@ -528,7 +530,7 @@ def gaussian_law_replica(cfg, r):
     at the ten probe pairs, of gradient entries at m and m', and of the
     energy at a0 with gradient entries at m'."""
     pairs, m, mp, pts = experiments._gaussian_law_probes(cfg.n, cfg.seed)
-    d = experiments._disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
+    d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
     vals = energy_many(d, pts)
     gm = gradient(d, m)
     gmp = gradient(d, mp)
@@ -547,7 +549,7 @@ def recentering_replica(cfg, r):
     at m + s_k, the energy at m and the gradient's component orthogonal to m
     along w, multiplied in pairs."""
     m, (s1, s2, s3), w = experiments._recentering_probes(cfg.n, cfg.seed)
-    d = experiments._disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
+    d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
     g = gradient(d, m)
     hm = energy(d, m)
     pts = np.array([m + s1, m + s2, m + s3])

@@ -54,7 +54,7 @@ def mc_cov(x, y):
 
 class TestSampling:
     def test_zero_series_has_no_tensors_and_zero_energy(self):
-        model = MixedModel(6, CovarianceSeries((0.0,)), beta=1.0)
+        model = MixedModel(6, CovarianceSeries((0.0,)))
         d = sample_disorder(model, 5)
         assert d.tensors == {}
         assert energy(d, np.zeros(6)) == 0.0
@@ -81,9 +81,16 @@ class TestSampling:
         assert err.value.required == 8 * 64 ** 3
 
     def test_degree_cap(self):
+        # No degree cap: the tensor budget alone bounds a degree, so a
+        # degree-5 xi samples at n = 4 and its kernels match the einsum oracle
         model = MixedModel(4, CovarianceSeries((0.0,) * 5 + (1.0,)))
-        with pytest.raises(DomainError):
-            sample_disorder(model, 0)
+        d = sample_disorder(model, 0)
+        assert d.tensors[5].shape == (4,) * 5
+        X = ball_rows(np.random.default_rng(5), 6, 4, on_sphere=False)
+        assert_rel_close(energy_many(d, X), oracle_energy_many(d, X))
+        for sigma in X:
+            assert_rel_close(energy(d, sigma), oracle_energy(d, sigma))
+            assert_rel_close(gradient(d, sigma), oracle_gradient(d, sigma))
 
 
 class TestEnergyAndGradient:

@@ -73,6 +73,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")
 
+    @pytest.mark.parametrize("line", ["n = abc", "beta = 0.2, x", "replicas = 2.5"])
+    def test_malformed_value_names_its_line(self, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("seed = 7\n" + line + "\n")
+        assert err.value.violations[0].startswith("line 2:")
+
+    def test_grid_step_is_no_config_key(self):
+        with pytest.raises(ConfigError):
+            parse_config_text("grid_step = 0.1\n")
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            build_config("bound-ising", dict(replicas=2, volume=11))
+        assert err.value.violations == ["unknown key 'volume'"]
+
 
 class TestValidation:
     def test_violations_are_listed_together(self):
@@ -154,10 +169,10 @@ class TestRunAndArtifacts:
         r = 0
         for beta in cfg.beta:
             for h in cfg.h:
-                model = MixedModel(cfg.n, CovarianceSeries(cfg.xi), beta=beta,
-                                   field=make_field("linear", h, cfg.n))
+                model = MixedModel(cfg.n, CovarianceSeries(cfg.xi))
                 d = sample_disorder(model, derive_seed(cfg.seed, STREAM_DISORDER, r))
-                sup = maximize_tap(TapProblem(model, d, flavor), starts=cfg.starts,
+                problem = TapProblem(d, make_field("linear", h, cfg.n), beta, flavor)
+                sup = maximize_tap(problem, starts=cfg.starts,
                                    rng_seed=derive_seed(cfg.seed, STREAM_STARTS, r))
                 converged.append(sup.converged)
                 final = {}
@@ -209,7 +224,7 @@ class TestRunAndArtifacts:
         cfg = build_config("gaussian-law", dict(replicas=2))
         _, m, mp, _ = experiments._gaussian_law_probes(cfg.n, cfg.seed)
         for r in range(2):
-            d = experiments._disorder(cfg, r, cfg.xi, 1.0, "none", 0.0, cfg.n)
+            d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
             top = max(d.tensors) - 1
             powers = experiments._gaussian_law_powers(cfg.n, cfg.seed, top)
             assert powers is experiments._gaussian_law_powers(cfg.n, cfg.seed, top)
@@ -223,22 +238,25 @@ class TestRunAndArtifacts:
     def test_model_shared_within_a_cell_and_distinct_across_cells(self):
         from tapbound.harness.experiments import _disorder, _model
         cfg = build_config("bound-ising", dict(replicas=2))
-        cell = (8, (0.0, 0.0, 1.0), 0.4, "linear", 0.3)
+        # one model per (n, xi), whatever beta and field its replicas use
+        cell = (8, (0.0, 0.0, 1.0))
         model = _model(*cell)
-        first, second = (_disorder(cfg, r, list(cell[1]), 0.4, "linear", 0.3, 8)
-                         for r in range(2))
+        first, second = (_disorder(cfg, r, list(cell[1]), 8) for r in range(2))
         assert first.model is model and second.model is model
         assert first.seed != second.seed
-        others = [(9, (0.0, 0.0, 1.0), 0.4, "linear", 0.3),
-                  (8, (0.0, 0.0, 1.0, 0.5), 0.4, "linear", 0.3),
-                  (8, (0.0, 0.0, 1.0), 0.2, "linear", 0.3),
-                  (8, (0.0, 0.0, 1.0), 0.4, "quadratic_spike", 0.3),
-                  (8, (0.0, 0.0, 1.0), 0.4, "linear", 0.0)]
+        others = [(9, (0.0, 0.0, 1.0)), (8, (0.0, 0.0, 1.0, 0.5))]
         models = [_model(*key) for key in others]
         assert len({id(m) for m in [model, *models]}) == len(others) + 1
         for key, m in zip(others, models):
-            assert (m.n, m.series.coefficients, m.beta, m.field.kind, m.field.h) \
-                == (key[0], tuple(key[1]), *key[2:])
+            assert (m.n, m.series.coefficients) == key
+        # one field per (kind, h, n)
+        field = make_field("linear", 0.3, 8)
+        assert make_field("linear", 0.3, 8) is field
+        keys = [("linear", 0.3, 9), ("linear", 0.0, 8), ("quadratic_spike", 0.3, 8)]
+        fields = [make_field(*key) for key in keys]
+        assert len({id(f) for f in [field, *fields]}) == len(keys) + 1
+        for key, f in zip(keys, fields):
+            assert (f.kind, f.h, f.n) == key
 
     def test_cold_and_warm_model_cache_give_identical_bytes(self, tmp_path):
         blobs = []
@@ -432,6 +450,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL cover-property:config" in out
+
+    def test_malformed_config_file_fails_without_a_traceback(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("replicas = 2.5\n")
+        code = main(["verify-cover", "--config", str(bad), "--quick"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == "FAIL config (line 1: bad value '2.5' for 'replicas')\n"
 
     def test_tap_max_writes_trace_artifacts(self, tmp_path, capsys):
         code = main(["tap-max", "--out", str(tmp_path)])

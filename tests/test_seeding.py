@@ -95,5 +95,10 @@ def test_sample_disorders_keep_the_budget_and_degree_checks():
     series = CovarianceSeries((0.0, 0.0, 1.0))
     with pytest.raises(ResourceBudgetError):
         sample_disorders(MixedModel(8, series, tensor_budget_bytes=100), [1, 2])
-    with pytest.raises(DomainError):
-        sample_disorders(MixedModel(8, series, max_degree=1), [1, 2])
+    # 100 bytes hold the degree-1 tensor (64 bytes) but not the degree-2 one
+    model = MixedModel(8, CovarianceSeries((0.0, 1.0, 1.0)), tensor_budget_bytes=100)
+    for sample in (lambda: sample_disorder(model, 1),
+                   lambda: sample_disorders(model, [1, 2])):
+        with pytest.raises(ResourceBudgetError) as err:
+            sample()
+        assert err.value.required == 8 * 8 ** 2

@@ -55,8 +55,8 @@ def make_problem(n=8, xi=XI2, beta=0.3, h=0.0, seed=0, flavor="ising",
                  field=None, **kw):
     if field is None:
         field = field_linear(h, n) if h else field_none(n)
-    model = MixedModel(n, xi, beta=beta, field=field)
-    return TapProblem(model, sample_disorder(model, seed), flavor, **kw)
+    return TapProblem(sample_disorder(MixedModel(n, xi), seed), field, beta, flavor,
+                      **kw)
 
 
 FIELD_KINDS = ("none", "linear", "quadratic_spike", "custom", "custom-fd")
@@ -84,6 +84,19 @@ def inside_rows(rng, rows, n, flavor):
     if flavor == "spherical":
         m *= rng.uniform(0.0, 0.95, size=(rows, 1)) / np.sqrt((m ** 2).mean(axis=1))[:, None]
     return m
+
+
+class TestTapProblem:
+    def test_field_of_another_dimension_rejected(self):
+        d = sample_disorder(MixedModel(8, XI2), 1)
+        with pytest.raises(DomainError):
+            TapProblem(disorder=d, field=field_linear(0.3, 7), beta=0.5, flavor="ising")
+
+    @pytest.mark.parametrize("beta", [-0.1, math.nan])
+    def test_negative_or_nan_beta_rejected(self, beta):
+        d = sample_disorder(MixedModel(8, XI2), 1)
+        with pytest.raises(DomainError):
+            TapProblem(disorder=d, field=field_none(8), beta=beta, flavor="ising")
 
 
 class TestTapEnergy:
@@ -656,6 +669,11 @@ class TestMaximize:
         assert out.value == pytest.approx(n * math.log(math.cosh(beta * h)), abs=1e-6)
         assert np.allclose(out.m_star, math.tanh(beta * h), atol=1e-6)
 
+    def test_general_flavor_has_no_maximizer(self):
+        p = make_problem(n=6, flavor="general", measure=ising_uniform(6), delta=0.1)
+        with pytest.raises(UnsupportedOperationError):
+            maximize_tap(p, starts=2, rng_seed=1)
+
     def test_deterministic_given_seed(self):
         p = make_problem(n=6, beta=0.3, h=0.2, seed=5)
         a = maximize_tap(p, starts=4, rng_seed=9)
@@ -743,7 +761,7 @@ class TestTapContinuity:
         n = 8
         p = make_problem(n=n, beta=0.3, h=0.2, seed=12)
         probe = lipschitz_probe(p.disorder, 40, 1)
-        L = max(p.model.beta, math.sqrt(p.model.series.evaluate(1.0, 3)), 1.0)
+        L = max(p.beta, math.sqrt(p.disorder.model.series.evaluate(1.0, 3)), 1.0)
         rng = np.random.default_rng(13)
 
         def modulus(r):
@@ -766,4 +784,4 @@ class TestTapContinuity:
         # the Onsager contribution at ||m||^2 = 1 is wired to exactly zero
         p = make_problem(n=6, beta=0.5, flavor="spherical")
         q = 1.0
-        assert p.model.series.onsager(q) == pytest.approx(0.0, abs=1e-15)
+        assert p.disorder.model.series.onsager(q) == pytest.approx(0.0, abs=1e-15)
