@@ -93,9 +93,18 @@ class ExternalField:
         return float(self.value_many(np.asarray(sigma, dtype=np.float64)[None])[0])
 
     def value_many(self, sigmas: np.ndarray) -> np.ndarray:
-        t = (sigmas @ self.basis.T) / self.n
+        """f at every row of `sigmas`."""
+        return self.value_from_projections(self.projections(sigmas))
+
+    def projections(self, sigmas: np.ndarray) -> np.ndarray:
+        """The coordinates <sigma, u_k> of every row: shape (rows, K)."""
+        return (sigmas @ self.basis.T) / self.n
+
+    def value_from_projections(self, t: np.ndarray) -> np.ndarray:
+        """f at the points whose `projections` are the rows of t: f sees
+        sigma only through them."""
         if self.kind == "none":
-            return np.zeros(len(sigmas))
+            return np.zeros(len(t))
         if self.kind == "linear":
             return self.h * self.n * t[:, 0]
         if self.kind == "quadratic_spike":
@@ -121,7 +130,7 @@ class ExternalField:
         if self.func_grad is None:
             return np.array([_field_gradient_fd(self, row)
                              for row in sigmas]).reshape(sigmas.shape)
-        t = (sigmas @ self.basis.T) / self.n
+        t = self.projections(sigmas)
         partials = np.array([self.func_grad(row) for row in t],
                             dtype=np.float64).reshape(t.shape)
         return (partials @ self.basis) / self.n
@@ -237,6 +246,17 @@ class DisorderBlock:
         """(degree, sqrt(a_p) N^{(1-p)/2}, stacked tensors) for every active
         degree."""
         return tuple((p, self.model.scale(p), g) for p, g in self.tensors.items())
+
+
+def check_gibbs_parameters(d, f: ExternalField, beta: float) -> None:
+    """DomainError unless the field f has the dimension of the disorder d
+    (a sample or a block) and the inverse temperature beta is >= 0."""
+    if f.n != d.n:
+        raise DomainError(f"field of dimension {f.n} for a disorder "
+                          f"of dimension {d.n}")
+    # written so that a NaN beta fails
+    if not beta >= 0:
+        raise DomainError("beta must be >= 0")
 
 
 def _checked_degrees(model: MixedModel) -> tuple:

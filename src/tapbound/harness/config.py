@@ -87,8 +87,24 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    """`parse_config_text` of the UTF-8 file at `path`; a file that cannot
+    be read as such raises ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError([f"cannot read {os.fspath(path)!r}: {err.strerror}"]) \
+            from None
+    except UnicodeDecodeError:
+        raise ConfigError([f"{os.fspath(path)!r} is not a text file"]) from None
+    return parse_config_text(text)
+
+
+def _check_keys(keys) -> None:
+    """ConfigError naming every key that is not an ExperimentConfig field."""
+    unknown = sorted(set(keys) - set(ExperimentConfig.__dataclass_fields__))
+    if unknown:
+        raise ConfigError([f"unknown key {key!r}" for key in unknown])
 
 
 def build_config(experiment: str, overrides: Optional[dict] = None) -> "ExperimentConfig":
@@ -98,9 +114,7 @@ def build_config(experiment: str, overrides: Optional[dict] = None) -> "Experime
     base = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
     base["experiment"] = experiment
     if overrides:
-        unknown = sorted(set(overrides) - set(ExperimentConfig.__dataclass_fields__))
-        if unknown:
-            raise ConfigError([f"unknown key {key!r}" for key in unknown])
+        _check_keys(overrides)
         base.update({k: v for k, v in overrides.items() if k != "experiment"})
     if base.get("out") is None and os.environ.get("TAPBOUND_OUT"):
         base["out"] = os.environ["TAPBOUND_OUT"]
@@ -153,6 +167,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def with_overrides(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
+    """`cfg` with the keys of `kw` replaced, validated again; an unknown key
+    raises ConfigError as in `build_config`."""
+    _check_keys(kw)
     out = replace(cfg, **kw)
     validate_config(out)
     return out

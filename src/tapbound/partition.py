@@ -1,12 +1,14 @@
 """Partition functions: exact Ising enumeration, sphere Monte Carlo, restrictions.
 
-The exact Ising value enumerates {-1, 1}^N in blocks of up to 2^12
-configurations: a fixed block of the low spins, completed by each pattern of
-the high spins, is scored by one batched energy call and folded into a
-running log-sum-exp. Sphere estimates draw normalized Gaussians from a
-counter-based (Philox) stream, so replica streams are independent and
-reproducible. All accumulation is in the log domain; -inf is a first-class
-value for empty restrictions.
+The exact Ising value is a split sum (Horowitz and Sahni 1974, as in
+`entropy._ising_hits`): each configuration is a head pattern of the first
+N // 2 spins and a tail pattern of the rest, and the energy of a (head, tail)
+pair is a head row of weights times the tail's Kronecker features, so a
+chunk of tail patterns is scored against every head pattern by one matrix
+product and folded into a running log-sum-exp. Sphere estimates draw
+normalized Gaussians from a counter-based (Philox) stream, so replica
+streams are independent and reproducible. All accumulation is in the log
+domain; -inf is a first-class value for empty restrictions.
 """
 
 from __future__ import annotations
@@ -19,13 +21,23 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cover import CoverNode, region_masks, thin_projections
-from .entropy import ReferenceMeasure, _ising_atoms, point_cloud
+from .entropy import ReferenceMeasure, _sign_table, point_cloud
 from .errors import DomainError, ResourceBudgetError
-from .hamiltonian import _ROW_CHUNK, DisorderSample, ExternalField, energy_many
+from .hamiltonian import (
+    _ROW_CHUNK,
+    DisorderSample,
+    ExternalField,
+    _contract_rows,
+    check_gibbs_parameters,
+    energy_many,
+)
 
-ENUM_LIMITS = {2: 24, 3: 16}  # max N per highest interacting degree
-# Spins enumerated together as one fixed block by the exact Ising sum.
-_LOW_SPINS = 12
+# Multiply-adds the exact Ising sum may spend: 2^N configurations times the
+# width of its feature product (see `enumeration_work`). The bound admits
+# N = 24 at degree 2, N = 20 at degree 3 and N = 18 at degree 4.
+ENUM_WORK_BUDGET = 1 << 28
+# Doubles in the live (head patterns x tail chunk) block of the exact Ising sum
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,13 +64,15 @@ class PartitionEstimate:
 
 
 def _lse_merge(acc: tuple, x: np.ndarray) -> tuple:
-    """Fold the values x into a running (max, scaled sum) log-sum-exp."""
+    """Fold the values x into a running (max, scaled sum) log-sum-exp,
+    overwriting x."""
     top, total = acc
     m = float(x.max())
     if m > top:
         total = total * math.exp(top - m) if top > -np.inf else 0.0
         top = m
-    return top, total + float(np.exp(x - top).sum())
+    x -= top
+    return top, total + float(np.exp(x, out=x).sum())
 
 
 def _lse_value(acc: tuple) -> float:
@@ -66,37 +80,112 @@ def _lse_value(acc: tuple) -> float:
     return top + math.log(total) if top > -np.inf else -np.inf
 
 
+def enumeration_work(n: int, degree: int) -> int:
+    """Multiply-adds of the exact Ising sum at N = n whose top degree is
+    `degree`: 2^N times the feature width sum_{j < P} (N - N // 2)^j, with P
+    the degree counted as at least 2. Below degree 2 the product is one
+    column wide, and the field and the exponential, whose per-configuration
+    cost the degree-2 width stands for, set the pace."""
+    tail = n - n // 2
+    return 2 ** n * sum(tail ** j for j in range(max(degree, 2)))
+
+
 def _check_enum_budget(d: DisorderSample) -> None:
-    degrees = [p for p in d.tensors if p >= 2]
-    top = max(degrees) if degrees else 2
-    limit = ENUM_LIMITS.get(top)
-    if limit is None:
-        raise ResourceBudgetError(f"no enumeration path for degree {top}")
-    if d.n > limit:
+    top = max(d.tensors, default=0)
+    work = enumeration_work(d.n, top)
+    if work > ENUM_WORK_BUDGET:
         raise ResourceBudgetError(
-            f"N={d.n} exceeds enumeration limit {limit} for degree {top}",
-            required=2 ** d.n)
+            f"exact enumeration at N={d.n}, degree {top} needs {work} "
+            f"multiply-adds (budget {ENUM_WORK_BUDGET})",
+            required=work, budget=ENUM_WORK_BUDGET)
+
+
+def _split_blocks(g: np.ndarray, h: int) -> dict:
+    """{k: B_k} for the degree-p tensor g split at spin h: B_k sums, over
+    each way of putting k of g's axes on the head (the first h spins) and
+    the rest on the tail, the block of g they select with its head axes moved
+    first, so it has shape (h,)*k + (N - h,)*(p - k). The part of <g,
+    sigma^{tensor p}> with k head axes is then <B_k, x^{tensor k} tensor
+    y^{tensor p-k}> for sigma = (x, y). With h = 0 only B_0 = g is left."""
+    p = g.ndim
+    blocks = {}
+    for mask in range(1 << p) if h else (0,):
+        head = [i for i in range(p) if mask >> i & 1]
+        tail = [i for i in range(p) if not mask >> i & 1]
+        block = g[tuple(slice(None, h) if mask >> i & 1 else slice(h, None)
+                        for i in range(p))].transpose(head + tail)
+        k = len(head)
+        blocks[k] = blocks[k] + block if k in blocks else block
+    return blocks
+
+
+def _kron_features(rows: np.ndarray, count: int) -> np.ndarray:
+    """[1 | rows | rows^{kron 2} | ...], `count` Kronecker powers of every
+    row side by side, each flattened as a C-ordered tensor."""
+    powers = [np.ones((len(rows), 1))]
+    while len(powers) < count:
+        powers.append((powers[-1][:, :, None] * rows[:, None, :]).reshape(len(rows), -1))
+    return np.hstack(powers)
 
 
 def log_partition_exact_ising(d: DisorderSample, f: ExternalField,
                               beta: float) -> PartitionEstimate:
     """log 2^{-N} sum_sigma exp(beta (H + f)(sigma)), exact up to float64.
 
-    The low b = min(N, 12) spins form one fixed block of all their sign
-    patterns; each pattern of the high N - b spins completes it to 2^b
-    configurations, scored by one energy_many call and folded into a running
-    log-sum-exp, so memory stays flat in N. Configurations are visited in
-    index order, bit j of the index giving spin j the sign (-1)^bit.
+    Split sum: sigma = (x, y) with x one of the 2^h head patterns of the
+    first h = N // 2 spins and y one of the tail patterns of the rest. Each
+    degree-p tensor splits into 2^p blocks by which of its axes fall on the
+    head; a block with k head axes contributes x^{kron k} B y^{kron p-k}.
+    Summed over the blocks, H(x, y) = W[x] . Phi(y) + E_tail(y):
+      - W (2^h, sum_{j < P} (N - h)^j) gathers, for each j, the blocks with
+        j tail axes and at least one head axis, contracted with every head
+        pattern (the degree-0 constant sits in column 0);
+      - Phi(y) = [1 | y | y^{kron 2} | ...] holds the tail's Kronecker powers
+        up to P - 1 for the top degree P;
+      - E_tail(y) gathers the blocks with every axis on the tail, which are
+        the same for every head pattern.
+    The field sees sigma only through its projections, which split into a
+    head and a tail part as well. A chunk of tail patterns is scored against
+    every head pattern by one matrix product, at most `_PAIR_BLOCK` values
+    at a time, and folded into a running log-sum-exp, so memory stays flat
+    in N. Raises DomainError for a field of another dimension or a beta that
+    is not >= 0, and ResourceBudgetError past `ENUM_WORK_BUDGET`.
     """
+    check_gibbs_parameters(d, f, beta)
     _check_enum_budget(d)
     n = d.n
-    low = min(n, _LOW_SPINS)
-    block = np.empty((2 ** low, n))
-    block[:, :low] = _ising_atoms(low)
+    h = n // 2
+    head, tail = _sign_table(h).T, _sign_table(n - h).T
+    top = max(d.tensors, default=0)
+    widths = [(n - h) ** j for j in range(max(top, 1))]
+    offsets = np.cumsum([0] + widths)
+    weights = np.zeros((len(head), offsets[-1]))
+    tail_energy = np.zeros(len(tail))
+    for p, scale, g in d.terms:
+        if p == 0:
+            weights[:, 0] += scale * g
+            continue
+        for k, block in _split_blocks(g, h).items():
+            if k:
+                j = p - k
+                weights[:, offsets[j]:offsets[j + 1]] += scale * _contract_rows(
+                    block.reshape((1,) + (h,) * k + (-1,)), head)[0]
+            else:
+                tail_energy += scale * _contract_rows(block[None, ..., None], tail)[0, :, 0]
+    # (K, patterns): a chunk's projections are then (K, 2^h, chunk) sums,
+    # whose innermost axis is long
+    t_head = (f.basis[:, :h] @ head.T) / n
+    t_tail = (f.basis[:, h:] @ tail.T) / n
+    chunk = max(1, _PAIR_BLOCK >> h)
     acc = (-np.inf, 0.0)
-    for spins in _ising_atoms(n - low):
-        block[:, low:] = spins
-        acc = _lse_merge(acc, beta * (energy_many(d, block) + f.value_many(block)))
+    for lo in range(0, len(tail), chunk):
+        hi = lo + chunk
+        x = weights @ _kron_features(tail[lo:hi], len(widths)).T
+        x += tail_energy[lo:hi]
+        t = t_head[:, :, None] + t_tail[:, None, lo:hi]
+        x += f.value_from_projections(t.reshape(f.K, -1).T).reshape(x.shape)
+        x *= beta
+        acc = _lse_merge(acc, x)
     return PartitionEstimate(_lse_value(acc) - n * math.log(2.0), 0.0,
                              "exact_enumeration", 2 ** n)
 
@@ -140,8 +229,10 @@ def log_partition_mc_sphere(d: DisorderSample, f: ExternalField, beta: float,
     std_error comes from the delta method on the log (scale-invariant). The
     draws stream through one reused block of `_ROW_CHUNK` rows, in the order
     and with the arithmetic of one (samples, N) draw, so only the vector of
-    log-weights grows with `samples`.
+    log-weights grows with `samples`. Raises DomainError as
+    `log_partition_exact_ising` does, and for fewer than 100 samples.
     """
+    check_gibbs_parameters(d, f, beta)
     if samples < 100:
         raise DomainError("samples must be >= 100")
     rng = _sphere_rng(rng_seed)
@@ -177,8 +268,10 @@ def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
     `predicate` receives an (M, N) block of support points and returns a
     boolean row mask. Atomic measures are summed exactly (-inf when no atom
     passes); the sphere uses indicator Monte Carlo and reports the effective
-    (accepted) sample count.
+    (accepted) sample count. Raises DomainError as
+    `log_partition_exact_ising` does.
     """
+    check_gibbs_parameters(d, f, beta)
     if E.is_atomic:
         pts, wts = E.atoms()
         acc = (-np.inf, 0.0)

@@ -47,7 +47,13 @@ import numpy as np
 from .entropy import ReferenceMeasure, binary_entropy, general_entropy_upper
 from .errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from .geometry import norm
-from .hamiltonian import DisorderSample, ExternalField, energy_many, gradient_many
+from .hamiltonian import (
+    DisorderSample,
+    ExternalField,
+    check_gibbs_parameters,
+    energy_many,
+    gradient_many,
+)
 
 FLAVORS = ("ising", "spherical", "general")
 
@@ -77,12 +83,7 @@ class TapProblem:
             raise DomainError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "general" and (self.measure is None or self.delta is None):
             raise DomainError("general flavor needs a measure and a delta")
-        if self.field.n != self.disorder.n:
-            raise DomainError(f"field of dimension {self.field.n} for a disorder "
-                              f"of dimension {self.disorder.n}")
-        # written so that a NaN beta fails
-        if not self.beta >= 0:
-            raise DomainError("beta must be >= 0")
+        check_gibbs_parameters(self.disorder, self.field, self.beta)
 
     @property
     def n(self) -> int:

@@ -25,7 +25,10 @@ reference for the production kernel. The uniform Ising half-space count
 that the split-sum count replaced, one BLAS product of every direction
 against every atom in chunks, is the reference for exact hit counts, on its
 own enumeration of the atoms; and the per-vector thin projection that the
-stacked one replaced is a bit-equality reference for it. The law
+stacked one replaced is a bit-equality reference for it. The blocked
+exact Ising sum, a fixed block of the low spins completed by each pattern of
+the high spins and scored by `energy_many`, is the reference of the split
+sum that replaced it. The law
 experiments' per-replica features, each replica with its own numpy
 SeedSequence disorder and one-sample kernel calls, are the bit-equality
 references of their replica blocks.
@@ -37,7 +40,7 @@ import math
 import numpy as np
 
 from tapbound import tap
-from tapbound.entropy import binary_entropy, general_entropy_upper
+from tapbound.entropy import _ising_atoms, binary_entropy, general_entropy_upper
 from tapbound.geometry import norm
 from tapbound.hamiltonian import (
     _ROW_CHUNK,
@@ -47,6 +50,7 @@ from tapbound.hamiltonian import (
     gradient_many,
 )
 from tapbound.harness import experiments
+from tapbound.partition import _lse_merge, _lse_value
 
 
 def _scale(d, p):
@@ -163,6 +167,24 @@ def oracle_log_partition_ising(d, f, beta):
           for s in (np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n))]
     top = max(xs)
     return top + math.log(math.fsum(math.exp(x - top) for x in xs)) - n * math.log(2.0)
+
+
+def log_partition_exact_ising_blocked(d, f, beta, low_spins=12):
+    """The blocked exact Ising sum that the split sum replaced: the low
+    b = min(N, low_spins) spins form one fixed block of all their sign
+    patterns; each pattern of the high N - b spins completes it to 2^b
+    configurations, scored by one energy_many call and folded into a running
+    log-sum-exp. Configurations are visited in index order, bit j of the
+    index giving spin j the sign (-1)^bit. Returns the log value."""
+    n = d.n
+    low = min(n, low_spins)
+    block = np.empty((2 ** low, n))
+    block[:, :low] = _ising_atoms(low)
+    acc = (-np.inf, 0.0)
+    for spins in _ising_atoms(n - low):
+        block[:, low:] = spins
+        acc = _lse_merge(acc, beta * (energy_many(d, block) + f.value_many(block)))
+    return _lse_value(acc) - n * math.log(2.0)
 
 
 def oracle_log_partition_mc_sphere(d, f, beta, samples, rng_seed):

@@ -124,6 +124,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             with_overrides(cfg, replicas=0)
 
+    def test_with_overrides_names_an_unknown_key(self):
+        cfg = build_config("bound-ising", dict(replicas=2))
+        with pytest.raises(ConfigError) as err:
+            with_overrides(cfg, volume=1)
+        assert err.value.violations == ["unknown key 'volume'"]
+
     @pytest.mark.parametrize("h", [0.0, 0.3])
     def test_field_kind_kept_and_unknown_rejected(self, h):
         for kind in ("none", "linear", "quadratic_spike"):
@@ -458,6 +464,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 1
         assert out == "FAIL config (line 1: bad value '2.5' for 'replicas')\n"
+
+    def test_missing_config_file_fails_without_a_traceback(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = main(["tap-max", "--config", str(missing)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == f"FAIL config (cannot read {str(missing)!r}: No such file or directory)\n"
+
+    def test_binary_config_file_fails_without_a_traceback(self, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe\x00seed = 7\n")
+        code = main(["tap-max", "--config", str(binary)])
+        assert code == 1
+        assert capsys.readouterr().out == f"FAIL config ({str(binary)!r} is not a text file)\n"
 
     def test_tap_max_writes_trace_artifacts(self, tmp_path, capsys):
         code = main(["tap-max", "--out", str(tmp_path)])

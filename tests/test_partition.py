@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -24,11 +26,13 @@ from tapbound.hamiltonian import (
     sample_disorder,
 )
 from tapbound.partition import (
+    ENUM_WORK_BUDGET,
     PartitionEstimate,
     ThinPushforward,
     _sphere_rng,
     _sphere_samples,
     _to_sphere,
+    enumeration_work,
     log_partition_exact_ising,
     log_partition_mc_sphere,
     restricted_log_partition,
@@ -36,6 +40,7 @@ from tapbound.partition import (
 )
 
 from oracles import (
+    log_partition_exact_ising_blocked,
     oracle_energy_many,
     oracle_log_partition_ising,
     oracle_log_partition_mc_sphere,
@@ -84,9 +89,22 @@ class TestExactIsing:
         assert fast.log_value == pytest.approx(slow, abs=1e-10)
 
     def test_budget_errors(self):
-        d = sample_disorder(MixedModel(18, XI23), 0)
-        with pytest.raises(ResourceBudgetError):
-            log_partition_exact_ising(d, field_none(18), 0.1)
+        # The work rule: 2^N configurations times the split's feature width
+        # sum_{j < P} (N - N // 2)^j, a degree below 2 costed as 2, against
+        # one budget.
+        assert enumeration_work(24, 2) == 2 ** 24 * (1 + 12)
+        assert enumeration_work(21, 3) == 2 ** 21 * (1 + 11 + 11 ** 2)
+        assert enumeration_work(9, 4) == 2 ** 9 * (1 + 5 + 5 ** 2 + 5 ** 3)
+        assert enumeration_work(10, 0) == enumeration_work(10, 1) == enumeration_work(10, 2)
+        for degree, top in ((2, 24), (3, 20), (4, 18), (5, 15)):
+            assert enumeration_work(top, degree) <= ENUM_WORK_BUDGET
+            assert enumeration_work(top + 1, degree) > ENUM_WORK_BUDGET
+        for n, xi in ((21, XI23), (25, XI2), (25, XI0)):
+            d = sample_disorder(MixedModel(n, xi), 0)
+            with pytest.raises(ResourceBudgetError) as err:
+                log_partition_exact_ising(d, field_none(n), 0.1)
+            assert err.value.required == enumeration_work(n, len(xi.coefficients) - 1)
+            assert err.value.budget == ENUM_WORK_BUDGET
 
     def test_lse_order_invariance(self):
         # streaming result agrees with a sorted global log-sum-exp to 1e-12
@@ -112,7 +130,7 @@ FIELDS = {"none": field_none, "linear": lambda n: field_linear(0.3, n),
 
 
 class TestBlockedEnumeratorMatchesOracle:
-    """The blocked sum against the one-configuration-at-a-time oracle."""
+    """The exact sum against the one-configuration-at-a-time oracle."""
 
     @pytest.mark.parametrize("xi", [
         (0.0, 0.0, 1.0),                 # p = 2
@@ -131,7 +149,7 @@ class TestBlockedEnumeratorMatchesOracle:
                                     abs=1e-10)
 
     def test_above_one_block(self):
-        # N = 14: four blocks of the 2^12 low-spin patterns
+        # N = 14: 2^7 head patterns against every one of 2^7 tail patterns
         n = 14
         d = sample_disorder(MixedModel(n, XI23), 3)
         f = field_linear(0.2, n)
@@ -156,6 +174,114 @@ def test_enumeration_memory_does_not_grow_with_2_to_the_n():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_enumeration_memory_does_not_grow_at_the_top_of_the_range():
+    # The same bound at N = 24, the largest degree-2 size the work budget
+    # admits: its 2^24 exponents would take 128 MiB.
+    n = 24
+    d = sample_disorder(MixedModel(n, XI2), 4)
+    f = field_linear(0.3, n)
+    log_partition_exact_ising(d, f, 0.4)  # caches the sign tables
+    tracemalloc.start()
+    try:
+        log_partition_exact_ising(d, f, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def _property_field(kind, n, rng):
+    """A field of the given kind; the custom one reads two projections on a
+    random <.,.>-orthonormal basis (one when n = 1), so the head and tail
+    parts of every coordinate are exercised."""
+    if kind != "custom":
+        return FIELDS[kind](n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, min(2, n))))
+    return field_custom(math.sqrt(n) * q.T,
+                        lambda t: n * (0.7 * math.tanh(3.0 * t[0]) + 0.3 * t[-1] ** 2))
+
+
+class TestSplitSumMatchesBlockedOracle:
+    """The split sum against the blocked enumerator it replaced."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from(range(1, 15)), degree=st.sampled_from((4, 3, 2, 1, 0)),
+           lower=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                          min_size=4, max_size=4),
+           top=st.floats(0.05, 1.0), kind=st.sampled_from(sorted(FIELDS)),
+           beta=st.floats(0.0, 2.5), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, degree=4, lower=[0.2, 0.5, 0.6, 0.3], top=0.4, kind="custom",
+             beta=2.5, seed=0)
+    @example(n=2, degree=4, lower=[0.0] * 4, top=1.0, kind="spike", beta=1.0, seed=1)
+    @example(n=14, degree=4, lower=[0.3, 0.2, 0.5, 0.4], top=0.3, kind="custom",
+             beta=2.5, seed=2)
+    @example(n=13, degree=2, lower=[0.0] * 4, top=1.0, kind="none", beta=0.0, seed=3)
+    def test_log_partition(self, n, degree, lower, top, kind, beta, seed):
+        # xi of the given top degree, with each lower degree present or not
+        rng = np.random.default_rng(seed)
+        xi = CovarianceSeries(tuple(lower[:degree]) + (top,))
+        d = sample_disorder(MixedModel(n, xi), seed)
+        f = _property_field(kind, n, rng)
+        got = log_partition_exact_ising(d, f, beta).log_value
+        # 2^8-configuration blocks keep the oracle's degree-4 scratch small
+        assert got == pytest.approx(log_partition_exact_ising_blocked(d, f, beta, 8),
+                                    abs=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    def test_several_tail_chunks(self, kind):
+        # N = 17: 2^8 head patterns, so the 2^9 tail patterns take two chunks
+        n = 17
+        d = sample_disorder(MixedModel(n, XI23), 17)
+        f = _property_field(kind, n, np.random.default_rng(17))
+        got = log_partition_exact_ising(d, f, 0.7).log_value
+        assert got == pytest.approx(log_partition_exact_ising_blocked(d, f, 0.7),
+                                    abs=1e-12)
+
+    @pytest.mark.parametrize("n, degree, low_spins", [
+        (24, 2, 12),  # the top of the degree-2 range
+        (16, 3, 12),
+        (20, 3, 12),  # the top of the degree-3 range
+        (18, 4, 8),   # the top of the degree-4 range
+        (15, 5, 6),   # the top of the degree-5 range
+    ])
+    def test_top_of_the_accepted_range(self, n, degree, low_spins):
+        xi = CovarianceSeries((0.0,) * degree + (1.0,))
+        d = sample_disorder(MixedModel(n, xi), 40 + n)
+        f = field_linear(0.3, n)
+        got = log_partition_exact_ising(d, f, 0.4).log_value
+        assert got == pytest.approx(
+            log_partition_exact_ising_blocked(d, f, 0.4, low_spins), abs=1e-10)
+
+    @pytest.mark.parametrize("degree", [6, 7])
+    def test_high_degrees(self, degree):
+        n = 7
+        xi = CovarianceSeries((0.1,) + (0.0,) * (degree - 2) + (0.5, 1.0))
+        d = sample_disorder(MixedModel(n, xi), degree)
+        f = field_quadratic_spike(0.4, n)
+        got = log_partition_exact_ising(d, f, 0.6).log_value
+        assert got == pytest.approx(log_partition_exact_ising_blocked(d, f, 0.6),
+                                    abs=1e-12)
+
+
+class TestArgumentChecks:
+    """A field of another dimension, a negative beta and a NaN beta are
+    DomainErrors, as for a TapProblem."""
+
+    CALLS = {
+        "exact": log_partition_exact_ising,
+        "monte_carlo": lambda d, f, beta: log_partition_mc_sphere(d, f, beta, 1000, 0),
+        "restricted": lambda d, f, beta: restricted_log_partition(
+            ising_uniform(d.n), d, f, beta, lambda block: np.ones(len(block), bool)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("beta, field_n", [(-0.4, 6), (float("nan"), 6), (0.4, 5)])
+    def test_rejected(self, call, beta, field_n):
+        d = sample_disorder(MixedModel(6, XI2), 1)
+        with pytest.raises(DomainError):
+            self.CALLS[call](d, field_linear(0.3, field_n), beta)
 
 
 class TestSphereMonteCarlo:
