@@ -36,6 +36,7 @@ from .partition import (
     PartitionEstimate,
     log_partition_exact_ising,
     log_partition_mc_sphere,
+    log_partition_mc_sphere_many,
     restricted_log_partition,
     slice_measures,
 )

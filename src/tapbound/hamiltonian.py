@@ -248,6 +248,29 @@ class DisorderBlock:
         return tuple((p, self.model.scale(p), g) for p, g in self.tensors.items())
 
 
+def _law(d: DisorderSample) -> tuple:
+    """(N, the (degree, weight) of every tensor): what a sample must share
+    with the others to be stacked with them."""
+    return d.n, tuple((p, scale) for p, scale, _ in d.terms)
+
+
+def stack_disorders(samples) -> DisorderBlock:
+    """The samples as one block, replica i holding the tensors of samples[i].
+
+    Raises DomainError for no samples, or for samples of another N or
+    another xi (degrees or weights) than the first.
+    """
+    samples = list(samples)
+    if not samples:
+        raise DomainError("no disorder to stack")
+    law = _law(samples[0])
+    if any(_law(d) != law for d in samples[1:]):
+        raise DomainError("disorders of different n or xi do not stack")
+    tensors = {p: np.stack([d.tensors[p] for d in samples]) for p in samples[0].tensors}
+    seeds = np.array([d.seed % (1 << 64) for d in samples], dtype=np.uint64)
+    return DisorderBlock(samples[0].model, seeds, tensors)
+
+
 def check_gibbs_parameters(d, f: ExternalField, beta: float) -> None:
     """DomainError unless the field f has the dimension of the disorder d
     (a sample or a block) and the inverse temperature beta is >= 0."""

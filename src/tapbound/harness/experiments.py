@@ -25,9 +25,12 @@ depend on the block size.
 
 The two gap experiments (bound-ising, bound-sphere) run the problems of their
 beta x h grid in blocks of REPLICA_BLOCK as well: each block computes its
-partition estimates problem by problem, then makes one `maximize_tap_many`
-call over all its problems, whose results are bit-equal to one
-`maximize_tap` per problem.
+partition estimates, then makes one `maximize_tap_many` call over all its
+problems, whose results are bit-equal to one `maximize_tap` per problem.
+bound-ising enumerates each problem's exact log Z; bound-sphere scores all
+of a block's problems on one Monte Carlo draw, seeded from the block's first
+case, so its reports depend on the block boundaries, not on the worker
+count.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from ..entropy import (
     ising_uniform,
     sphere_uniform,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
 from ..geometry import inner, inner_many, norm, normalize
 from ..hamiltonian import (
     MixedModel,
@@ -69,7 +72,7 @@ from ..hamiltonian import (
 )
 from ..partition import (
     log_partition_exact_ising,
-    log_partition_mc_sphere,
+    log_partition_mc_sphere_many,
     node_member_mask,
     slice_measures,
 )
@@ -615,16 +618,16 @@ def _bound_blocks(cfg: ExperimentConfig) -> list:
     return _blocks(len(_bound_grid(cfg)))
 
 
-def _bound_block(cfg, start, stop, flavor, log_partition):
-    """Rows and maximizer diagnostics of grid cases start..stop-1: each
-    case's partition estimate `log_partition(problem, r)`, a tuple led by
-    log Z, then one TAP ascent over all the block's problems."""
+def _bound_block(cfg, start, stop, flavor, log_partitions):
+    """Rows and maximizer diagnostics of grid cases start..stop-1: the
+    partition estimates `log_partitions(problems)` of the block's problems,
+    a tuple led by log Z each, then one TAP ascent over all of them."""
     n = cfg.n
     cases = _bound_grid(cfg)[start:stop]
     problems = [TapProblem(_disorder(cfg, r, cfg.xi, n), make_field("linear", h, n),
                            beta, flavor)
                 for beta, h, r in cases]
-    estimates = [log_partition(p, r) for p, (_, _, r) in zip(problems, cases)]
+    estimates = log_partitions(problems)
     seeds = [derive_seed(cfg.seed, STREAM_STARTS, r) for _, _, r in cases]
     sups = maximize_tap_many(problems, cfg.starts, seeds)
     return [([beta, h, r, *est, sup.value, (est[0] - sup.value) / n],
@@ -633,17 +636,23 @@ def _bound_block(cfg, start, stop, flavor, log_partition):
 
 
 def _bound_ising_block(cfg, start, stop):
-    def log_z(p, r):
-        return (log_partition_exact_ising(p.disorder, p.field, p.beta).log_value,)
+    def log_z(problems):
+        return [(log_partition_exact_ising(p.disorder, p.field, p.beta).log_value,)
+                for p in problems]
 
     return _bound_block(cfg, start, stop, "ising", log_z)
 
 
 def _bound_sphere_block(cfg, start, stop):
-    def log_z(p, r):
-        est = log_partition_mc_sphere(p.disorder, p.field, p.beta, cfg.mc_samples,
-                                      derive_seed(cfg.seed, STREAM_MC, r))
-        return est.log_value, est.std_error
+    """bound-sphere rows of grid cases start..stop-1, whose Monte Carlo
+    estimates share the draw of the block's first case,
+    `derive_seed(cfg.seed, STREAM_MC, start)`: correlated estimates, each
+    with the law of one drawn alone (see `run_bound_sphere`)."""
+    def log_z(problems):
+        estimates = log_partition_mc_sphere_many(
+            [(p.disorder, p.field, p.beta) for p in problems], cfg.mc_samples,
+            derive_seed(cfg.seed, STREAM_MC, start))
+        return [(est.log_value, est.std_error) for est in estimates]
 
     return _bound_block(cfg, start, stop, "spherical", log_z)
 
@@ -671,6 +680,14 @@ def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
+    """The gap bound with Monte Carlo log Z over the sphere.
+
+    The problems of one block of REPLICA_BLOCK grid cases share one draw of
+    cfg.mc_samples points, so their estimates are correlated. Each still
+    averages that many iid uniform sphere points drawn independently of its
+    disorder, so its law is that of an estimate drawn alone, and the
+    criterion allows each problem 3 of its own SE. The bytes depend on the
+    block boundaries, not on the worker count."""
     rows, diagnostics = _bound_rows(_bound_sphere_block, cfg)
     gaps = np.array([row[6] for row in rows])
     slack = np.array([3 * row[4] / cfg.n for row in rows])
@@ -678,7 +695,9 @@ def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
     crit = Criterion("gap-bound-mc", bool(np.all(adjusted <= cfg.delta_check)),
                      float(adjusted.max()), cfg.delta_check,
                      "per-spin gap <= delta_check within 3 SE of the MC "
-                     "partition estimate", len(rows))
+                     "partition estimate (each an iid estimate; the problems "
+                     "of a block share one draw, so their estimates are "
+                     "correlated)", len(rows))
     return ExperimentReport(cfg.experiment, cfg.asdict(),
                             ["beta", "h", "replica", "log_z", "log_z_se",
                              "tap_sup", "gap"],
@@ -877,6 +896,18 @@ def run_series_identities(cfg: ExperimentConfig) -> ExperimentReport:
 # tap-max utility: maximize one configured problem, export artifacts
 # ---------------------------------------------------------------------------
 
+def _radial_slice(problem: TapProblem, direction, ts) -> list:
+    """TAP energy at t * direction for every t, NaN where the point leaves
+    the flavor's domain (any other error propagates)."""
+    values = []
+    for t in ts:
+        try:
+            values.append(tap_energy(problem, t * direction))
+        except DomainError:
+            values.append(float("nan"))
+    return values
+
+
 def run_tap_max(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n
     h = cfg.h[0] if cfg.h else 0.0
@@ -893,12 +924,7 @@ def run_tap_max(cfg: ExperimentConfig) -> ExperimentReport:
                      cfg.starts)
     direction = out.m_star / max(norm(out.m_star), 1e-12)
     ts = np.linspace(0.0, 0.999 if flavor == "spherical" else 0.99, 120)
-    slice_vals = []
-    for t in ts:
-        try:
-            slice_vals.append(tap_energy(problem, t * direction))
-        except Exception:
-            slice_vals.append(float("nan"))
+    slice_vals = _radial_slice(problem, direction, ts)
     return ExperimentReport(cfg.experiment, cfg.asdict(),
                             ["start", "iteration", "value", "grad_norm", "step"],
                             rows, [crit],

@@ -7,8 +7,9 @@ pair is a head row of weights times the tail's Kronecker features, so a
 chunk of tail patterns is scored against every head pattern by one matrix
 product and folded into a running log-sum-exp. Sphere estimates draw
 normalized Gaussians from a counter-based (Philox) stream, so replica
-streams are independent and reproducible. All accumulation is in the log
-domain; -inf is a first-class value for empty restrictions.
+streams are independent and reproducible; a block of problems of one model
+shares one draw, scored by stacked contractions. All accumulation is in the
+log domain; -inf is a first-class value for empty restrictions.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .hamiltonian import (
     DisorderSample,
     ExternalField,
     _contract_rows,
+    _energy_rows,
     check_gibbs_parameters,
     energy_many,
+    stack_disorders,
 )
 
 # Multiply-adds the exact Ising sum may spend: 2^N configurations times the
@@ -226,24 +229,55 @@ def log_partition_mc_sphere(d: DisorderSample, f: ExternalField, beta: float,
     """Monte Carlo log E[exp(beta H^f)] over the uniform sphere.
 
     The estimate is a log-mean-exp over `samples` normalized Gaussian draws;
-    std_error comes from the delta method on the log (scale-invariant). The
-    draws stream through one reused block of `_ROW_CHUNK` rows, in the order
-    and with the arithmetic of one (samples, N) draw, so only the vector of
+    std_error comes from the delta method on the log (scale-invariant). It
+    is `log_partition_mc_sphere_many` of the block of one problem: the draws
+    stream through one reused block of `_ROW_CHUNK` rows, in the order and
+    with the arithmetic of one (samples, N) draw, so only the vector of
     log-weights grows with `samples`. Raises DomainError as
     `log_partition_exact_ising` does, and for fewer than 100 samples.
     """
-    check_gibbs_parameters(d, f, beta)
+    return log_partition_mc_sphere_many([(d, f, beta)], samples, rng_seed)[0]
+
+
+def log_partition_mc_sphere_many(problems, samples: int,
+                                 rng_seed: int) -> list:
+    """`log_partition_mc_sphere` of every (disorder, field, beta) problem of
+    a block, all from the one draw of `rng_seed`.
+
+    The disorders, which must share N and xi, are stacked on a replica axis,
+    and each chunk of `_ROW_CHUNK // len(problems)` sphere points is scored
+    by one stacked energy contraction (whose scratch is then the size of one
+    problem's chunk) and one evaluation per distinct field object. Each
+    problem's estimate averages the same `samples` iid uniform points, drawn
+    independently of its disorder, so it has the law of its own
+    `log_partition_mc_sphere`; estimates within a block share the points and
+    are correlated. The (problems, samples) log-weights are held for the
+    exact two-pass estimate. Raises DomainError for an empty block, for
+    disorders of different N or xi, for fewer than 100 samples and for a bad
+    field or beta of any problem.
+    """
+    problems = list(problems)
+    if not problems:
+        raise DomainError("no problems in the block")
+    for d, f, beta in problems:
+        check_gibbs_parameters(d, f, beta)
     if samples < 100:
         raise DomainError("samples must be >= 100")
+    disorder = stack_disorders(d for d, _, _ in problems)
+    # each distinct field object is evaluated once per chunk
+    fields = {id(f): f for _, f, _ in problems}
+    which = [list(fields).index(id(f)) for _, f, _ in problems]
+    betas = np.array([beta for _, _, beta in problems], dtype=np.float64)[:, None]
+    rows = max(1, _ROW_CHUNK // len(problems))
     rng = _sphere_rng(rng_seed)
-    buf = np.empty((min(samples, _ROW_CHUNK), d.n))
-    x = np.empty(samples)
-    for start in range(0, samples, _ROW_CHUNK):
-        block = _to_sphere(rng.standard_normal(
-            out=buf[:min(_ROW_CHUNK, samples - start)]))
-        x[start:start + len(block)] = beta * (energy_many(d, block)
-                                              + f.value_many(block))
-    return _mc_estimate(x, rng_seed)
+    buf = np.empty((min(samples, rows), disorder.n))
+    x = np.empty((len(problems), samples))
+    for start in range(0, samples, rows):
+        block = _to_sphere(rng.standard_normal(out=buf[:min(rows, samples - start)]))
+        energies = _energy_rows(disorder, block)
+        energies += np.stack([f.value_many(block) for f in fields.values()])[which]
+        np.multiply(betas, energies, out=x[:, start:start + len(block)])
+    return [_mc_estimate(row, rng_seed) for row in x]
 
 
 def _mc_estimate(x: np.ndarray, rng_seed: int,

@@ -31,8 +31,9 @@ the lowest start index. The ascent's gradients skip the domain check: every
 row has passed the energy's. The earlier projected gradient ascent and the
 per-problem L-BFGS are kept as test oracles. The general flavor has no
 gradient and no maximizer. The best value found is a lower bound on
-the true supremum and is used as the sup surrogate by the bound experiments
-(cross-checked against an exhaustive grid oracle at tiny N).
+the true supremum and is used as the sup surrogate by the bound experiments;
+the tests check it against the exhaustive grid oracle
+`brute_force_tap_max` at tiny N.
 """
 
 from __future__ import annotations

@@ -29,6 +29,8 @@ from tapbound.harness import (
 from tapbound.harness.config import ExperimentConfig
 from tapbound.harness.experiments import REPLICA_BLOCK, make_field
 from tapbound.harness.report import histogram_svg, polyline_svg
+from tapbound.partition import log_partition_mc_sphere_many
+from tapbound.tap import TapProblem
 
 from oracles import gaussian_law_replica, recentering_replica
 
@@ -384,9 +386,51 @@ class TestBoundBlocks:
                                             mc_samples=500, starts=3))
         together = block(cfg, 1, 8)
         alone = [case for i in range(1, 8) for case in block(cfg, i, i + 1)]
-        assert repr(together) == repr(alone)
         assert [row[:3] for row, _ in together] == [
             [beta, h, r] for beta, h, r in experiments._bound_grid(cfg)[1:8]]
+        if experiment == "bound-ising":
+            assert repr(together) == repr(alone)
+            return
+        # bound-sphere's block shares one draw, seeded from its first case:
+        # log Z and its SE are those of the block's shared estimate, and the
+        # TAP sup, the diagnostics and the gap they give are the case's own
+        n = cfg.n
+        problems = [(experiments._disorder(cfg, r, cfg.xi, n),
+                     make_field("linear", h, n), beta)
+                    for beta, h, r in experiments._bound_grid(cfg)[1:8]]
+        shared = log_partition_mc_sphere_many(
+            problems, cfg.mc_samples,
+            experiments.derive_seed(cfg.seed, experiments.STREAM_MC, 1))
+        for (row, diag), (row_1, diag_1), est in zip(together, alone, shared):
+            assert row[3:5] == [est.log_value, est.std_error]
+            assert repr(row[5]) == repr(row_1[5])
+            assert row[6] == (row[3] - row[5]) / n
+            assert repr(diag) == repr(diag_1)
+
+
+class TestRadialSlice:
+    N = 6
+
+    def problem(self):
+        d = experiments._disorder(build_config("tap-max", {}), 0, (0.0, 0.0, 1.0),
+                                  self.N)
+        return TapProblem(d, make_field("linear", 0.3, self.N), 0.4, "ising")
+
+    def test_points_off_the_domain_read_nan(self):
+        # t * sqrt(N) e_0 leaves (-1, 1)^N once t >= 1 / sqrt(6) ~ 0.41
+        direction = np.zeros(self.N)
+        direction[0] = np.sqrt(self.N)
+        values = experiments._radial_slice(self.problem(), direction,
+                                           [0.0, 0.3, 0.5, 0.9])
+        assert np.isfinite(values[:2]).all() and np.isnan(values[2:]).all()
+
+    def test_other_faults_propagate(self, monkeypatch):
+        def broken(problem, m):
+            raise ValueError("fault")
+
+        monkeypatch.setattr(experiments, "tap_energy", broken)
+        with pytest.raises(ValueError, match="fault"):
+            experiments._radial_slice(self.problem(), np.zeros(self.N), [0.0])
 
 
 # Run in a fresh interpreter: which modules a default run loads

@@ -35,6 +35,7 @@ from tapbound.partition import (
     enumeration_work,
     log_partition_exact_ising,
     log_partition_mc_sphere,
+    log_partition_mc_sphere_many,
     restricted_log_partition,
     slice_measures,
 )
@@ -383,6 +384,100 @@ class TestSphereMonteCarlo:
         bound = math.exp(-t * n)
         se_f = math.sqrt(max(freq * (1 - freq), 1e-9) / reps)
         assert freq <= bound + 3 * se_f
+
+
+def _grid_problems(count, n=16):
+    """`count` problems of the bound-sphere grid, beta in {0.2, 0.4} and h in
+    {0, 0.3}, each with its own disorder and one field object per h."""
+    model = MixedModel(n, XI2)
+    fields = {h: field_linear(h, n) for h in (0.0, 0.3)}
+    cells = list(itertools.product((0.2, 0.4), (0.0, 0.3)))
+    return [(sample_disorder(model, 500 + i), fields[cells[i % 4][1]], cells[i % 4][0])
+            for i in range(count)]
+
+
+class TestSphereMonteCarloMany:
+    @pytest.mark.parametrize("samples", [100, 8192, 8193])
+    @pytest.mark.parametrize("kind", ["none", "linear", "spike", "custom"])
+    def test_block_of_one_is_the_single_problem_estimate(self, samples, kind):
+        n = 16
+        d = sample_disorder(MixedModel(n, XI23), 12)
+        f = FIELDS[kind](n)
+        (est,) = log_partition_mc_sphere_many([(d, f, 0.4)], samples, 29)
+        assert (est.log_value, est.std_error) == oracle_log_partition_mc_sphere(
+            d, f, 0.4, samples, 29)
+        assert est == log_partition_mc_sphere(d, f, 0.4, samples, 29)
+
+    def test_every_problem_scores_the_shared_draw(self):
+        # each problem sees the points of a block of one at the block seed,
+        # through chunks of 8192 // 5 rows: equal up to the rounding of the
+        # stacked contraction, whatever field object it shares
+        n, samples = 8, 3000
+        model = MixedModel(n, XI23)
+        linear = field_linear(0.3, n)
+        fields = [linear, FIELDS["custom"](n), linear, FIELDS["spike"](n),
+                  field_none(n)]
+        problems = [(sample_disorder(model, 40 + i), f, 0.1 * (i + 1))
+                    for i, f in enumerate(fields)]
+        block = log_partition_mc_sphere_many(problems, samples, 11)
+        for (d, f, beta), est in zip(problems, block):
+            alone = log_partition_mc_sphere(d, f, beta, samples, 11)
+            assert est.log_value == pytest.approx(alone.log_value, abs=1e-12)
+            assert est.std_error == pytest.approx(alone.std_error, rel=1e-9)
+            assert (est.sample_count, est.seed) == (samples, 11)
+
+    def test_shared_and_per_problem_estimates_agree_in_law(self):
+        # 64 problems on one draw against the oracle's own draw per problem:
+        # z = (shared - own) / sqrt(SE_shared^2 + SE_own^2) is centred with
+        # unit spread
+        samples = 20000
+        problems = _grid_problems(64)
+        shared = log_partition_mc_sphere_many(problems, samples, 7)
+        z = []
+        for i, ((d, f, beta), est) in enumerate(zip(problems, shared)):
+            value, se = oracle_log_partition_mc_sphere(d, f, beta, samples, 1000 + i)
+            z.append((est.log_value - value) / math.hypot(est.std_error, se))
+        assert abs(np.mean(z)) <= 3 / math.sqrt(len(z))
+        assert 0.5 <= np.std(z, ddof=1) <= 1.5
+
+    def test_scratch_does_not_grow_with_the_block(self):
+        # the (R, samples) log-weights, and no more than the 8 MiB of one
+        # problem's stream: the contraction scratch stays one chunk's size
+        samples = 20000
+        problems = _grid_problems(64)
+        log_partition_mc_sphere_many(problems[:2], 100, 1)  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            log_partition_mc_sphere_many(problems, samples, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(problems) * samples + 8 * 2 ** 20
+
+    @staticmethod
+    def bad_block(name):
+        d6 = sample_disorder(MixedModel(6, XI2), 1)
+        f6 = field_linear(0.3, 6)
+        return {
+            "empty": ([], 1000),
+            "mixed n": ([(d6, f6, 0.3), (sample_disorder(MixedModel(8, XI2), 1),
+                                         field_linear(0.3, 8), 0.3)], 1000),
+            "mixed xi": ([(d6, f6, 0.3),
+                          (sample_disorder(MixedModel(6, XI23), 1), f6, 0.3)], 1000),
+            "few samples": ([(d6, f6, 0.3)], 99),
+            "negative beta": ([(d6, f6, 0.3), (d6, f6, -0.4)], 1000),
+            "NaN beta": ([(d6, f6, float("nan")), (d6, f6, 0.3)], 1000),
+            "field of another n": ([(d6, f6, 0.3), (d6, field_linear(0.3, 5), 0.3)],
+                                   1000),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["empty", "mixed n", "mixed xi", "few samples",
+                                      "negative beta", "NaN beta",
+                                      "field of another n"])
+    def test_rejected_blocks(self, name):
+        problems, samples = self.bad_block(name)
+        with pytest.raises(DomainError):
+            log_partition_mc_sphere_many(problems, samples, 0)
 
 
 class TestRestricted:

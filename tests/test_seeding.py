@@ -6,7 +6,12 @@ import pytest
 
 from tapbound.covariance import CovarianceSeries
 from tapbound.errors import DomainError, ResourceBudgetError
-from tapbound.hamiltonian import MixedModel, sample_disorder, sample_disorders
+from tapbound.hamiltonian import (
+    MixedModel,
+    sample_disorder,
+    sample_disorders,
+    stack_disorders,
+)
 from tapbound.harness.experiments import derive_seed, derive_seeds
 from tapbound.seeding import _State, pcg64, spawned_states
 
@@ -102,3 +107,28 @@ def test_sample_disorders_keep_the_budget_and_degree_checks():
         with pytest.raises(ResourceBudgetError) as err:
             sample()
         assert err.value.required == 8 * 8 ** 2
+
+
+@pytest.mark.parametrize("coefficients", [(0.3, 0.5, 1.0, 0.25), (0.0, 0.0, 1.0)])
+def test_stacked_samples_equal_the_sampled_block(coefficients):
+    model = MixedModel(5, CovarianceSeries(coefficients))
+    seeds = EDGE_MASTERS + [derive_seed(9, 0, r) for r in range(4)]
+    block = stack_disorders(sample_disorder(model, s) for s in seeds)
+    expect = sample_disorders(model, seeds)
+    assert block.seeds.tolist() == expect.seeds.tolist()
+    assert sorted(block.tensors) == sorted(expect.tensors)
+    for p, stacked in block.tensors.items():
+        assert np.array_equal(stacked, expect.tensors[p])
+
+
+def test_only_samples_of_one_law_stack():
+    model = MixedModel(5, CovarianceSeries((0.0, 0.0, 1.0)))
+    d = sample_disorder(model, 1)
+    # a trailing zero coefficient leaves the law, and so the stack, unchanged
+    same = sample_disorder(MixedModel(5, CovarianceSeries((0.0, 0.0, 1.0, 0.0))), 2)
+    assert stack_disorders([d, same]).replicas == 2
+    for others in ([], [d, sample_disorder(MixedModel(6, model.series), 1)],
+                   [d, sample_disorder(MixedModel(5, CovarianceSeries((0.0, 0.0, 2.0))), 1)],
+                   [d, sample_disorder(MixedModel(5, CovarianceSeries((0.0, 1.0, 1.0))), 1)]):
+        with pytest.raises(DomainError):
+            stack_disorders(others)
