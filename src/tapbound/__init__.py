@@ -10,7 +10,6 @@ from .entropy import (
     lambda_min_entropy,
     point_cloud,
     sphere_uniform,
-    spherical_entropy,
 )
 from .errors import (
     ConfigError,
@@ -40,6 +39,6 @@ from .partition import (
     restricted_log_partition,
     slice_measures,
 )
-from .tap import TapProblem, brute_force_tap_max, maximize_tap, tap_energy, tap_gradient
+from .tap import TapProblem, maximize_tap, tap_energy, tap_gradient
 
 __version__ = "0.1.0"

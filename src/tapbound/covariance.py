@@ -131,9 +131,6 @@ class CovarianceSeries:
         """On(q) at one q in [0, 1] (a one-value `onsager_many`)."""
         return float(self.onsager_many(q))
 
-    def onsager_derivative(self, q: float) -> float:
-        """On'(q) at one q in [0, 1] (a one-value `onsager_derivative_many`)."""
-        return float(self.onsager_derivative_many(q))
 
 @dataclass(frozen=True)
 class RecenteredSeries:

@@ -26,7 +26,6 @@ k = ceil((N - K) / 2) + 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,7 +47,7 @@ _GRID_DUST = 1e-9
 # ---------------------------------------------------------------------------
 
 def round_down_indices(x, epsilon: float) -> np.ndarray:
-    """Integers t with round_down(x, eps) = t * eps, elementwise over `x`.
+    """Integers t such that t * eps is x rounded onto the grid, elementwise.
 
     Rounds toward zero onto the grid: positive x lands in (t*eps, (t+1)*eps],
     negative x in [(t-1)*eps, t*eps), and exact grid points move strictly
@@ -72,10 +71,6 @@ def round_down_indices(x, epsilon: float) -> np.ndarray:
 def round_down_index(x: float, epsilon: float) -> int:
     """Scalar round_down_indices."""
     return int(round_down_indices((x,), epsilon)[0])
-
-
-def round_down(x: float, epsilon: float) -> float:
-    return round_down_index(x, epsilon) * epsilon
 
 
 def grid(epsilon: float) -> np.ndarray:
@@ -126,46 +121,11 @@ class IncrementIndex:
         return len(self.blocks[0])
 
     @property
-    def values(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(t * self.epsilon for t in b) for b in self.blocks)
-
-    @property
     def norm_sq(self) -> float:
         return sum((t * self.epsilon) ** 2 for b in self.blocks for t in b)
 
     def prefix(self, k: int) -> "IncrementIndex":
         return IncrementIndex(self.blocks[:k], self.epsilon)
-
-
-def enumerate_increments(epsilon: float, K: int, k: int, limit: int = 10 ** 7):
-    """All alpha in the level-k increment space at grid step epsilon.
-
-    Intended for tiny-parameter counting tests only; guarded by `limit`.
-    """
-    pts = grid(epsilon)
-    t_vals = [round(v / epsilon) for v in pts]
-    per_block = [t_vals] * K + [t_vals] * (2 * (k - 1))
-    total = 1
-    for vals in per_block:
-        total *= len(vals)
-        if total > limit:
-            raise DomainError(f"enumeration of {total}+ indices exceeds limit")
-    out = []
-
-    def rec(pos, acc, acc_sq):
-        if pos == len(per_block):
-            blocks = [tuple(acc[:K])]
-            for i in range(K, len(acc), 2):
-                blocks.append((acc[i], acc[i + 1]))
-            out.append(IncrementIndex(tuple(blocks), epsilon))
-            return
-        for t in per_block[pos]:
-            sq = (t * epsilon) ** 2
-            if acc_sq + sq < 1.0:
-                rec(pos + 1, acc + [t], acc_sq + sq)
-
-    rec(0, [], 0.0)
-    return out
 
 
 def cover_cardinality_bound(epsilon: float, eta: float, K: int):
@@ -178,11 +138,6 @@ def cover_cardinality_bound(epsilon: float, eta: float, K: int):
         return (1 << 62), True
     v = (2.0 / epsilon) ** exponent
     return int(math.ceil(v - abs(v) * 1e-12)), False
-
-
-def level_cardinality_bound(epsilon: float, K: int, k: int) -> int:
-    """|A_k| <= (2/eps)^(K + 2(k-1))."""
-    return int(math.ceil((2.0 / epsilon) ** (K + 2 * (k - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +183,6 @@ class CoverNode:
     def project_out(self, sigma: np.ndarray) -> np.ndarray:
         """Projection onto the complement of all built directions."""
         return project_off(sigma, self.basis_rows)
-
-    def to_json(self) -> str:
-        payload = {
-            "epsilon": self.alpha.epsilon,
-            "eta": self.eta,
-            "delta": self.delta,
-            "alpha": [list(b) for b in self.alpha.blocks],
-            "alpha_values": [list(b) for b in self.alpha.values],
-            "q_alpha": self.q,
-            "m_alpha": self.m.tolist(),
-            "levels": [np.asarray(lv).reshape(-1).tolist() for lv in self.levels],
-            "level_shapes": [list(np.asarray(lv).shape) for lv in self.levels],
-            "lambdas": [None if l is None else np.asarray(l).tolist()
-                        for l in self.lambdas],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Reference measures on the unit sphere and their entropy functionals.
 
 Measures: the uniform distributions on {-1, 1}^N and on the normalized unit
-sphere, plus finite weighted point clouds. Entropy functionals:
+sphere, plus finite weighted point clouds, each of dimension N >= 1. The
+spherical TAP entropy (N/2) log(1 - ||m||^2) is a term of `tap`'s energy
+rows. Entropy functionals:
 
   J(m)                extended binary entropy, capped at log 2 off [-1, 1]
   ising_entropy(m)    -sum_i J(m_i)
-  spherical_entropy   (N/2) log(1 - ||m||^2)
   halfspace_log_mass  r_delta(m, lambda) = log E[<lambda, sigma - m> >= -delta]
   lambda_min_entropy  a deterministic near-minimizer of r_delta(m, .)
   general_entropy_upper   r_delta at the chosen direction; an upper bound of
@@ -30,7 +31,6 @@ first call, so a run that never asks for it does not pay for loading it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,7 +56,8 @@ _ATOM_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class ReferenceMeasure:
-    """A probability measure supported on the normalized unit sphere."""
+    """A probability measure supported on the normalized unit sphere of
+    dimension n >= 1. Every check is written so that a NaN fails it."""
 
     kind: str  # "ising" | "sphere" | "point_cloud"
     n: int
@@ -66,16 +67,20 @@ class ReferenceMeasure:
     def __post_init__(self):
         if self.kind not in ("ising", "sphere", "point_cloud"):
             raise DomainError(f"unknown measure kind {self.kind!r}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise DomainError(f"dimension must be a positive integer, got {self.n!r}")
         if self.kind == "point_cloud":
             pts = np.ascontiguousarray(np.atleast_2d(
                 np.asarray(self.points, dtype=np.float64)))
             w = np.asarray(self.weights, dtype=np.float64)
-            if len(pts) != len(w) or len(pts) == 0:
+            if pts.ndim != 2 or pts.shape[1] != self.n:
+                raise DomainError(f"point cloud atoms must be rows of length {self.n}")
+            if w.ndim != 1 or len(pts) != len(w) or len(pts) == 0:
                 raise DomainError("point cloud needs matching points and weights")
-            if np.any(w <= 0):
-                raise DomainError("point cloud weights must be positive")
+            if not np.all((w > 0) & (w < np.inf)):
+                raise DomainError("point cloud weights must be positive and finite")
             radii = np.sqrt((pts ** 2).sum(axis=1) / self.n)
-            if np.abs(radii - 1.0).max() > 1e-9:
+            if not np.all(np.abs(radii - 1.0) <= 1e-9):
                 raise DomainError("point cloud atoms must lie on the unit sphere")
             object.__setattr__(self, "points", pts)
             object.__setattr__(self, "weights", w / w.sum())
@@ -126,18 +131,6 @@ def point_cloud(points, weights) -> ReferenceMeasure:
     return ReferenceMeasure("point_cloud", points.shape[1], points, weights)
 
 
-def point_cloud_from_csv(path) -> ReferenceMeasure:
-    """Rows of `v_1, ..., v_N, weight`, atoms on the unit sphere."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            rows.append([float(x) for x in row])
-    arr = np.asarray(rows, dtype=np.float64)
-    return point_cloud(arr[:, :-1], arr[:, -1])
-
-
 # ---------------------------------------------------------------------------
 # Entropy functions
 # ---------------------------------------------------------------------------
@@ -158,15 +151,6 @@ def binary_entropy(m) -> float:
 def ising_entropy(m: np.ndarray) -> float:
     """-sum_i J(m_i) <= 0, using the extended J (defined on all of R^N)."""
     return -float(np.sum(binary_entropy(np.asarray(m, dtype=np.float64))))
-
-
-def spherical_entropy(m: np.ndarray) -> float:
-    """(N/2) log(1 - ||m||^2) for ||m|| < 1."""
-    m = np.asarray(m, dtype=np.float64)
-    q = float(m @ m) / m.shape[0]
-    if q >= 1.0:
-        raise DomainError(f"||m||^2 = {q} not inside the open unit ball")
-    return 0.5 * m.shape[0] * float(np.log1p(-q))
 
 
 # ---------------------------------------------------------------------------

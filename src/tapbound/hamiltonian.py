@@ -485,42 +485,6 @@ def recentered_energy(d: DisorderSample, m: np.ndarray, sigma_hat: np.ndarray) -
     return energy(d, total) - float(g @ s) - energy(d, m)
 
 
-@dataclass(frozen=True)
-class LipschitzProbe:
-    max_grad_norm: float
-    max_ratio: float
-    probe_count: int
-
-
-def lipschitz_probe(d: DisorderSample, probe_count: int, rng_seed: int) -> LipschitzProbe:
-    """Probe-based UNDER-estimates of sup ||grad H|| and the Lipschitz ratio.
-
-    Samples points uniformly in the ball of radius 0.999 and reports the max
-    gradient norm over probes and max |H(m) - H(m')| / (N ||m - m'||) over all
-    probe pairs. Diagnostic only; a lower bound on the true suprema.
-    """
-    if probe_count < 1:
-        raise DomainError("probe_count must be >= 1")
-    if not d.tensors:
-        return LipschitzProbe(0.0, 0.0, probe_count)
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(101,)))
-    n = d.n
-    z = rng.standard_normal((probe_count, n))
-    radii = 0.999 * rng.uniform(size=probe_count) ** (1.0 / n)
-    pts = z * (radii / np.sqrt((z ** 2).sum(axis=1) / n))[:, None]
-    max_grad = max(norm(gradient(d, p)) for p in pts)
-    energies = energy_many(d, pts)
-    max_ratio = 0.0
-    for i in range(probe_count):
-        diff = pts[i + 1:] - pts[i]
-        dn = np.sqrt((diff ** 2).sum(axis=1) / n)
-        ok = dn > 1e-12
-        if ok.any():
-            r = np.abs(energies[i + 1:] - energies[i])[ok] / (n * dn[ok])
-            max_ratio = max(max_ratio, float(r.max()))
-    return LipschitzProbe(float(max_grad), float(max_ratio), probe_count)
-
-
 # ---------------------------------------------------------------------------
 # Persistence: magic, version, n, seed, degree list, raw LE float64 tensors
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Partition functions: exact Ising enumeration, sphere Monte Carlo, restrictions.
+"""Partition functions: exact Ising enumeration, sphere Monte Carlo, and
+exact restrictions of atomic measures.
 
 The exact Ising value is a split sum (Horowitz and Sahni 1974, as in
 `entropy._ising_hits`): each configuration is a head pattern of the first
@@ -8,13 +9,14 @@ chunk of tail patterns is scored against every head pattern by one matrix
 product and folded into a running log-sum-exp. Sphere estimates draw
 normalized Gaussians from a counter-based (Philox) stream, so replica
 streams are independent and reproducible; a block of problems of one model
-shares one draw, scored by stacked contractions. All accumulation is in the
-log domain; -inf is a first-class value for empty restrictions.
+shares one draw, scored by stacked contractions. Restricted partitions and
+slice measures sum over atoms only; the sphere has none and raises
+UnsupportedOperationError there. All accumulation is in the log domain;
+-inf is a first-class value for empty restrictions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,7 +25,7 @@ import numpy as np
 
 from .cover import CoverNode, region_masks, thin_projections
 from .entropy import ReferenceMeasure, _sign_table, point_cloud
-from .errors import DomainError, ResourceBudgetError
+from .errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from .hamiltonian import (
     _ROW_CHUNK,
     DisorderSample,
@@ -55,15 +57,6 @@ class PartitionEstimate:
     def __post_init__(self):
         if self.method == "exact_enumeration" and self.std_error != 0.0:
             raise DomainError("exact enumeration must report zero std error")
-
-    def to_json_row(self) -> str:
-        return json.dumps({
-            "log_value": self.log_value,
-            "std_error": self.std_error,
-            "method": self.method,
-            "samples": self.sample_count,
-            "seed": self.seed,
-        }, sort_keys=True)
 
 
 def _lse_merge(acc: tuple, x: np.ndarray) -> tuple:
@@ -220,10 +213,6 @@ def _to_sphere(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sphere_samples(n: int, count: int, rng_seed: int) -> np.ndarray:
-    return _to_sphere(_sphere_rng(rng_seed).standard_normal((count, n)))
-
-
 def log_partition_mc_sphere(d: DisorderSample, f: ExternalField, beta: float,
                             samples: int, rng_seed: int) -> PartitionEstimate:
     """Monte Carlo log E[exp(beta H^f)] over the uniform sphere.
@@ -280,59 +269,48 @@ def log_partition_mc_sphere_many(problems, samples: int,
     return [_mc_estimate(row, rng_seed) for row in x]
 
 
-def _mc_estimate(x: np.ndarray, rng_seed: int,
-                 effective_count: Optional[int] = None) -> PartitionEstimate:
-    """Log-mean-exp of the draws' log-weights x (-inf for a rejected draw,
-    at least one finite), with the delta-method standard error of the log."""
+def _mc_estimate(x: np.ndarray, rng_seed: int) -> PartitionEstimate:
+    """Log-mean-exp of the draws' log-weights x, with the delta-method
+    standard error of the log."""
     m = float(x.max())
     w = np.exp(x - m)
     mean = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(len(x)) / mean)
     return PartitionEstimate(m + math.log(mean), se, "monte_carlo", len(x),
-                             seed=rng_seed, effective_count=effective_count)
+                             seed=rng_seed)
 
 
 def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,
                              f: ExternalField, beta: float,
-                             predicate: Callable[[np.ndarray], np.ndarray],
-                             mc_samples: int = 20000,
-                             rng_seed: int = 0) -> PartitionEstimate:
-    """log E[1_A exp(beta H^f)] for A given by a vectorized membership test.
+                             predicate: Callable[[np.ndarray], np.ndarray]
+                             ) -> PartitionEstimate:
+    """log E[1_A exp(beta H^f)] for A given by a vectorized membership test,
+    summed exactly over the atoms of E (-inf when no atom passes).
 
     `predicate` receives an (M, N) block of support points and returns a
-    boolean row mask. Atomic measures are summed exactly (-inf when no atom
-    passes); the sphere uses indicator Monte Carlo and reports the effective
-    (accepted) sample count. Raises DomainError as
-    `log_partition_exact_ising` does.
+    boolean row mask; `effective_count` is the number of atoms that pass.
+    Raises DomainError as `log_partition_exact_ising` does, and
+    UnsupportedOperationError for the sphere, which has no atoms.
     """
     check_gibbs_parameters(d, f, beta)
-    if E.is_atomic:
-        pts, wts = E.atoms()
-        acc = (-np.inf, 0.0)
-        hits = 0
-        chunk = 1 << 13
-        for start in range(0, len(pts), chunk):
-            block = pts[start:start + chunk].astype(np.float64)
-            w = wts[start:start + chunk]
-            mask = np.asarray(predicate(block), dtype=bool)
-            if not mask.any():
-                continue
-            hits += int(mask.sum())
-            members = block[mask]
-            x = beta * (energy_many(d, members) + f.value_many(members))
-            acc = _lse_merge(acc, x + np.log(w[mask]))
-        return PartitionEstimate(_lse_value(acc), 0.0, "exact_enumeration",
-                                 len(pts), effective_count=hits)
-    pts = _sphere_samples(E.n, mc_samples, rng_seed)
-    mask = np.asarray(predicate(pts), dtype=bool)
-    hits = int(mask.sum())
-    if hits == 0:
-        return PartitionEstimate(-np.inf, 0.0, "monte_carlo", mc_samples,
-                                 seed=rng_seed, effective_count=0)
-    x = np.full(mc_samples, -np.inf)
-    members = pts[mask]
-    x[mask] = beta * (energy_many(d, members) + f.value_many(members))
-    return _mc_estimate(x, rng_seed, effective_count=hits)
+    if not E.is_atomic:
+        raise UnsupportedOperationError("restricted partitions need an atomic measure")
+    pts, wts = E.atoms()
+    acc = (-np.inf, 0.0)
+    hits = 0
+    chunk = 1 << 13
+    for start in range(0, len(pts), chunk):
+        block = pts[start:start + chunk].astype(np.float64)
+        w = wts[start:start + chunk]
+        mask = np.asarray(predicate(block), dtype=bool)
+        if not mask.any():
+            continue
+        hits += int(mask.sum())
+        members = block[mask]
+        x = beta * (energy_many(d, members) + f.value_many(members))
+        acc = _lse_merge(acc, x + np.log(w[mask]))
+    return PartitionEstimate(_lse_value(acc), 0.0, "exact_enumeration",
+                             len(pts), effective_count=hits)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +347,6 @@ class SliceMeasures:
     conditional: Optional[ReferenceMeasure]
     thin_pushforward: Optional[ThinPushforward]
     empty: bool
-    mass_std_error: float = 0.0
 
 
 def node_member_mask(node: CoverNode, block: np.ndarray,
@@ -384,36 +361,23 @@ def node_member_mask(node: CoverNode, block: np.ndarray,
 
 
 def slice_measures(E: ReferenceMeasure, node: CoverNode,
-                   eta: Optional[float] = None, mc_samples: int = 20000,
-                   rng_seed: int = 0) -> SliceMeasures:
-    """Mass of E_alpha, the conditioned measure, and its thin-slice image.
+                   eta: Optional[float] = None) -> SliceMeasures:
+    """Mass of E_alpha, the conditioned measure, and its thin-slice image,
+    exact over the atoms of E (UnsupportedOperationError for the sphere).
 
-    Atomic measures are handled exactly; the sphere by Monte Carlo, in which
-    case the conditional and pushforward are clouds of accepted samples. An
-    empty region is flagged and carries no conditional (mirrors the positive
-    mass guard on the conditioned measure).
+    An empty region is flagged and carries no conditional (mirrors the
+    positive mass guard on the conditioned measure).
     """
-    if E.is_atomic:
-        pts, wts = E.atoms()
-        mask = node_member_mask(node, pts.astype(np.float64), eta)
-        mass = float(wts[mask].sum())
-        if mass <= 0.0:
-            return SliceMeasures(0.0, None, None, True)
-        members = pts[mask].astype(np.float64)
-        w = wts[mask] / mass
-        tau = thin_projections(node, members)
-        cond = point_cloud(members, w)
-        return SliceMeasures(mass, cond, ThinPushforward(tau, w, node.q), False)
-    pts = _sphere_samples(E.n, mc_samples, rng_seed)
-    mask = node_member_mask(node, pts, eta)
-    hits = int(mask.sum())
-    mass = hits / mc_samples
-    se = math.sqrt(max(mass * (1 - mass), 1e-12) / mc_samples)
-    if hits == 0:
-        return SliceMeasures(0.0, None, None, True, mass_std_error=se)
-    members = pts[mask]
-    w = np.full(hits, 1.0 / hits)
+    if not E.is_atomic:
+        raise UnsupportedOperationError("slice measures need an atomic measure")
+    pts, wts = E.atoms()
+    mask = node_member_mask(node, pts.astype(np.float64), eta)
+    mass = float(wts[mask].sum())
+    if mass <= 0.0:
+        return SliceMeasures(0.0, None, None, True)
+    members = pts[mask].astype(np.float64)
+    w = wts[mask] / mass
     tau = thin_projections(node, members)
-    return SliceMeasures(mass, point_cloud(members, w), ThinPushforward(tau, w, node.q),
-                         False, mass_std_error=se)
+    cond = point_cloud(members, w)
+    return SliceMeasures(mass, cond, ThinPushforward(tau, w, node.q), False)
 

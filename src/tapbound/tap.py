@@ -32,21 +32,18 @@ row has passed the energy's. The earlier projected gradient ascent and the
 per-problem L-BFGS are kept as test oracles. The general flavor has no
 gradient and no maximizer. The best value found is a lower bound on
 the true supremum and is used as the sup surrogate by the bound experiments;
-the tests check it against the exhaustive grid oracle
-`brute_force_tap_max` at tiny N.
+the tests check it against an exhaustive grid oracle at tiny N.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .entropy import ReferenceMeasure, binary_entropy, general_entropy_upper
-from .errors import DomainError, ResourceBudgetError, UnsupportedOperationError
+from .errors import DomainError, UnsupportedOperationError
 from .geometry import norm
 from .hamiltonian import (
     DisorderSample,
@@ -116,10 +113,6 @@ def _row_norms(M: np.ndarray) -> np.ndarray:
 def tap_energy(p: TapProblem, m: np.ndarray) -> float:
     """Extensive TAP energy of one magnetization (a one-row `tap_energy_many`)."""
     return float(tap_energy_many(p, np.asarray(m)[None])[0])
-
-
-def tap_energy_per_spin(p: TapProblem, m: np.ndarray) -> float:
-    return tap_energy(p, m) / p.n
 
 
 def tap_energy_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
@@ -421,71 +414,3 @@ def _trace_rows(records: list, starts: int, problems: int) -> list:
                                            *(c[order].tolist() for c in cols))]
     ends = np.cumsum(np.bincount(rows // starts, minlength=problems)).tolist()
     return [trace[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
-def export_trace_csv(result: MaximizeResult, path) -> None:
-    """Write the winning start's iterations as (iteration, value, gradient norm, step)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "value", "gradient_norm", "step"])
-        for row in result.trace:
-            if row.start == result.best_start:
-                writer.writerow([row.iteration, repr(row.value),
-                                 repr(row.grad_norm), repr(row.step)])
-
-
-_GRID_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    m_star: np.ndarray
-    value: float
-    points_evaluated: int
-
-
-def brute_force_tap_max(p: TapProblem, grid_step: float,
-                        budget: int = 2_000_000,
-                        direction_count: int = 256,
-                        rng_seed: int = 0) -> BruteForceResult:
-    """Exhaustive grid evaluation (oracle for the maximizer).
-
-    Ising: a symmetric product grid containing 0 over (-1, 1)^N, with the
-    grid_size^N budget enforced, visited in `itertools.product` order in
-    chunks of 8192 points; the first point with the largest value wins.
-    Spherical: radial shells crossed with a seeded set of random directions.
-    """
-    if grid_step <= 0:
-        raise DomainError("grid_step must be positive")
-    n = p.n
-    if p.flavor == "ising":
-        t_max = int(math.floor((1.0 - DOMAIN_MARGIN) / grid_step))
-        axis = grid_step * np.arange(-t_max, t_max + 1)
-        total = len(axis) ** n
-        if total > budget:
-            raise ResourceBudgetError(
-                f"{len(axis)}^{n} = {total} grid points exceed budget {budget}",
-                required=total, budget=budget)
-        best_val = -np.inf
-        best_m = None
-        # grid point i has digit (i // K^(n-1-j)) % K in coordinate j: the
-        # itertools.product order, the last coordinate varying fastest
-        powers = len(axis) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        for lo in range(0, total, _GRID_CHUNK):
-            idx = np.arange(lo, min(lo + _GRID_CHUNK, total), dtype=np.int64)
-            M = axis[(idx[:, None] // powers) % len(axis)]
-            vals = tap_energy_many(p, M)
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_m = float(vals[i]), M[i].copy()
-        return BruteForceResult(best_m, float(best_val), total)
-    if p.flavor == "spherical":
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
-        z = rng.standard_normal((direction_count, n))
-        dirs = z / np.sqrt((z ** 2).sum(axis=1) / n)[:, None]
-        radii = np.arange(0.0, 1.0 - DOMAIN_MARGIN, grid_step)
-        pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        vals = tap_energy_many(p, pts)
-        idx = int(np.argmax(vals))
-        return BruteForceResult(pts[idx], float(vals[idx]), len(pts))
-    raise UnsupportedOperationError("grid oracle covers ising and spherical only")

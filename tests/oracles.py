@@ -9,10 +9,12 @@ general flavor's entropy surrogate and the central-difference gradient of a
 custom field without partials, which have no closed form, are the
 package's own. The sequential TAP ascent runs one start at a time on
 `tap_energy` and `tap_gradient`, the one-row calls of the batched
-functionals. The batched projected gradient ascent and the
-`itertools.product` grid walk are the production paths that the L-BFGS
-maximizer and the mixed-radix grid oracle replaced; they stay here as
-references for them. So does the per-problem L-BFGS ascent, with the TAP
+functionals. The exhaustive grid oracle of the maximizer,
+`brute_force_tap_max`, lives here: a mixed-radix walk of the Ising grid and
+radial shells of seeded directions on the sphere. The batched projected
+gradient ascent and the `itertools.product` grid walk are the production
+paths that the L-BFGS maximizer and the mixed-radix grid walk replaced;
+they stay here as references for them. So does the per-problem L-BFGS ascent, with the TAP
 energy and gradient bodies of one problem it ran on, that the ascent over
 a block of problems replaced; it is the block ascent's bit-equality
 reference. So does the full-array sphere Monte Carlo estimator
@@ -36,11 +38,13 @@ references of their replica blocks.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from tapbound import tap
 from tapbound.entropy import _ising_atoms, binary_entropy, general_entropy_upper
+from tapbound.errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from tapbound.geometry import norm
 from tapbound.hamiltonian import (
     _ROW_CHUNK,
@@ -478,6 +482,62 @@ def maximize_tap_per_problem(p, starts, rng_seed):
                               best, bool(converged.any()))
 
 
+_GRID_CHUNK = 8192
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    m_star: np.ndarray
+    value: float
+    points_evaluated: int
+
+
+def brute_force_tap_max(p, grid_step: float, budget: int = 2_000_000,
+                        direction_count: int = 256,
+                        rng_seed: int = 0) -> BruteForceResult:
+    """Exhaustive grid evaluation (oracle for the maximizer).
+
+    Ising: a symmetric product grid containing 0 over (-1, 1)^N, with the
+    grid_size^N budget enforced, visited in `itertools.product` order in
+    chunks of 8192 points; the first point with the largest value wins.
+    Spherical: radial shells crossed with a seeded set of random directions.
+    """
+    if grid_step <= 0:
+        raise DomainError("grid_step must be positive")
+    n = p.n
+    if p.flavor == "ising":
+        t_max = int(math.floor((1.0 - tap.DOMAIN_MARGIN) / grid_step))
+        axis = grid_step * np.arange(-t_max, t_max + 1)
+        total = len(axis) ** n
+        if total > budget:
+            raise ResourceBudgetError(
+                f"{len(axis)}^{n} = {total} grid points exceed budget {budget}",
+                required=total, budget=budget)
+        best_val = -np.inf
+        best_m = None
+        # grid point i has digit (i // K^(n-1-j)) % K in coordinate j: the
+        # itertools.product order, the last coordinate varying fastest
+        powers = len(axis) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        for lo in range(0, total, _GRID_CHUNK):
+            idx = np.arange(lo, min(lo + _GRID_CHUNK, total), dtype=np.int64)
+            M = axis[(idx[:, None] // powers) % len(axis)]
+            vals = tap.tap_energy_many(p, M)
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_val, best_m = float(vals[i]), M[i].copy()
+        return BruteForceResult(best_m, float(best_val), total)
+    if p.flavor == "spherical":
+        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
+        z = rng.standard_normal((direction_count, n))
+        dirs = z / np.sqrt((z ** 2).sum(axis=1) / n)[:, None]
+        radii = np.arange(0.0, 1.0 - tap.DOMAIN_MARGIN, grid_step)
+        pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+        vals = tap.tap_energy_many(p, pts)
+        idx = int(np.argmax(vals))
+        return BruteForceResult(pts[idx], float(vals[idx]), len(pts))
+    raise UnsupportedOperationError("grid oracle covers ising and spherical only")
+
+
 def brute_force_tap_max_product(p, grid_step, budget=2_000_000):
     """The Ising grid oracle as an `itertools.product` walk in chunks of
     8192 points, keeping the first strict improvement."""
@@ -499,7 +559,7 @@ def brute_force_tap_max_product(p, grid_step, budget=2_000_000):
     if chunk:
         best_val, best_m = _scan_chunk(p, chunk, best_val, best_m)
         count += len(chunk)
-    return tap.BruteForceResult(best_m, float(best_val), count)
+    return BruteForceResult(best_m, float(best_val), count)
 
 
 def _scan_chunk(p, chunk, best_val, best_m):

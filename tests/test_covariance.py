@@ -164,7 +164,7 @@ class TestOnsager:
             q = rng.uniform(0.05, 0.95)
             h = 1e-6
             fd = (xi.onsager(q + h) - xi.onsager(q - h)) / (2 * h)
-            assert xi.onsager_derivative(q) == pytest.approx(fd, rel=2e-5, abs=2e-6)
+            assert float(xi.onsager_derivative_many(q)) == pytest.approx(fd, rel=2e-5, abs=2e-6)
 
     @pytest.mark.parametrize("degree", range(-1, 9))
     def test_horner_many_match_scalar_formulas(self, degree):
@@ -179,7 +179,7 @@ class TestOnsager:
             x = min(x, 1.0)
             assert a == pytest.approx(oracle_onsager(xi.coefficients, x), abs=1e-14)
             assert b == pytest.approx(oracle_onsager_derivative(xi.coefficients, x), abs=1e-14)
-            assert (xi.onsager(x), xi.onsager_derivative(x)) == (a, b)
+            assert (xi.onsager(x), float(xi.onsager_derivative_many(x))) == (a, b)
 
     @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, np.nan, np.inf])
     def test_many_reject_q_outside_unit_interval(self, bad):
@@ -187,7 +187,7 @@ class TestOnsager:
         for many in (xi.onsager_many, xi.onsager_derivative_many):
             with pytest.raises(DomainError):
                 many(np.array([0.5, bad]))
-        for one in (xi.onsager, xi.onsager_derivative):
+        for one in (xi.onsager, lambda q: float(xi.onsager_derivative_many(q))):
             with pytest.raises(DomainError):
                 one(bad)
 

@@ -10,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
+from tapbound.covariance import CovarianceSeries
 from tapbound.entropy import (
     ISING_ENUM_MAX_N,
     LOCAL_SEARCH_ITERATIONS,
     LOCAL_SEARCH_MIN_STEP,
     LOCAL_SEARCH_STEP,
+    ReferenceMeasure,
     _candidate_directions,
     _ising_atoms,
     _ising_hits,
@@ -28,16 +30,24 @@ from tapbound.entropy import (
     ising_uniform,
     lambda_min_entropy,
     point_cloud,
-    point_cloud_from_csv,
     sphere_uniform,
-    spherical_entropy,
 )
 from tapbound.errors import DomainError
 from tapbound.geometry import norm, normalize
+from tapbound.hamiltonian import MixedModel, field_none, sample_disorder
+from tapbound.tap import TapProblem, tap_energy
 
 from oracles import oracle_ising_hits
 
 LOG2 = math.log(2.0)
+
+
+def spherical_entropy(m):
+    """(N/2) log(1 - ||m||^2), the TAP energy of the spherical flavor at
+    beta = 0, where the field and Onsager terms vanish."""
+    n = len(m)
+    d = sample_disorder(MixedModel(n, CovarianceSeries((0.0, 0.0, 1.0))), 0)
+    return tap_energy(TapProblem(d, field_none(n), 0.0, "spherical"), m)
 
 
 def j_direct(m):
@@ -328,24 +338,28 @@ class TestGeneralEntropyUpper:
 
 
 class TestPointCloud:
-    def test_from_csv_roundtrip(self, tmp_path):
-        pts = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
-        w = np.array([0.2, 0.3, 0.5])
-        path = tmp_path / "cloud.csv"
-        with open(path, "w") as fh:
-            fh.write("# v1,v2,v3,weight\n")
-            for row, wi in zip(pts, w):
-                fh.write(",".join(str(x) for x in row) + f",{wi}\n")
-        E = point_cloud_from_csv(path)
-        assert E.kind == "point_cloud"
-        assert np.allclose(E.weights, w)
-        got = halfspace_log_mass(E, np.array([np.sqrt(3), 0, 0]), np.zeros(3), 0.0)
-        # atoms with first coordinate +1 carry mass 0.5
-        assert got == pytest.approx(math.log(0.5), abs=1e-12)
-
     def test_off_sphere_atom_rejected(self):
         with pytest.raises(DomainError):
             point_cloud(np.array([[1.0, 0.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: point_cloud([[1.0, np.nan], [1.0, -1.0]], [0.5, 0.5]),
+                     id="nan-coordinate"),
+        pytest.param(lambda: point_cloud([[1.0, 1.0], [1.0, -1.0]], [0.5, np.nan]),
+                     id="nan-weight"),
+        pytest.param(lambda: point_cloud([[1.0, 1.0], [1.0, -1.0]], [0.5, np.inf]),
+                     id="infinite-weight"),
+        pytest.param(lambda: point_cloud(np.ones((2, 0)), [0.5, 0.5]),
+                     id="zero-width"),
+        pytest.param(lambda: ReferenceMeasure("point_cloud", 3, [[1.0, 1.0], [1.0, -1.0]],
+                                              [0.5, 0.5]),
+                     id="width-not-n"),
+        pytest.param(lambda: ising_uniform(0), id="ising-n-0"),
+        pytest.param(lambda: sphere_uniform(-3), id="sphere-n-negative"),
+    ])
+    def test_malformed_measure_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
 
 
 # ---------------------------------------------------------------------------

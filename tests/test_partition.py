@@ -1,7 +1,6 @@
 """Exact and Monte Carlo partition functions, restrictions, slice measures."""
 
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -15,7 +14,7 @@ from scipy.special import gammaln
 from tapbound.covariance import CovarianceSeries
 from tapbound.cover import CoverBuilder, IncrementIndex
 from tapbound.entropy import general_entropy_upper, ising_uniform, point_cloud, sphere_uniform
-from tapbound.errors import DomainError, ResourceBudgetError
+from tapbound.errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from tapbound.geometry import normalize
 from tapbound.hamiltonian import (
     MixedModel,
@@ -30,7 +29,6 @@ from tapbound.partition import (
     PartitionEstimate,
     ThinPushforward,
     _sphere_rng,
-    _sphere_samples,
     _to_sphere,
     enumeration_work,
     log_partition_exact_ising,
@@ -513,38 +511,18 @@ class TestRestricted:
         z = log_partition_exact_ising(d, f, beta).log_value
         assert total >= z - 1e-10
 
-    def test_sphere_restricted_reports_effective_count(self):
-        d = sample_disorder(MixedModel(8, XI2), 3)
+    @pytest.mark.parametrize("call", [
+        lambda E, d: restricted_log_partition(
+            E, d, field_none(E.n), 0.2, lambda b: np.ones(len(b), bool)),
+        lambda E, d: slice_measures(E, CoverBuilder(
+            d, E, field_linear(0.2, E.n), 0.1, 0.2).build(
+                IncrementIndex(((0,),), 0.1), eta=0.5)),
+    ], ids=["restricted_log_partition", "slice_measures"])
+    def test_sphere_measure_unsupported(self, call):
+        # only atomic measures have restrictions; the sphere has no atoms
         E = sphere_uniform(8)
-        u = np.zeros(8)
-        u[0] = 1.0
-        est = restricted_log_partition(E, d, field_none(8), 0.2,
-                                       lambda b: b @ u > 0, mc_samples=2000)
-        assert 0 < est.effective_count < 2000
-
-    def test_sphere_restricted_matches_log_mean_exp_oracle(self):
-        # rejected draws weigh zero in the mean over all mc_samples draws;
-        # accepting every draw reproduces log_partition_mc_sphere exactly
-        n, beta, samples, seed = 8, 0.4, 2000, 5
-        d = sample_disorder(MixedModel(n, XI23), 3)
-        E = sphere_uniform(n)
-        f = field_linear(0.2, n)
-        pts = _sphere_samples(n, samples, seed)
-        mask = pts[:, 0] + pts[:, 1] > 0.5
-        x = beta * (oracle_energy_many(d, pts) + 0.2 * pts.sum(axis=1))
-        w = np.where(mask, np.exp(x - x[mask].max()), 0.0)
-        est = restricted_log_partition(E, d, f, beta,
-                                       lambda b: b[:, 0] + b[:, 1] > 0.5,
-                                       mc_samples=samples, rng_seed=seed)
-        assert est.log_value == pytest.approx(
-            x[mask].max() + math.log(w.mean()), rel=1e-12)
-        assert est.std_error == pytest.approx(
-            w.std(ddof=1) / math.sqrt(samples) / w.mean(), rel=1e-12)
-        assert est.effective_count == mask.sum() and est.sample_count == samples
-        full = restricted_log_partition(E, d, f, beta, lambda b: np.ones(len(b), bool),
-                                        mc_samples=samples, rng_seed=seed)
-        plain = log_partition_mc_sphere(d, f, beta, samples, seed)
-        assert (full.log_value, full.std_error) == (plain.log_value, plain.std_error)
+        with pytest.raises(UnsupportedOperationError):
+            call(E, sample_disorder(MixedModel(8, XI2), 3))
 
 
 class TestSliceMeasures:
@@ -622,12 +600,6 @@ class TestSliceMeasures:
 
 
 class TestSerialization:
-    def test_json_row(self):
-        est = PartitionEstimate(-1.25, 0.01, "monte_carlo", 1000, seed=5)
-        row = json.loads(est.to_json_row())
-        assert row == {"log_value": -1.25, "std_error": 0.01,
-                       "method": "monte_carlo", "samples": 1000, "seed": 5}
-
     def test_exact_estimate_rejects_nonzero_error(self):
         with pytest.raises(DomainError):
             PartitionEstimate(0.0, 0.1, "exact_enumeration", 4)

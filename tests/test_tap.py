@@ -20,24 +20,21 @@ from tapbound.hamiltonian import (
     field_linear,
     field_none,
     field_quadratic_spike,
-    lipschitz_probe,
     sample_disorder,
 )
 from tapbound.tap import (
     FLAVORS,
     TapProblem,
-    brute_force_tap_max,
-    export_trace_csv,
     maximize_tap,
     maximize_tap_many,
     tap_energy,
     tap_energy_many,
-    tap_energy_per_spin,
     tap_gradient,
     tap_gradient_many,
 )
 
 from oracles import (
+    brute_force_tap_max,
     brute_force_tap_max_product,
     maximize_tap_per_problem,
     maximize_tap_projected_ascent,
@@ -118,7 +115,7 @@ class TestTapEnergy:
         p = make_problem(n=10, beta=0.3)
         # On(0) = xi(1) = 1 for the pure two-spin mixture
         assert tap_energy(p, np.zeros(10)) == pytest.approx(0.045 * 10, abs=1e-12)
-        assert tap_energy_per_spin(p, np.zeros(10)) == pytest.approx(0.045, abs=1e-13)
+        assert tap_energy(p, np.zeros(10)) / p.n == pytest.approx(0.045, abs=1e-13)
 
     def test_entropy_sign(self):
         # dropping the (nonpositive) ising entropy can only increase the value
@@ -686,15 +683,6 @@ class TestMaximize:
         assert norm(out.m_star) < 1.0
         assert out.value >= tap_energy(p, np.zeros(10)) - 1e-9
 
-    def test_trace_export(self, tmp_path):
-        p = make_problem(n=6, beta=0.3, h=0.2, seed=7)
-        out = maximize_tap(p, starts=2, rng_seed=4)
-        path = tmp_path / "trace.csv"
-        export_trace_csv(out, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,value,gradient_norm,step"
-        assert len(lines) > 1
-
 
 class TestBruteForce:
     def test_beta_zero_grid_containing_origin(self):
@@ -760,7 +748,6 @@ class TestTapContinuity:
         # c_hat probed on independent pairs of the same replica
         n = 8
         p = make_problem(n=n, beta=0.3, h=0.2, seed=12)
-        probe = lipschitz_probe(p.disorder, 40, 1)
         L = max(p.beta, math.sqrt(p.disorder.model.series.evaluate(1.0, 3)), 1.0)
         rng = np.random.default_rng(13)
 
@@ -777,8 +764,7 @@ class TestTapContinuity:
                     for a, b in pairs[:30])
         for a, b in pairs[30:]:
             assert abs(tap_energy(p, a) - tap_energy(p, b)) <= 10 * c_hat * modulus(norm(a - b))
-        print(f"probed TAP modulus constant c_hat = {c_hat:.3f}, "
-              f"grad probe = {probe.max_grad_norm:.3f}")
+        print(f"probed TAP modulus constant c_hat = {c_hat:.3f}")
 
     def test_onsager_vanishes_on_boundary_shell(self):
         # the Onsager contribution at ||m||^2 = 1 is wired to exactly zero
