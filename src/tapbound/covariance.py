@@ -108,17 +108,13 @@ class CovarianceSeries:
         Horner pass over its stored coefficients."""
         return self._onsager_rows(_unit_q(q))
 
-    def onsager_derivative_many(self, q: np.ndarray) -> np.ndarray:
-        """On'(q) = -(1-q) xi''(q) for q in [0, 1], as one Horner pass."""
-        return self._onsager_derivative_rows(_unit_q(q))
-
     def _onsager_rows(self, q: np.ndarray) -> np.ndarray:
         """`onsager_many` without its check, for float64 q already in [0, 1]."""
         return _horner(self._onsager, q)
 
     def _onsager_derivative_rows(self, q: np.ndarray) -> np.ndarray:
-        """`onsager_derivative_many` without its check, for float64 q already
-        in [0, 1]."""
+        """On'(q) = -(1-q) xi''(q) as one Horner pass, for float64 q already
+        in [0, 1] (unchecked)."""
         return _horner(self._onsager_derivative, q)
 
     def recenter(self, q: float) -> "RecenteredSeries":

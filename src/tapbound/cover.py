@@ -46,6 +46,13 @@ _GRID_DUST = 1e-9
 # Grid and rounding
 # ---------------------------------------------------------------------------
 
+def _check_epsilon(epsilon: float) -> None:
+    """DomainError unless the grid step is positive and finite (a NaN
+    fails)."""
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be positive and finite")
+
+
 def round_down_indices(x, epsilon: float) -> np.ndarray:
     """Integers t such that t * eps is x rounded onto the grid, elementwise.
 
@@ -54,8 +61,7 @@ def round_down_indices(x, epsilon: float) -> np.ndarray:
     toward zero. Grid hits are snapped within a relative 1e-9 dust tolerance,
     and whatever snaps to zero (or is a signed zero) maps to 0.
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    _check_epsilon(epsilon)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise DomainError("cannot round a non-finite projection")
@@ -71,14 +77,6 @@ def round_down_indices(x, epsilon: float) -> np.ndarray:
 def round_down_index(x: float, epsilon: float) -> int:
     """Scalar round_down_indices."""
     return int(round_down_indices((x,), epsilon)[0])
-
-
-def grid(epsilon: float) -> np.ndarray:
-    """The sorted grid eps*Z intersect (-1, 1)."""
-    if not 0.0 < epsilon:
-        raise DomainError("epsilon must be positive")
-    t_max = int(math.floor((1.0 - 1e-12) / epsilon))
-    return epsilon * np.arange(-t_max, t_max + 1)
 
 
 def max_levels(n: int, K: int) -> int:
@@ -98,6 +96,7 @@ class IncrementIndex:
     epsilon: float
 
     def __post_init__(self):
+        _check_epsilon(self.epsilon)
         if len(self.blocks) < 1:
             raise DomainError("alpha needs at least the level-1 block")
         blocks = tuple(tuple(int(t) for t in b) for b in self.blocks)
@@ -123,9 +122,6 @@ class IncrementIndex:
     @property
     def norm_sq(self) -> float:
         return sum((t * self.epsilon) ** 2 for b in self.blocks for t in b)
-
-    def prefix(self, k: int) -> "IncrementIndex":
-        return IncrementIndex(self.blocks[:k], self.epsilon)
 
 
 def cover_cardinality_bound(epsilon: float, eta: float, K: int):

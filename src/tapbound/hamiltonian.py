@@ -318,15 +318,30 @@ def sample_disorders(model: MixedModel, seeds) -> DisorderBlock:
     replica's draw fills its slice of the stacked tensor, so no per-replica
     sample is built. Raises as `sample_disorder` does.
     """
-    # Imported here so that importing the package does not load numpy.random
-    from .seeding import pcg64, spawned_states
-
     seeds = np.asarray(seeds, dtype=np.uint64)
-    degrees = _checked_degrees(model)
-    # (R, degrees, 4): each seed's words are hashed once for all its degrees
-    states = spawned_states(seeds[:, None], (np.array(degrees, dtype=np.int64),), 4)
+    return _fill_disorders(model, seeds,
+                           _stream_states(_checked_degrees(model), seeds))
+
+
+def _stream_states(degrees: tuple, seeds: np.ndarray) -> np.ndarray:
+    """The PCG64 states of the degree streams of every seed, by one array
+    hash: shape (R, len(degrees), 4), each seed's words hashed once for all
+    its degrees."""
+    # Imported here so that importing the package does not load numpy.random
+    from .seeding import spawned_states
+
+    return spawned_states(seeds[:, None], (np.array(degrees, dtype=np.int64),), 4)
+
+
+def _fill_disorders(model: MixedModel, seeds: np.ndarray,
+                    states: np.ndarray) -> DisorderBlock:
+    """The block of `seeds`, drawn from their `_stream_states` for the model's
+    active degrees: each replica's draw fills its slice of the stacked
+    tensor. Raises ResourceBudgetError as `sample_disorder` does."""
+    from .seeding import pcg64
+
     tensors = {}
-    for j, p in enumerate(degrees):
+    for j, p in enumerate(_checked_degrees(model)):
         block = np.empty((len(seeds),) + (model.n,) * p)
         for out, state in zip(block.reshape(len(seeds), model.n ** p), states[:, j]):
             pcg64(state).standard_normal(out=out)
@@ -396,6 +411,13 @@ def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
     reshape-multiply-sum against the rows. A trailing axis of length 1,
     g[..., None], gives <g, x^{tensor p}>.
 
+    Reduction order, axis by axis: the first axis is the matmul's dot
+    product. A middle axis, one with more entries after it, is summed by
+    in-place adds in index order starting from 0.0: numpy's own order for
+    that strided `sum`, so the bits are those of `t.sum(axis=2)`. An axis
+    followed only by the trailing length-1 axis keeps numpy's `sum`, which
+    is pairwise over a contiguous run.
+
     One block-sized temporary is live at a time: the multiply writes into
     the block the matmul or the previous sum made, so the allocator is not
     asked for a second block on every step.
@@ -408,7 +430,13 @@ def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
         for _ in range(g.ndim - 3):
             t = t.reshape(reps, len(x), n, -1)
             t *= x[:, :, None]
-            t = t.sum(axis=2)
+            if t.shape[-1] == 1:
+                t = t.sum(axis=2)
+            else:
+                acc = t[:, :, 0] + 0.0  # from 0.0 as in numpy's sum: -0.0 + 0.0 is 0.0
+                for j in range(1, n):
+                    acc += t[:, :, j]
+                t = acc
         out[:, start:start + len(x)] = t
     return out
 

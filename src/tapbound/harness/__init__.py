@@ -11,7 +11,6 @@ from .config import (
     load_config,
     parse_config_text,
     validate_config,
-    with_overrides,
 )
 from .experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS
 from .report import Criterion, ExperimentReport, histogram_svg, polyline_svg, write_report

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
@@ -164,12 +164,3 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad.append("bound-sphere needs mc_samples >= 100")
     if bad:
         raise ConfigError(bad)
-
-
-def with_overrides(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    """`cfg` with the keys of `kw` replaced, validated again; an unknown key
-    raises ConfigError as in `build_config`."""
-    _check_keys(kw)
-    out = replace(cfg, **kw)
-    validate_config(out)
-    return out

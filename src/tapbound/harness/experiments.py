@@ -16,12 +16,14 @@ beside the disorder to the partition functions, the cover and `TapProblem`.
 Seed-fixed probe points are cached per process in the same way.
 
 The two law experiments (gaussian-law, recentering-law) run their replicas
-in blocks of REPLICA_BLOCK: one array hash derives a block's seeds and
-disorder streams (`derive_seeds`, `sample_disorders`), the tensors are drawn
-straight into arrays stacked on a leading replica axis, and every energy and
-gradient of the block is one stacked contraction. Each replica's features
-are bit-equal to those of the replica computed alone, so the reports do not
-depend on the block size.
+in blocks of REPLICA_BLOCK. The seeds and per-degree disorder streams of all
+of a run's replicas are hashed once per process by two array hashes
+(`derive_seeds`, then the stream states `sample_disorders` would compute)
+and cached read-only; each block slices them, draws its tensors straight
+into arrays stacked on a leading replica axis, and computes every energy
+and gradient of the block as one stacked contraction. Each replica's
+features are bit-equal to those of the replica computed alone, so the
+reports do not depend on the block size or the worker count.
 
 The two gap experiments (bound-ising, bound-sphere) run the problems of their
 beta x h grid in blocks of REPLICA_BLOCK as well: each block computes its
@@ -59,8 +61,10 @@ from ..hamiltonian import (
     _dots,
     _energy_at,
     _energy_rows,
+    _fill_disorders,
     _gradient_at,
     _kron_powers,
+    _stream_states,
     energy,
     energy_many,
     field_linear,
@@ -68,7 +72,6 @@ from ..hamiltonian import (
     field_quadratic_spike,
     gradient,
     sample_disorder,
-    sample_disorders,
 )
 from ..partition import (
     log_partition_exact_ising,
@@ -135,12 +138,33 @@ def _disorder(cfg: ExperimentConfig, r: int, xi, n: int):
                            derive_seed(cfg.seed, STREAM_DISORDER, r))
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+# A law run's disorder seeds and stream states depend only on (master seed,
+# replica count, active degrees); every replica block of the run slices one
+# read-only copy of them, hashed once, instead of hashing its own. A process
+# runs one experiment at a time, so only the last run's copy is kept
+# (1.4 MiB at 20,000 replicas of two degrees).
+@functools.lru_cache(maxsize=1)
+def _disorder_streams(master: int, count: int, degrees: tuple):
+    """`derive_seeds` of replicas 0..count-1 on the disorder stream, and
+    their `_stream_states` for `degrees`."""
+    seeds = derive_seeds(master, STREAM_DISORDER, np.arange(count))
+    states = _stream_states(degrees, seeds)
+    _read_only(seeds, states)
+    return seeds, states
+
+
 def _disorders(cfg: ExperimentConfig, start: int, stop: int):
     """The disorder of replicas start..stop-1 of a law experiment, as one
-    block for the cached model of (cfg.n, cfg.xi)."""
-    return sample_disorders(_model(cfg.n, tuple(cfg.xi)),
-                            derive_seeds(cfg.seed, STREAM_DISORDER,
-                                         np.arange(start, stop)))
+    block for the cached model of (cfg.n, cfg.xi): `sample_disorders` of
+    their seeds, from the run's cached streams."""
+    model = _model(cfg.n, tuple(cfg.xi))
+    seeds, states = _disorder_streams(cfg.seed, cfg.replicas, model.active_degrees)
+    return _fill_disorders(model, seeds[start:stop], states[start:stop])
 
 
 def _replicas(cfg: ExperimentConfig) -> list:
@@ -232,11 +256,6 @@ def run_zero_disorder(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # 3. gaussian-law: covariances of the field and its first derivatives
 # ---------------------------------------------------------------------------
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-
 
 # Probes depend only on (n, seed); every replica block of a run shares one
 # read-only copy of them, and of the (20, n) array of pair points it scores

@@ -10,7 +10,6 @@ from tapbound.cover import (
     CoverBuilder,
     IncrementIndex,
     cover_cardinality_bound,
-    grid,
     max_levels,
     membership,
     region_masks,
@@ -114,8 +113,11 @@ class TestArrayRounding:
                 float(x), eps)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            round_down_indices(np.array([0.1]), 0.0)
+        for eps in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                round_down_indices(np.array([0.1]), eps)
+            with pytest.raises(DomainError):
+                round_down_index(0.1, eps)
         with pytest.raises(DomainError):
             round_down_indices(np.array([0.1, np.nan]), 0.1)
         with pytest.raises(DomainError):
@@ -123,23 +125,37 @@ class TestArrayRounding:
 
 
 class TestGrid:
+    """The grid eps*Z intersect (-1, 1), as the integers t whose value t*eps
+    a level-1 block of an IncrementIndex accepts."""
+
+    @staticmethod
+    def grid(eps):
+        accepted = []
+        for t in range(-math.ceil(1 / eps) - 1, math.ceil(1 / eps) + 2):
+            try:
+                IncrementIndex(((t,),), eps)
+            except DomainError:
+                continue
+            accepted.append(t * eps)
+        return np.array(accepted)
+
     def test_half(self):
-        assert np.allclose(grid(0.5), [-0.5, 0.0, 0.5])
+        assert np.allclose(self.grid(0.5), [-0.5, 0.0, 0.5])
 
     def test_unit(self):
-        assert np.allclose(grid(1.0), [0.0])
+        assert np.allclose(self.grid(1.0), [0.0])
 
     def test_quarter(self):
-        g = grid(0.25)
+        g = self.grid(0.25)
         assert len(g) == 7 and np.allclose(g, np.arange(-3, 4) * 0.25)
 
     def test_cardinality_bound(self):
         # the 2/eps bound is exact when 1/eps is an integer; one extra point
         # can appear otherwise (the grid is symmetric with an odd count)
         for eps in (0.05, 0.1, 0.25, 0.5):
-            assert len(grid(eps)) <= 2.0 / eps
+            assert len(self.grid(eps)) <= 2.0 / eps
         for eps in (0.03, 0.33, 0.7):
-            assert len(grid(eps)) <= 2.0 / eps + 1
+            assert len(self.grid(eps)) <= 2.0 / eps + 1
 
 
 class TestIncrementSpace:
@@ -150,6 +166,12 @@ class TestIncrementSpace:
     def test_norm_constraint(self):
         with pytest.raises(DomainError):
             IncrementIndex(((9,), (4, 4)), 0.1)  # 0.81 + 0.32 >= 1
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -0.1, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        # a NaN step made |alpha| NaN, which passed the norm check
+        with pytest.raises(DomainError):
+            IncrementIndex(((0,),), eps)
 
     def test_cover_bound_plug_in(self):
         bound, saturated = cover_cardinality_bound(0.5, 1.0, K=1)
@@ -206,7 +228,7 @@ class TestBuildNode:
         alpha = IncrementIndex(((4,), (3, -2), (2, 1)), 0.05)
         node = b.build(alpha)
         fresh = make_builder()  # same seed: bit-identical disorder
-        prefix_node = fresh.build(alpha.prefix(2))
+        prefix_node = fresh.build(IncrementIndex(alpha.blocks[:2], alpha.epsilon))
         for lv, lv2 in zip(prefix_node.levels[:-1], node.levels):
             assert np.array_equal(np.asarray(lv), np.asarray(lv2))
 
@@ -219,7 +241,7 @@ class TestBuildNode:
         alpha, node = b.classify(sigma, eta=0.5)
         for k in range(1, alpha.k + 1):
             fresh = make_builder(n=10, seed=9, epsilon=0.1)
-            sub = fresh.build(alpha.prefix(k))
+            sub = fresh.build(IncrementIndex(alpha.blocks[:k], alpha.epsilon))
             for lv_sub, lv_full in zip(sub.levels[:-1], node.levels):
                 assert np.array_equal(np.asarray(lv_sub), np.asarray(lv_full))
 

@@ -12,6 +12,9 @@ from tapbound.errors import DomainError, ResourceBudgetError
 from tapbound.geometry import inner, norm, normalize
 from tapbound.hamiltonian import (
     MixedModel,
+    _energy_rows,
+    _gradient_at,
+    _kron_powers,
     energy,
     energy_many,
     field_custom,
@@ -23,6 +26,7 @@ from tapbound.hamiltonian import (
     load_disorder,
     recentered_energy,
     sample_disorder,
+    sample_disorders,
     save_disorder,
 )
 
@@ -262,6 +266,39 @@ class TestKernelMatchesBlockedOracle:
         X = ball_rows(np.random.default_rng(seed), rows, n, on_sphere)
         assert np.array_equal(energy_many(d, X), oracle_energy_many_blocked(d, X))
         assert np.array_equal(gradient_many(d, X), oracle_gradient_many_blocked(d, X))
+
+
+class TestStackedKernelMatchesOracles:
+    """The stacked kernels the law experiments run, on `sample_disorders`
+    blocks: replica r of a block equals its own sample under the blocked
+    oracle and the one-sample gradient, byte for byte."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @example(coefficients=(0.0, 0.0, 1.0, 0.5, 0.0), n=16, replicas=65, rows=9, seed=1)
+    @example(coefficients=(0.0, 0.0, 1.0, 0.0, 0.0), n=16, replicas=64, rows=9, seed=2)
+    @example(coefficients=(0.5, 0.5, 0.0, 0.0, 1.0), n=16, replicas=65, rows=5, seed=3)
+    @example(coefficients=(0.0, 0.0, 0.0, 1.0, 0.25), n=1, replicas=2, rows=1, seed=4)
+    @given(coefficients=st.tuples(*[st.sampled_from([0.0, 0.5])] * 2,
+                                  *[st.sampled_from([0.0, 0.25, 1.0])] * 3)
+           .filter(lambda c: any(c[2:])),
+           n=st.integers(1, 16),
+           replicas=st.sampled_from([1, 2, 64, 65]),
+           rows=st.sampled_from([1, 5, 9]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_replicas_equal_their_samples(self, coefficients, n, replicas,
+                                                rows, seed):
+        model = MixedModel(n, CovarianceSeries(coefficients))
+        rng = np.random.default_rng(seed)
+        seeds = rng.integers(0, 2 ** 64, size=replicas, dtype=np.uint64)
+        block = sample_disorders(model, seeds)
+        X = ball_rows(rng, rows, n, on_sphere=False)
+        x = X[0]  # radius below 0.99: inside the open ball
+        energies = _energy_rows(block, X)
+        grads = _gradient_at(block, _kron_powers(x, max(model.active_degrees) - 1))
+        for r, s in enumerate(seeds):
+            d = sample_disorder(model, int(s))
+            assert energies[r].tobytes() == oracle_energy_many_blocked(d, X).tobytes()
+            assert grads[r].tobytes() == gradient(d, x).tobytes()
 
 
 class TestCovarianceLaw:

@@ -24,7 +24,6 @@ from tapbound.harness import (
     parse_config_text,
     run,
     validate_config,
-    with_overrides,
 )
 from tapbound.harness.config import ExperimentConfig
 from tapbound.harness.experiments import REPLICA_BLOCK, make_field
@@ -121,16 +120,10 @@ class TestValidation:
         assert run(build_config(experiment, dict(replicas=2))).criteria[0].value \
             is not None
 
-    def test_with_overrides_revalidates(self):
-        cfg = build_config("bound-ising", dict(replicas=2))
-        with pytest.raises(ConfigError):
-            with_overrides(cfg, replicas=0)
-
-    def test_with_overrides_names_an_unknown_key(self):
-        cfg = build_config("bound-ising", dict(replicas=2))
+    def test_build_config_validates_overrides(self):
         with pytest.raises(ConfigError) as err:
-            with_overrides(cfg, volume=1)
-        assert err.value.violations == ["unknown key 'volume'"]
+            build_config("bound-ising", dict(replicas=0))
+        assert err.value.violations == ["replicas must be >= 1"]
 
     @pytest.mark.parametrize("h", [0.0, 0.3])
     def test_field_kind_kept_and_unknown_rejected(self, h):
@@ -226,6 +219,35 @@ class TestRunAndArtifacts:
             assert isinstance(a, np.ndarray)
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+    @pytest.mark.parametrize("experiment", ["gaussian-law", "recentering-law"])
+    def test_law_reports_block_and_worker_independent(self, experiment, tmp_path,
+                                                      monkeypatch):
+        digests = set()
+        for block in (7, 64):
+            monkeypatch.setattr(experiments, "REPLICA_BLOCK", block)
+            for workers in (1, 2):
+                out = tmp_path / f"{block}-{workers}"
+                run(build_config(experiment, dict(replicas=130, out=str(out),
+                                                  workers=workers)))
+                digests.add(hashlib.sha256(b"".join(
+                    (out / (experiment + suffix)).read_bytes()
+                    for suffix in (".report.json", ".rows.csv"))).hexdigest())
+        assert len(digests) == 1
+
+    def test_law_disorder_streams_built_once_per_run_and_read_only(self, tmp_path):
+        experiments._disorder_streams.cache_clear()
+        run(build_config("gaussian-law", dict(replicas=LAW_REPLICAS, seed=77,
+                                              out=str(tmp_path))))
+        # one hash for the run, sliced by each of its three replica blocks
+        info = experiments._disorder_streams.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        seeds, states = experiments._disorder_streams(77, LAW_REPLICAS, (2, 3))
+        assert experiments._disorder_streams.cache_info().misses == 1
+        assert seeds.shape == (LAW_REPLICAS,) and states.shape == (LAW_REPLICAS, 2, 4)
+        for a in (seeds, states):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     def test_law_powers_built_once_read_only_and_match_gradient(self):
         from tapbound.hamiltonian import _gradient_at, gradient
