@@ -26,13 +26,14 @@ k = ceil((N - K) / 2) + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .entropy import ReferenceMeasure, lambda_min_entropy
+from .entropy import ReferenceMeasure, ising_uniform, lambda_min_entropy
 from .errors import DomainError, InvariantViolationError
 from .geometry import inner, norm, orthonormal_extension, project_off
 from .hamiltonian import DisorderSample, ExternalField, gradient
@@ -191,16 +192,49 @@ class Membership:
 # Builder
 # ---------------------------------------------------------------------------
 
+# Level-1 hyperplane normals on the uniform Ising measure, shared by every
+# builder of a process. A few dozen N-vectors: a run at grid step 0.05 and
+# one field has at most 39 level-1 magnetizations.
+@functools.lru_cache(maxsize=64)
+def _level1_lambda(n: int, delta: float, m_bytes: bytes,
+                   basis_bytes: bytes) -> np.ndarray:
+    """lambda_min_entropy(ising_uniform(n), m, delta, extra_directions=basis)
+    for the float64 m and field basis rows given as bytes; read-only."""
+    # copies own fresh, aligned buffers, like the arrays a direct call gets
+    m = np.frombuffer(m_bytes).copy()
+    basis = np.frombuffer(basis_bytes).reshape(-1, n).copy()
+    lam = lambda_min_entropy(ising_uniform(n), m, delta, extra_directions=basis)
+    lam.flags.writeable = False
+    return lam
+
+
 class CoverBuilder:
     """Caches the prefix-deterministic recursion for one (disorder, measure,
     field, epsilon, delta) tuple. Prefixes are keyed by exact grid integers,
     so rebuilding any prefix reproduces identical vectors bit for bit.
+
+    On the uniform Ising measure the hyperplane normal of a length-1 prefix
+    comes from one process-level table (`_level1_lambda`) shared by all
+    builders. The level-1 magnetization eps sum_j t_j u_j depends only on
+    the grid integers and the field basis, and lambda_min_entropy is a pure
+    function of (N, m, delta, basis) that reads no disorder, so the table
+    is keyed on exactly those bytes and a shared normal is the same bytes a
+    direct call returns. It is read-only, as the node and the
+    orthonormalization only read it. Deeper prefixes, the sphere (closed
+    form) and point clouds call lambda_min_entropy directly.
+
+    DomainError for an epsilon that is not finite and > 0, or a delta that
+    is not finite and >= 0 (a NaN fails both), so the table and every
+    entropy call receive checked inputs.
     """
 
     def __init__(self, disorder: DisorderSample, measure: ReferenceMeasure,
                  field: ExternalField, epsilon: float, delta: float):
         if measure.n != disorder.n or field.n != disorder.n:
             raise DomainError("dimension mismatch between disorder/measure/field")
+        _check_epsilon(epsilon)
+        if not 0.0 <= delta < math.inf:
+            raise DomainError("delta must be finite and >= 0")
         self.disorder = disorder
         self.measure = measure
         self.field = field
@@ -254,8 +288,12 @@ class CoverBuilder:
             self._pairs[key] = result
             return result
         m = self.magnetization(prefix_blocks)
-        lam = lambda_min_entropy(self.measure, m, self.delta,
-                                 extra_directions=self.field.basis)
+        if len(prefix_blocks) == 1 and self.measure.kind == "ising":
+            lam = _level1_lambda(self.n, self.delta, m.tobytes(),
+                                 self.field.basis.tobytes())
+        else:
+            lam = lambda_min_entropy(self.measure, m, self.delta,
+                                     extra_directions=self.field.basis)
         grad = gradient(self.disorder, m)
         candidates = [grad, lam]
         scale = math.sqrt(self.n)
@@ -304,10 +342,16 @@ class CoverBuilder:
         """Assign sigma a region: rounded projections level by level until the
         next pair's rounded magnitudes drop to eta/2 (missing directions count
         as zero, which forces termination once dimensions are exhausted).
+        DomainError unless sigma is a unit vector of shape (N,) and eta is
+        finite and > 0.
         """
         sigma = np.asarray(sigma, dtype=np.float64)
-        if abs(norm(sigma) - 1.0) > 1e-9:
+        if sigma.shape != (self.n,):
+            raise DomainError(f"classify expects shape ({self.n},), got {sigma.shape}")
+        if not abs(norm(sigma) - 1.0) <= 1e-9:
             raise DomainError("classify expects a unit vector")
+        if not 0.0 < eta < math.inf:
+            raise DomainError("eta must be positive and finite")
         half = eta / 2.0 + 1e-12
         blocks = [tuple(round_down_index(inner(u, sigma), self.epsilon)
                         for u in self.field.basis)]

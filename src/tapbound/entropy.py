@@ -44,6 +44,7 @@ ISING_ENUM_MAX_N = 22
 
 _ATOM_CACHE: dict[int, np.ndarray] = {}
 _SIGN_CACHE: dict[int, np.ndarray] = {}
+_POSITION_CACHE: dict[int, np.ndarray] = {}
 # Atoms (point clouds) or sort keys (Ising) per block in the batched
 # half-space sums: caps their scratch memory at a few MB whatever N, the
 # support size and the number of directions.
@@ -210,10 +211,23 @@ def _log_half_betainc_tail(a: float, x: float) -> float:
                  + np.log(h) - np.log(a) - np.log(2.0))
 
 
-def _check_unit_lambda(lam: np.ndarray) -> np.ndarray:
+def _check_point(E: ReferenceMeasure, m, delta: float) -> np.ndarray:
+    """m as a float64 array; DomainError unless it is a finite vector of
+    shape (N,) and delta is finite and >= 0 (a NaN fails every check)."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (E.n,):
+        raise DomainError(f"m must have shape ({E.n},), got {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("m must be finite")
+    if not 0.0 <= delta < np.inf:
+        raise DomainError(f"delta must be finite and >= 0, got {delta!r}")
+    return m
+
+
+def _check_unit_lambda(E: ReferenceMeasure, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
-    if abs(norm(lam) - 1.0) > 1e-9:
-        raise DomainError("lambda must have unit normalized norm")
+    if lam.shape != (E.n,) or not abs(norm(lam) - 1.0) <= 1e-9:
+        raise DomainError("lambda must be an (N,) vector of unit normalized norm")
     return lam
 
 
@@ -224,9 +238,11 @@ def halfspace_log_mass(E: ReferenceMeasure, lam: np.ndarray, m: np.ndarray,
     Atomic measures are counted exactly (closed inequality, with a 1e-12
     tie guard): the uniform Ising measure by split sums, point clouds over
     chunks of the support; the sphere uses the closed-form cap mass.
+    DomainError for a lambda, m or delta that `_check_unit_lambda` or
+    `_check_point` rejects.
     """
-    lam = _check_unit_lambda(lam)
-    m = np.asarray(m, dtype=np.float64)
+    m = _check_point(E, m, delta)
+    lam = _check_unit_lambda(E, lam)
     threshold = inner(lam, m) - delta
     if E.kind == "sphere":
         return _cap_log_mass(E.n, threshold)
@@ -272,10 +288,12 @@ def _ising_hits(lams: np.ndarray, cut: np.ndarray) -> np.ndarray:
     lams_j[:h] . s over the 2^h sign patterns s of the first h coordinates
     and B the same over the last N - h, and the count is the number of pairs
     (a, b) with B_b >= N cut_j - A_a. Both halves are sorted, so the
-    per-direction keys [N cut_j - A | B] are two ascending runs, and one
-    stable argsort merges them with every target ahead of the B sums equal
-    to it. The k-th target then sits at position p_k with p_k - k smaller B
-    sums before it, and the misses sum to sum_k p_k - 2^h (2^h - 1) / 2.
+    per-direction keys [N cut_j - A | B] are a descending run and an
+    ascending one, and one stable argsort merges them with every target
+    ahead of the B sums equal to it. A target then sits at its rank among
+    the targets plus the number of smaller B sums; the ranks sum to
+    2^h (2^h - 1) / 2 whatever the targets' order, so the misses are the
+    sum of the target positions less that.
 
     Directions are taken a block at a time, at most _ATOM_CHUNK keys per
     block (one direction when a row alone has more), so scratch memory stays
@@ -295,21 +313,30 @@ def _ising_hits(lams: np.ndarray, cut: np.ndarray) -> np.ndarray:
     h = n // 2
     lo, hi = 1 << h, 1 << (n - h)
     head, tail = _sign_table(h), _sign_table(n - h)
-    positions = np.arange(lo + hi)
+    positions = _key_positions(lo + hi)
     rows = max(1, _ATOM_CHUNK // (lo + hi))
+    n_cut = n * cut
+    keys = np.empty((min(rows, len(lams)), lo + hi))
     target_positions = np.empty(len(lams), dtype=np.int64)
     for start in range(0, len(lams), rows):
         block = lams[start:start + rows]
+        block_keys = keys[:len(block)]
         a = block[:, :h] @ head
         b = block[:, h:] @ tail
         a.sort(axis=1)
         b.sort(axis=1)
-        targets = (n * cut[start:start + rows])[:, None] - a[:, ::-1]
-        order = np.argsort(np.concatenate((targets, b), axis=1), axis=1,
-                           kind="stable")
-        target_positions[start:start + rows] = np.where(
-            order < lo, positions, 0).sum(axis=1)
+        np.subtract(n_cut[start:start + rows, None], a, out=block_keys[:, :lo])
+        block_keys[:, lo:] = b
+        order = block_keys.argsort(axis=1, kind="stable")
+        target_positions[start:start + rows] = (order < lo) @ positions
     return lo * hi - (target_positions - lo * (lo - 1) // 2)
+
+
+def _key_positions(width: int) -> np.ndarray:
+    """0..width-1 as int64, built once per split-sum key width."""
+    if width not in _POSITION_CACHE:
+        _POSITION_CACHE[width] = np.arange(width, dtype=np.int64)
+    return _POSITION_CACHE[width]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +395,14 @@ def lambda_min_entropy(E: ReferenceMeasure, m: np.ndarray, delta: float,
     success in iteration order is taken and the next window starts after
     it, and a window without success halves the step. This visits the same
     lams with the same arithmetic as probing one iteration at a time.
+
+    The result is a pure function of (E, m, delta, extra_directions): no
+    disorder enters it. So `cover.CoverBuilder` shares one result per
+    level-1 magnetization across all of its builders (see `cover`), and a
+    shared lambda is the bytes this call returns. DomainError unless m is
+    a finite (N,) vector and delta is finite and >= 0.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = _check_point(E, m, delta)
     n = E.n
     if E.kind == "sphere":
         if norm(m) > 1e-12:
@@ -387,18 +420,21 @@ def lambda_min_entropy(E: ReferenceMeasure, m: np.ndarray, delta: float,
 
     step = LOCAL_SEARCH_STEP
     scale = np.sqrt(n)
+    all_k = np.arange(n)
+    cycle = np.concatenate((all_k, all_k))  # coordinate it % N onward
     it = 0
     while it < LOCAL_SEARCH_ITERATIONS:
         width = min(n, LOCAL_SEARCH_ITERATIONS - it)
-        k_idx = np.arange(width)
-        coord = (it + k_idx) % n
+        k_idx = all_k[:width]
+        coord = cycle[it % n:it % n + width]
+        probed = lam[coord]
         # lam +- probe with a zero-padded probe: lam + 0.0 off the probed
         # coordinate turns a -0.0 entry into +0.0, lam - 0.0 keeps it
         trials = np.empty((width, 2, n))
         trials[:, 0] = lam + 0.0
         trials[:, 1] = lam
-        trials[k_idx, 0, coord] = lam[coord] + scale * step
-        trials[k_idx, 1, coord] = lam[coord] - scale * step
+        trials[k_idx, 0, coord] = probed + scale * step
+        trials[k_idx, 1, coord] = probed - scale * step
         # Stacked one-row products: the same dot per row as geometry.norm,
         # and the same (2, N) product per pair as one pair at a time, which
         # a (2 width, N) product would not round like.
@@ -409,12 +445,13 @@ def lambda_min_entropy(E: ReferenceMeasure, m: np.ndarray, delta: float,
         thresholds = (trials @ m) / n - delta
         vals = _log_mass_above(E, trials.reshape(2 * width, n),
                                thresholds.ravel()).reshape(width, 2)
-        j = np.argmin(vals, axis=1)
-        pair_best = vals[np.arange(width), j]
-        better = np.flatnonzero(pair_best < best - 1e-15)
-        if len(better):
-            k = int(better[0])
-            lam, best = trials[k, j[k]].copy(), float(pair_best[k])
+        pair_best = vals.min(axis=1)
+        better = pair_best < best - 1e-15
+        if better.any():
+            k = int(better.argmax())
+            # the side argmin would pick: the minus probe only if strictly lower
+            side = int(vals[k, 1] < vals[k, 0])
+            lam, best = trials[k, side].copy(), float(pair_best[k])
             it += k + 1
             if best == -np.inf:
                 break

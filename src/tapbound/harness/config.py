@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -123,18 +124,29 @@ def build_config(experiment: str, overrides: Optional[dict] = None) -> "Experime
     return cfg
 
 
+_FLOAT_KEYS = ("xi", "beta", "h", "epsilon", "eta", "delta", "delta_check")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Collects every violated constraint; raises ConfigError listing them."""
+    """Collects every violated constraint; raises ConfigError listing them.
+    Each check is written so that a NaN fails it."""
     bad = []
+    for key in _FLOAT_KEYS:
+        value = getattr(cfg, key)
+        if not all(math.isfinite(v) for v in
+                   (value if isinstance(value, (tuple, list)) else (value,))):
+            bad.append(f"{key} must be finite")
+    if not cfg.delta > 0:
+        bad.append("delta must be > 0")
     if cfg.n < 1:
         bad.append("n must be >= 1")
     if cfg.replicas < 1:
         bad.append("replicas must be >= 1")
     if cfg.seed < 0 or cfg.seed >= 1 << 64:
         bad.append("seed must fit in a u64")
-    if any(a < 0 for a in cfg.xi):
+    if not all(a >= 0 for a in cfg.xi):
         bad.append("xi coefficients must be nonnegative")
-    if any(b < 0 for b in cfg.beta):
+    if not all(b >= 0 for b in cfg.beta):
         bad.append("beta values must be >= 0")
     if cfg.field not in ("none", "linear", "quadratic_spike"):
         bad.append(f"unknown field kind {cfg.field!r}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tapbound import cover
 from tapbound.covariance import CovarianceSeries
 from tapbound.cover import (
     CoverBuilder,
@@ -18,7 +19,7 @@ from tapbound.cover import (
     thin_projection,
     thin_projections,
 )
-from tapbound.entropy import ising_uniform, sphere_uniform
+from tapbound.entropy import ising_uniform, lambda_min_entropy, sphere_uniform
 from tapbound.errors import DomainError
 from tapbound.geometry import inner, inner_many, norm, normalize
 from tapbound.hamiltonian import MixedModel, field_linear, gradient, sample_disorder
@@ -326,6 +327,34 @@ class TestClassify:
             alpha, node = b.classify(atoms[idx], eta=0.8)
             assert membership(node, atoms[idx]).in_e
 
+    def test_wrong_length_sigma_rejected(self):
+        b = make_builder(n=8)
+        with pytest.raises(DomainError):
+            b.classify(np.ones(7), eta=0.4)
+
+    @pytest.mark.parametrize("sigma", [np.full(8, np.nan), np.ones(8) * 2.0])
+    def test_non_unit_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError):
+            make_builder(n=8).classify(sigma, eta=0.4)
+
+    @pytest.mark.parametrize("eta", [np.nan, -0.4, 0.0, np.inf])
+    def test_bad_eta_rejected_before_any_level(self, eta):
+        b = make_builder(n=8)
+        with pytest.raises(DomainError):
+            b.classify(np.ones(8), eta=eta)
+        assert not b._pairs
+
+    @pytest.mark.parametrize("epsilon, delta", [
+        (np.nan, 0.1), (0.0, 0.1), (-0.05, 0.1), (np.inf, 0.1),
+        (0.05, np.nan), (0.05, -0.1), (0.05, np.inf)])
+    def test_builder_rejects_bad_epsilon_or_delta(self, epsilon, delta):
+        with pytest.raises(DomainError):
+            make_builder(n=8, epsilon=epsilon, delta=delta)
+
+    def test_zero_delta_accepted(self):
+        alpha, node = make_builder(n=8, delta=0.0).classify(np.ones(8), eta=0.4)
+        assert membership(node, np.ones(8)).in_e
+
     def test_membership_containment_random(self):
         b = make_builder(n=10, measure=sphere_uniform(10), epsilon=0.05)
         rng = np.random.default_rng(14)
@@ -452,3 +481,58 @@ class TestThinProjectionRows:
         self.assert_rows_match_oracle(node, block)
         # rows inside span(Ubar) have a vanishing projection: zero rows
         assert not thin_projections(node, node.basis_rows).any()
+
+
+class TestLevelOneTable:
+    """Level-1 hyperplane normals on the uniform Ising measure come from one
+    process-level table shared by all builders."""
+
+    N, DELTA = 12, 0.1
+
+    def test_shared_lambda_is_the_direct_call(self):
+        # two disorders and two field objects with the same basis
+        b1, b2 = make_builder(seed=3), make_builder(seed=4)
+        for t in (0, 5, -7):
+            prefix = ((t,),)
+            m = b1.magnetization(prefix)
+            direct = lambda_min_entropy(ising_uniform(self.N), m, self.DELTA,
+                                        extra_directions=b1.field.basis)
+            lam = b1.pair(prefix)[1]
+            assert lam.tobytes() == direct.tobytes()
+            assert b2.pair(prefix)[1] is lam
+        # the rows still follow each disorder's own gradient
+        assert not np.array_equal(b1.pair(((5,),))[0], b2.pair(((5,),))[0])
+        info = cover._level1_lambda.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+
+    def test_shared_lambda_is_read_only(self):
+        lam = make_builder().pair(((5,),))[1]
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+
+    def test_only_ising_level_one_uses_the_table(self):
+        b = make_builder()
+        deeper = b.pair(((5,), (1, -1)))[1]
+        assert deeper.flags.writeable
+        sphere = make_builder(measure=sphere_uniform(self.N))
+        sphere.pair(((5,),))
+        # the level-1 prefix of the deeper pair was the only lookup
+        info = cover._level1_lambda.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+
+    def test_misses_call_through_the_cover_binding(self, monkeypatch):
+        # the benchmark tracer counts lambda_min_entropy calls by patching
+        # the name that cover binds; every miss, and only a miss, calls it
+        seen = []
+        direct = cover.lambda_min_entropy
+
+        def counting(E, m, *args, **kwargs):
+            seen.append(m.tobytes())
+            return direct(E, m, *args, **kwargs)
+
+        monkeypatch.setattr(cover, "lambda_min_entropy", counting)
+        for seed, t in ((3, 5), (4, 5), (5, -2)):
+            make_builder(seed=seed).pair(((t,),))
+        info = cover._level1_lambda.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+        assert len(seen) == 2

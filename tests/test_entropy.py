@@ -259,6 +259,51 @@ class TestHalfspaceLogMass:
             halfspace_log_mass(ising_uniform(3), np.ones(3) * 2.0, np.zeros(3), 0.1)
 
 
+class TestEntryPointsRejectBadInput:
+    N = 6
+    MEASURES = {
+        "ising": lambda n: ising_uniform(n),
+        "sphere": lambda n: sphere_uniform(n),
+        "cloud": lambda n: random_cloud(2, n, 20),
+    }
+
+    @pytest.mark.parametrize("kind", ["ising", "sphere", "cloud"])
+    @pytest.mark.parametrize("m, delta", [
+        pytest.param([np.nan] * 6, 0.1, id="nan-m"),
+        pytest.param([np.inf] + [0.0] * 5, 0.1, id="infinite-m"),
+        pytest.param(np.zeros(5), 0.1, id="short-m"),
+        pytest.param(np.zeros((1, 6)), 0.1, id="matrix-m"),
+        pytest.param(np.zeros(6), np.nan, id="nan-delta"),
+        pytest.param(np.zeros(6), -0.5, id="negative-delta"),
+        pytest.param(np.zeros(6), np.inf, id="infinite-delta"),
+    ])
+    def test_bad_m_or_delta(self, kind, m, delta):
+        E = self.MEASURES[kind](self.N)
+        lam = np.ones(self.N)
+        for call in (lambda: halfspace_log_mass(E, lam, m, delta),
+                     lambda: lambda_min_entropy(E, m, delta),
+                     lambda: general_entropy_upper(E, m, delta)):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("lam", [
+        pytest.param([np.nan] * 6, id="nan"),
+        pytest.param(np.ones(5), id="short"),
+        pytest.param(np.ones((1, 6)), id="matrix"),
+    ])
+    def test_bad_lambda(self, lam):
+        with pytest.raises(DomainError):
+            halfspace_log_mass(ising_uniform(self.N), lam, np.zeros(self.N), 0.1)
+
+    @pytest.mark.parametrize("kind", ["ising", "sphere", "cloud"])
+    def test_zero_delta_accepted(self, kind):
+        E = self.MEASURES[kind](self.N)
+        m = np.full(self.N, 0.3)
+        lam = lambda_min_entropy(E, m, 0.0)
+        assert abs(norm(lam) - 1.0) <= 1e-12
+        assert general_entropy_upper(E, m, 0.0) == halfspace_log_mass(E, lam, m, 0.0)
+
+
 class TestLambdaRule:
     def test_sphere_returns_radial_direction(self):
         E = sphere_uniform(10)
@@ -495,6 +540,32 @@ class TestLocalSearchMatchesReference:
         E = ising_uniform(n)
         expect, rule = reference_lambda_min_entropy(E, m, delta)
         assert rule == "candidate"
+        assert bit_equal(lambda_min_entropy(E, m, delta), expect)
+
+    @pytest.mark.parametrize("n, seed, delta", [(11, 33, 0.2), (12, 17, 0.2)])
+    def test_last_window_cut_short_by_the_iteration_cap(self, n, seed, delta):
+        # the search runs to the iteration cap, which is no multiple of N,
+        # so its last window scores fewer than N probes
+        m = np.random.default_rng(seed).uniform(-0.9, 0.9, size=n)
+        E = ising_uniform(n)
+        expect, rule = reference_lambda_min_entropy(E, m, delta)
+        assert rule == "iterations" and LOCAL_SEARCH_ITERATIONS % n
+        assert bit_equal(lambda_min_entropy(E, m, delta), expect)
+
+    @pytest.mark.parametrize("n, seed, delta", [
+        (4, 0, 0.1), (4, 1, 0.1), (7, 3, 0.1), (12, 2, 0.05)])
+    def test_negative_zero_entries_in_lambda(self, n, seed, delta):
+        # -0.0 entries of m give the best candidate, where the search
+        # starts, -0.0 entries: a plus probe turns one into +0.0 and a
+        # minus probe keeps it
+        rng = np.random.default_rng(seed)
+        m = -np.zeros(n)
+        m[:n // 2] = rng.uniform(-0.9, 0.9, size=n // 2)
+        E = ising_uniform(n)
+        cands = np.array(_candidate_directions(E, m, delta, ()))
+        start = cands[np.argmin(reference_log_mass_many(E, cands, m, delta))]
+        assert np.any((start == 0.0) & np.signbit(start))
+        expect, _ = reference_lambda_min_entropy(E, m, delta)
         assert bit_equal(lambda_min_entropy(E, m, delta), expect)
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tapbound import cover
 from tapbound.cli import SUBCOMMANDS, main
 from tapbound.entropy import _cap_log_mass
 from tapbound.errors import ConfigError
@@ -124,6 +125,28 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             build_config("bound-ising", dict(replicas=0))
         assert err.value.violations == ["replicas must be >= 1"]
+
+    @pytest.mark.parametrize("experiment, overrides, violation", [
+        ("bound-ising", dict(beta=(float("nan"),)), "beta must be finite"),
+        ("bound-ising", dict(beta=(0.2, float("inf"))), "beta must be finite"),
+        ("bound-ising", dict(xi=(0.0, 0.0, float("nan"))), "xi must be finite"),
+        ("bound-ising", dict(h=(float("nan"),)), "h must be finite"),
+        ("bound-ising", dict(delta_check=float("nan")), "delta_check must be finite"),
+        ("gaussian-law", dict(eta=float("nan")), "eta must be finite"),
+        ("onsager-markov", dict(delta=float("nan")), "delta must be > 0"),
+        ("onsager-markov", dict(delta=-0.2), "delta must be > 0"),
+        ("onsager-markov", dict(delta=0.0), "delta must be > 0"),
+    ])
+    def test_non_finite_values_and_non_positive_delta(self, experiment, overrides,
+                                                      violation):
+        with pytest.raises(ConfigError) as err:
+            build_config(experiment, overrides)
+        assert violation in err.value.violations
+
+    def test_nan_from_a_config_file_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            build_config("bound-ising", parse_config_text("beta = 0.2, nan\n"))
+        assert "beta must be finite" in err.value.violations
 
     @pytest.mark.parametrize("h", [0.0, 0.3])
     def test_field_kind_kept_and_unknown_rejected(self, h):
@@ -303,6 +326,37 @@ class TestRunAndArtifacts:
         # one model for the cell, looked up once per replica block
         assert experiments._model.cache_info().misses == 1
         assert experiments._model.cache_info().hits == 2 * 3 - 1
+        assert blobs[0] == blobs[1]
+
+    def test_level1_table_one_lookup_per_replica(self, tmp_path):
+        # each slice-entropy replica classifies one atom with its own
+        # builder, so it looks up one level-1 normal; replicas whose atoms
+        # round to the same level-1 block share it
+        cfg = build_config("slice-entropy", dict(n=8, replicas=3, seed=5,
+                                                 out=str(tmp_path)))
+        run(cfg)
+        info = cover._level1_lambda.cache_info()
+        firsts = {experiments._classified_atom(cfg, r)[1].blocks[0]
+                  for r in range(3)}
+        assert len(firsts) < 3
+        assert (info.misses, info.hits) == (len(firsts), 3 - len(firsts))
+        assert cover._level1_lambda.cache_info().misses == info.misses
+
+    @pytest.mark.parametrize("experiment", ["onsager-markov", "slice-entropy"])
+    def test_cold_and_warm_level1_table_give_identical_bytes(self, experiment,
+                                                             tmp_path):
+        blobs = []
+        for tag in ("cold", "warm"):
+            if tag == "cold":
+                cover._level1_lambda.cache_clear()
+            out = tmp_path / tag
+            run(build_config(experiment, dict(POOLED[experiment], out=str(out))))
+            blobs.append(b"".join((out / (experiment + suffix)).read_bytes()
+                                  for suffix in (".report.json", ".rows.csv")))
+            if tag == "cold":
+                cold_misses = cover._level1_lambda.cache_info().misses
+        # the warm run found every level-1 normal in the table
+        assert cover._level1_lambda.cache_info().misses == cold_misses
         assert blobs[0] == blobs[1]
 
     def test_in_memory_report_matches_written_file(self, tmp_path):
