@@ -157,7 +157,6 @@ class CoverNode:
     levels: tuple
     lambdas: tuple
     eta: Optional[float] = None
-    delta: Optional[float] = None
 
     @property
     def k(self) -> int:
@@ -324,8 +323,7 @@ class CoverBuilder:
             lambdas.append(lam)
         m = self.magnetization(alpha.blocks)
         node = CoverNode(alpha=alpha, m=m, q=alpha.norm_sq,
-                         levels=tuple(levels), lambdas=tuple(lambdas),
-                         eta=eta, delta=self.delta)
+                         levels=tuple(levels), lambdas=tuple(lambdas), eta=eta)
         self._check_node(node)
         return node
 
@@ -363,7 +361,7 @@ class CoverBuilder:
             if all(abs(ti * self.epsilon) <= half for ti in t):
                 alpha = IncrementIndex(tuple(blocks), self.epsilon)
                 node = self.build(alpha, eta=eta)
-                check = membership(node, sigma, eta=eta)
+                check = membership(node, sigma)
                 if not check.in_e:
                     raise InvariantViolationError(
                         "classified point fails its own membership test")
@@ -377,33 +375,30 @@ class CoverBuilder:
 # Module-level operations
 # ---------------------------------------------------------------------------
 
-def region_masks(node: CoverNode, block: np.ndarray,
-                 epsilon: Optional[float] = None, eta: Optional[float] = None):
+def region_masks(node: CoverNode, block: np.ndarray):
     """(in D_alpha, in E_alpha) boolean masks over the rows of `block`.
 
     D_alpha rounds each row's projection onto every level-1..k direction
-    with round_down_indices and compares it with alpha; E_alpha adds
-    |projection| <= eta + 1e-12 on the final pair.
+    with round_down_indices on the grid of alpha and compares it with
+    alpha; E_alpha adds |projection| <= node.eta + 1e-12 on the final pair.
+    DomainError for a node built without an eta.
     """
-    eps = node.alpha.epsilon if epsilon is None else epsilon
-    et = node.eta if eta is None else eta
-    if et is None:
-        raise DomainError("eta needed: none stored on node, none supplied")
+    if node.eta is None:
+        raise DomainError("eta needed: none stored on node")
+    eps = node.alpha.epsilon
     in_d = np.ones(len(block), dtype=bool)
     for level_rows, targets in zip(node.levels[:-1], node.alpha.blocks):
         for u, target in zip(np.atleast_2d(level_rows), targets):
             in_d &= round_down_indices(block @ u / node.n, eps) == target
     in_e = in_d.copy()
     for u in np.atleast_2d(node.final_pair) if len(node.final_pair) else []:
-        in_e &= np.abs(block @ u / node.n) <= et + 1e-12
+        in_e &= np.abs(block @ u / node.n) <= node.eta + 1e-12
     return in_d, in_e
 
 
-def membership(node: CoverNode, sigma: np.ndarray, epsilon: Optional[float] = None,
-               eta: Optional[float] = None) -> Membership:
+def membership(node: CoverNode, sigma: np.ndarray) -> Membership:
     """The two region conditions for one unit vector (one row of region_masks)."""
-    in_d, in_e = region_masks(node, np.asarray(sigma, dtype=np.float64)[None, :],
-                              epsilon, eta)
+    in_d, in_e = region_masks(node, np.asarray(sigma, dtype=np.float64)[None, :])
     return Membership(in_d=bool(in_d[0]), in_e=bool(in_e[0]))
 
 

@@ -24,6 +24,7 @@ replica of such a block at once; a single sample is a block of one.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,8 +51,9 @@ _FORMAT_VERSION = 1
 class ExternalField:
     """Generalized external field f(sigma) = F(<sigma, u_1>, ..., <sigma, u_K>).
 
-    `basis` rows are <.,.>-orthonormal directions spanning the subspace U the
-    field factors through. Built-in kinds:
+    `basis` is a (K, n) array whose rows are <.,.>-orthonormal directions
+    spanning the subspace U the field factors through (DomainError
+    otherwise). Built-in kinds:
 
       none            -- f = 0
       linear          -- f = h * sum_i sigma_i           (K = 1, u_1 = ones)
@@ -77,6 +79,9 @@ class ExternalField:
         if self.kind not in ("none", "linear", "quadratic_spike", "custom"):
             raise DomainError(f"unknown field kind {self.kind!r}")
         basis = np.array(self.basis, dtype=np.float64, ndmin=2)
+        if basis.ndim != 2 or basis.shape[1] != self.n:
+            raise DomainError(f"field basis of shape {basis.shape}, "
+                              f"not (K, {self.n})")
         gram = (basis @ basis.T) / self.n
         # written so that a NaN entry fails
         if not np.all(np.abs(gram - np.eye(len(basis))) <= 1e-12):
@@ -267,7 +272,7 @@ def stack_disorders(samples) -> DisorderBlock:
     if any(_law(d) != law for d in samples[1:]):
         raise DomainError("disorders of different n or xi do not stack")
     tensors = {p: np.stack([d.tensors[p] for d in samples]) for p in samples[0].tensors}
-    seeds = np.array([d.seed % (1 << 64) for d in samples], dtype=np.uint64)
+    seeds = np.array([d.seed for d in samples], dtype=np.uint64)
     return DisorderBlock(samples[0].model, seeds, tensors)
 
 
@@ -294,12 +299,22 @@ def _checked_degrees(model: MixedModel) -> tuple:
     return model.active_degrees
 
 
+def _check_seed(seed) -> int:
+    """The integer `seed`, DomainError unless it lies in [0, 2**64)."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"disorder seed {seed} outside [0, 2**64)")
+    return seed
+
+
 def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
     """Draw coupling tensors; deterministic in (model, seed).
 
-    Raises ResourceBudgetError when a degree-p tensor of n^p doubles exceeds
-    the model's budget.
+    Raises DomainError for a seed outside [0, 2**64), and
+    ResourceBudgetError when a degree-p tensor of n^p doubles exceeds the
+    model's budget.
     """
+    seed = _check_seed(seed)
     tensors = {}
     for p in _checked_degrees(model):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
@@ -307,18 +322,18 @@ def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
             tensors[p] = float(rng.standard_normal())
         else:
             tensors[p] = rng.standard_normal(size=(model.n,) * p)
-    return DisorderSample(model, int(seed), tensors)
+    return DisorderSample(model, seed, tensors)
 
 
 def sample_disorders(model: MixedModel, seeds) -> DisorderBlock:
-    """`sample_disorder(model, s)` for every s in `seeds` (integers below
-    2**64), as one block.
+    """`sample_disorder(model, s)` for every s in `seeds` (integers in
+    [0, 2**64)), as one block.
 
     The streams of all seeds are set up by one array hash, and each
     replica's draw fills its slice of the stacked tensor, so no per-replica
     sample is built. Raises as `sample_disorder` does.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
     return _fill_disorders(model, seeds,
                            _stream_states(_checked_degrees(model), seeds))
 
@@ -521,8 +536,7 @@ def save_disorder(d: DisorderSample, path) -> None:
     degrees = sorted(d.tensors)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQI", _FORMAT_VERSION, d.n, d.seed % (1 << 64),
-                             len(degrees)))
+        fh.write(struct.pack("<IIQI", _FORMAT_VERSION, d.n, d.seed, len(degrees)))
         for p in degrees:
             fh.write(struct.pack("<I", p))
         for p in degrees:

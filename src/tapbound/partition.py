@@ -349,19 +349,17 @@ class SliceMeasures:
     empty: bool
 
 
-def node_member_mask(node: CoverNode, block: np.ndarray,
-                     eta: Optional[float] = None) -> np.ndarray:
+def node_member_mask(node: CoverNode, block: np.ndarray) -> np.ndarray:
     """E_alpha membership over the rows of `block`.
 
     The level projections of all rows are rounded as whole columns by the
     array grid rounding (cover.round_down_indices), the same test that
     cover.membership applies to a single vector.
     """
-    return region_masks(node, block, eta=eta)[1]
+    return region_masks(node, block)[1]
 
 
-def slice_measures(E: ReferenceMeasure, node: CoverNode,
-                   eta: Optional[float] = None) -> SliceMeasures:
+def slice_measures(E: ReferenceMeasure, node: CoverNode) -> SliceMeasures:
     """Mass of E_alpha, the conditioned measure, and its thin-slice image,
     exact over the atoms of E (UnsupportedOperationError for the sphere).
 
@@ -371,7 +369,7 @@ def slice_measures(E: ReferenceMeasure, node: CoverNode,
     if not E.is_atomic:
         raise UnsupportedOperationError("slice measures need an atomic measure")
     pts, wts = E.atoms()
-    mask = node_member_mask(node, pts.astype(np.float64), eta)
+    mask = node_member_mask(node, pts.astype(np.float64))
     mass = float(wts[mask].sum())
     if mass <= 0.0:
         return SliceMeasures(0.0, None, None, True)

@@ -611,7 +611,7 @@ def gaussian_law_replica(cfg, r):
     """The gaussian-law features of replica r alone: products of the energies
     at the ten probe pairs, of gradient entries at m and m', and of the
     energy at a0 with gradient entries at m'."""
-    pairs, m, mp, pts = experiments._gaussian_law_probes(cfg.n, cfg.seed)
+    pairs, m, mp, pts, _ = experiments._gaussian_law_probes(cfg)
     d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
     vals = energy_many(d, pts)
     gm = gradient(d, m)
@@ -630,7 +630,7 @@ def recentering_replica(cfg, r):
     """The recentering-law features of replica r alone: the recentered field
     at m + s_k, the energy at m and the gradient's component orthogonal to m
     along w, multiplied in pairs."""
-    m, (s1, s2, s3), w = experiments._recentering_probes(cfg.n, cfg.seed)
+    m, (s1, s2, s3), w = experiments._recentering_probes(cfg)
     d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
     g = gradient(d, m)
     hm = energy(d, m)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
+from tapbound import entropy
 from tapbound.covariance import CovarianceSeries
 from tapbound.entropy import (
     ISING_ENUM_MAX_N,
@@ -422,8 +423,10 @@ def reference_log_mass_many(E, lams, m, delta):
         return np.log(masses)
 
 
-def reference_lambda_min_entropy(E, m, delta, extra_directions=()):
-    """(lambda, exit) where exit names the rule that ended the search."""
+def reference_lambda_min_entropy(E, m, delta, extra_directions=(),
+                                 iterations=LOCAL_SEARCH_ITERATIONS):
+    """(lambda, exit) where exit names the rule that ended the search, after
+    at most `iterations` probes."""
     m = np.asarray(m, dtype=np.float64)
     n = E.n
     cands = np.array(_candidate_directions(E, m, delta, extra_directions))
@@ -435,7 +438,7 @@ def reference_lambda_min_entropy(E, m, delta, extra_directions=()):
     step = LOCAL_SEARCH_STEP
     scale = np.sqrt(n)
     failures = 0
-    for it in range(LOCAL_SEARCH_ITERATIONS):
+    for it in range(iterations):
         probe = np.zeros(n)
         probe[it % n] = scale * step
         trial = np.array([normalize(lam + probe), normalize(lam - probe)])
@@ -550,6 +553,19 @@ class TestLocalSearchMatchesReference:
         E = ising_uniform(n)
         expect, rule = reference_lambda_min_entropy(E, m, delta)
         assert rule == "iterations" and LOCAL_SEARCH_ITERATIONS % n
+        assert bit_equal(lambda_min_entropy(E, m, delta), expect)
+
+    @pytest.mark.parametrize("n, seed, delta, cap", [(8, 12, 0.1, 7), (8, 1, 0.2, 6)])
+    def test_last_window_stops_at_a_cap_below_n(self, n, seed, delta, cap,
+                                                monkeypatch):
+        # the first probe that succeeds is the one right after the cap, so a
+        # last window as wide as N would take it
+        monkeypatch.setattr(entropy, "LOCAL_SEARCH_ITERATIONS", cap)
+        m = np.random.default_rng(seed).uniform(-0.9, 0.9, size=n)
+        E = ising_uniform(n)
+        expect, rule = reference_lambda_min_entropy(E, m, delta, iterations=cap)
+        past_cap, _ = reference_lambda_min_entropy(E, m, delta, iterations=cap + 1)
+        assert rule == "iterations" and cap < n and not bit_equal(past_cap, expect)
         assert bit_equal(lambda_min_entropy(E, m, delta), expect)
 
     @pytest.mark.parametrize("n, seed, delta", [

@@ -11,6 +11,7 @@ from tapbound.covariance import CovarianceSeries
 from tapbound.errors import DomainError, ResourceBudgetError
 from tapbound.geometry import inner, norm, normalize
 from tapbound.hamiltonian import (
+    ExternalField,
     MixedModel,
     _energy_rows,
     _gradient_at,
@@ -480,6 +481,13 @@ class TestExternalField:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(DomainError):
             field_custom(np.array([[1.0, 0.0, 0.0]]), lambda t: 0.0)
+
+    @pytest.mark.parametrize("basis", [[[2.0, 0.0]], [[2.0, 0.0, 0.0, 0.0, 0.0]],
+                                       np.full((1, 1, 4), 1.0)])
+    def test_basis_not_k_by_n_rejected(self, basis):
+        # the first two rows pass the Gram check at n = 4
+        with pytest.raises(DomainError):
+            ExternalField("linear", 4, h=0.3, basis=basis)
 
     def test_basis_tolerance_is_absolute_1e_12(self):
         # a row scaled by 1 + 1e-8 moves its Gram diagonal by 2e-8, inside a

@@ -1,5 +1,6 @@
 """Config plumbing, report artifacts, determinism, and the CLI."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -229,20 +230,6 @@ class TestRunAndArtifacts:
             digests.append(hashlib.sha256(blob).hexdigest())
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("probes", ["_gaussian_law_probes", "_recentering_probes"])
-    def test_law_probes_built_once_and_read_only(self, probes):
-        build = getattr(experiments, probes)
-        first, second = build(8, 123), build(8, 123)
-        assert first is second
-
-        def leaves(obj):
-            return [a for part in obj for a in leaves(part)] if isinstance(obj, tuple) else [obj]
-
-        for a in leaves(first):
-            assert isinstance(a, np.ndarray)
-            with pytest.raises(ValueError):
-                a[0] = 1.0
-
     @pytest.mark.parametrize("experiment", ["gaussian-law", "recentering-law"])
     def test_law_reports_block_and_worker_independent(self, experiment, tmp_path,
                                                       monkeypatch):
@@ -258,34 +245,44 @@ class TestRunAndArtifacts:
                     for suffix in (".report.json", ".rows.csv"))).hexdigest())
         assert len(digests) == 1
 
-    def test_law_disorder_streams_built_once_per_run_and_read_only(self, tmp_path):
-        experiments._disorder_streams.cache_clear()
-        run(build_config("gaussian-law", dict(replicas=LAW_REPLICAS, seed=77,
-                                              out=str(tmp_path))))
-        # one hash for the run, sliced by each of its three replica blocks
-        info = experiments._disorder_streams.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        seeds, states = experiments._disorder_streams(77, LAW_REPLICAS, (2, 3))
-        assert experiments._disorder_streams.cache_info().misses == 1
-        assert seeds.shape == (LAW_REPLICAS,) and states.shape == (LAW_REPLICAS, 2, 4)
-        for a in (seeds, states):
-            with pytest.raises(ValueError):
-                a[0] = 1
+    def test_law_run_hashes_its_streams_and_builds_its_probes_once(self, tmp_path,
+                                                                    monkeypatch):
+        # the calls are logged to a file, so that calls made in worker
+        # processes are counted too
+        from tapbound import hamiltonian
+        log = tmp_path / "calls.log"
+        patched = [(experiments, "derive_seeds"), (experiments, "_stream_states"),
+                   (hamiltonian, "_stream_states"),
+                   (experiments, "_gaussian_law_probes"),
+                   (experiments, "_recentering_probes")]
+        for module, name in patched:
+            def logged(*args, _func=getattr(module, name), _name=name):
+                with open(log, "a") as fh:
+                    fh.write(_name + "\n")
+                return _func(*args)
 
-    def test_law_powers_built_once_read_only_and_match_gradient(self):
+            monkeypatch.setattr(module, name, logged)
+        for experiment in ("gaussian-law", "recentering-law"):
+            probes = ("_gaussian_law_probes" if experiment == "gaussian-law"
+                      else "_recentering_probes")
+            for workers in (1, 2):
+                log.write_text("")
+                run(build_config(experiment, dict(replicas=LAW_REPLICAS, seed=77,
+                                                  workers=workers,
+                                                  out=str(tmp_path / experiment))))
+                # one hash for the run, sliced for each of its three blocks
+                assert sorted(log.read_text().split()) == sorted(
+                    ["derive_seeds", "_stream_states", probes])
+
+    def test_law_powers_match_gradient(self):
         from tapbound.hamiltonian import _gradient_at, gradient
         cfg = build_config("gaussian-law", dict(replicas=2))
-        _, m, mp, _ = experiments._gaussian_law_probes(cfg.n, cfg.seed)
+        _, m, mp, _, powers = experiments._gaussian_law_probes(cfg)
         for r in range(2):
             d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
             top = max(d.tensors) - 1
-            powers = experiments._gaussian_law_powers(cfg.n, cfg.seed, top)
-            assert powers is experiments._gaussian_law_powers(cfg.n, cfg.seed, top)
             for x, pw in zip((m, mp), powers):
                 assert pw[1] is x and len(pw) == top + 1
-                for a in pw[2:]:
-                    with pytest.raises(ValueError):
-                        a[0] = 1.0
                 assert np.array_equal(_gradient_at(d, pw)[0], gradient(d, x))
 
     def test_model_shared_within_a_cell_and_distinct_across_cells(self):
@@ -316,16 +313,15 @@ class TestRunAndArtifacts:
         for tag in ("cold", "warm"):
             if tag == "cold":
                 experiments._model.cache_clear()
-                experiments._gaussian_law_probes.cache_clear()
-                experiments._gaussian_law_powers.cache_clear()
             out = tmp_path / tag
             run(build_config("gaussian-law", dict(replicas=LAW_REPLICAS,
                                                   out=str(out))))
             blobs.append(b"".join((out / ("gaussian-law" + suffix)).read_bytes()
                                   for suffix in (".report.json", ".rows.csv")))
-        # one model for the cell, looked up once per replica block
+        # one model for the cell, looked up once per run for the streams'
+        # degrees and once per replica block
         assert experiments._model.cache_info().misses == 1
-        assert experiments._model.cache_info().hits == 2 * 3 - 1
+        assert experiments._model.cache_info().hits == 2 * (1 + 3) - 1
         assert blobs[0] == blobs[1]
 
     def test_level1_table_one_lookup_per_replica(self, tmp_path):
@@ -375,13 +371,81 @@ class TestRunAndArtifacts:
         assert set(EXPERIMENT_DEFAULTS) == set(EXPERIMENTS)
 
 
+class TestCriteriaFailOnNaN:
+    """A NaN among the values a criterion folds fails the criterion: each
+    test makes one input NaN, which Python's max and min would drop."""
+
+    @staticmethod
+    def criterion(report, name):
+        (crit,) = [c for c in report.criteria if c.name == name]
+        return crit
+
+    def test_gradient_fd(self, monkeypatch):
+        real = experiments.gradient
+        monkeypatch.setattr(experiments, "gradient",
+                            lambda d, x: np.full_like(real(d, x), np.nan))
+        rep = experiments.run_gradient_check(build_config("gradient-check",
+                                                          dict(replicas=3)))
+        assert not self.criterion(rep, "gradient-fd").passed
+
+    def test_onsager_recenter_identity(self, monkeypatch):
+        from tapbound.covariance import CovarianceSeries
+        monkeypatch.setattr(CovarianceSeries, "onsager", lambda self, q: np.nan)
+        rep = experiments.run_series_identities(build_config("series-identities"))
+        assert not self.criterion(rep, "onsager-recenter-identity").passed
+
+    def test_ising_entropy_continuity(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ising_entropy", lambda m: np.nan)
+        rep = experiments.run_entropy_lemmas(build_config("entropy-lemmas"))
+        assert not self.criterion(rep, "ising-entropy-continuity").passed
+
+    def test_partition_closed_form(self, monkeypatch):
+        # only the second of the three problems' log Z
+        real, calls = experiments.log_partition_exact_ising, []
+
+        def second_nan(d, f, beta):
+            calls.append(beta)
+            est = real(d, f, beta)
+            return dataclasses.replace(est, log_value=np.nan) if len(calls) == 2 else est
+
+        monkeypatch.setattr(experiments, "log_partition_exact_ising", second_nan)
+        rep = experiments.run_zero_disorder(build_config("zero-disorder", dict(n=8)))
+        assert len(calls) == 3
+        assert not self.criterion(rep, "partition-closed-form").passed
+
+    def test_tap_lipschitz_modulus(self, monkeypatch):
+        # only the third TAP energy, of the second probe pair of replica 0
+        real, calls = experiments.tap_energy, []
+
+        def third_nan(problem, m):
+            calls.append(1)
+            return np.nan if len(calls) == 3 else real(problem, m)
+
+        monkeypatch.setattr(experiments, "tap_energy", third_nan)
+        rep = experiments.run_tap_continuity(build_config("tap-continuity",
+                                                          dict(replicas=2)))
+        assert not self.criterion(rep, "tap-lipschitz-modulus").passed
+
+
 LAW_BLOCKS = {"gaussian-law": (experiments._gaussian_law_block, gaussian_law_replica),
               "recentering-law": (experiments._recentering_block, recentering_replica)}
+
+
+LAW_PROBES = {"gaussian-law": experiments._gaussian_law_probes,
+              "recentering-law": experiments._recentering_probes}
 
 
 def _replica_features(experiment, cfg, start, stop):
     oracle = LAW_BLOCKS[experiment][1]
     return np.array([oracle(cfg, r) for r in range(start, stop)])
+
+
+def _block_features(experiment, cfg, start, stop):
+    """The block features of replicas start..stop-1 of the run of cfg, from
+    their slice of the run's streams and the run's probes."""
+    seeds, states = experiments._law_streams(cfg)
+    return LAW_BLOCKS[experiment][0](cfg, seeds[start:stop], states[start:stop],
+                                     LAW_PROBES[experiment](cfg))
 
 
 class TestLawBlocks:
@@ -412,7 +476,7 @@ class TestLawBlocks:
         # degrees 0-4 at n <= 8 stay far inside the default tensor budget
         cfg = build_config(experiment, dict(n=n, xi=tuple(coefficients), seed=seed,
                                             replicas=start + length + 1))
-        block = LAW_BLOCKS[experiment][0](cfg, start, start + length)
+        block = _block_features(experiment, cfg, start, start + length)
         assert block.flags.c_contiguous
         assert np.array_equal(block, _replica_features(experiment, cfg, start,
                                                        start + length))
@@ -423,7 +487,7 @@ class TestLawBlocks:
         blocks = experiments._replica_blocks(cfg)
         assert blocks == [(0, REPLICA_BLOCK), (REPLICA_BLOCK, 2 * REPLICA_BLOCK),
                           (2 * REPLICA_BLOCK, LAW_REPLICAS)]
-        feats = np.concatenate([LAW_BLOCKS[experiment][0](cfg, *b) for b in blocks])
+        feats = np.concatenate([_block_features(experiment, cfg, *b) for b in blocks])
         assert np.array_equal(feats, _replica_features(experiment, cfg, 0,
                                                        LAW_REPLICAS))
 
@@ -433,10 +497,14 @@ class TestLawBlocks:
         # their stacked arrays, with no per-replica sample alongside
         block = LAW_BLOCKS[experiment][0]
         cfg = build_config(experiment)
-        block(cfg, 0, REPLICA_BLOCK)  # warm the model, probe and power caches
+        seeds, states = experiments._law_streams(cfg)
+        probes = LAW_PROBES[experiment](cfg)
+        # warm the model cache
+        block(cfg, seeds[:REPLICA_BLOCK], states[:REPLICA_BLOCK], probes)
         tracemalloc.start()
         try:
-            block(cfg, REPLICA_BLOCK, 2 * REPLICA_BLOCK)
+            block(cfg, seeds[REPLICA_BLOCK:2 * REPLICA_BLOCK],
+                  states[REPLICA_BLOCK:2 * REPLICA_BLOCK], probes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

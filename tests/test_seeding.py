@@ -121,6 +121,16 @@ def test_stacked_samples_equal_the_sampled_block(coefficients):
         assert np.array_equal(stacked, expect.tensors[p])
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_seed_outside_64_bits_raises(seed):
+    # a seed of 2**70 would be recorded modulo 2**64, which draws other tensors
+    model = MixedModel(4, CovarianceSeries((0.0, 0.0, 1.0)))
+    with pytest.raises(DomainError):
+        sample_disorder(model, seed)
+    with pytest.raises(DomainError):
+        sample_disorders(model, [1, seed])
+
+
 def test_only_samples_of_one_law_stack():
     model = MixedModel(5, CovarianceSeries((0.0, 0.0, 1.0)))
     d = sample_disorder(model, 1)
