@@ -20,12 +20,15 @@ degree p is drawn from the substream SeedSequence(seed, spawn_key=(p,)).
 `sample_disorders` draws the same tensors for a block of seeds, stacked on a
 leading replica axis, and the energy and gradient kernels contract every
 replica of such a block at once; a single sample is a block of one.
+
+`recentered_energy` is the one body of the recentered Hamiltonian
+H^m(s) = H(m + s) - grad H(m) . s - H(m), over rows s and for every replica
+of a sample or a block.
 """
 
 from __future__ import annotations
 
 import operator
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -38,9 +41,6 @@ from .geometry import norm
 
 NORM_TOLERANCE = 1e-9
 TENSOR_BUDGET_BYTES_DEFAULT = 1 << 28  # 256 MiB per tensor
-
-_MAGIC = b"TAPD"
-_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -519,56 +519,23 @@ def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     return grad
 
 
-def recentered_energy(d: DisorderSample, m: np.ndarray, sigma_hat: np.ndarray) -> float:
-    """H^m(s) = H(m + s) - grad H(m) . s - H(m), with the standard dot product."""
-    m = np.asarray(m, dtype=np.float64)
-    s = np.asarray(sigma_hat, dtype=np.float64)
-    total = _check_ball(m + s, d.n)
-    g = gradient(d, m)
-    return energy(d, total) - float(g @ s) - energy(d, m)
+def recentered_energy(d, m: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """H^m(s) = H(m + s) - grad H(m) . s - H(m) at every row s of S, for each
+    replica of `d` (a sample or a block): shape (R, rows).
 
-
-# ---------------------------------------------------------------------------
-# Persistence: magic, version, n, seed, degree list, raw LE float64 tensors
-# ---------------------------------------------------------------------------
-
-def save_disorder(d: DisorderSample, path) -> None:
-    degrees = sorted(d.tensors)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQI", _FORMAT_VERSION, d.n, d.seed, len(degrees)))
-        for p in degrees:
-            fh.write(struct.pack("<I", p))
-        for p in degrees:
-            arr = np.asarray(d.tensors[p], dtype="<f8")
-            fh.write(arr.tobytes(order="C"))
-
-
-def _read_exact(fh, size: int) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise DomainError("truncated disorder file")
-    return raw
-
-
-def load_disorder(path, model: MixedModel) -> DisorderSample:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DomainError("not a disorder file (bad magic)")
-        version, n, seed, ndeg = struct.unpack("<IIQI", _read_exact(fh, 20))
-        if version != _FORMAT_VERSION:
-            raise DomainError(f"unsupported disorder file version {version}")
-        if n != model.n:
-            raise DomainError(f"file dimension {n} does not match model {model.n}")
-        if ndeg != len(model.active_degrees):
-            raise DomainError("file degree list does not match model series")
-        degrees = list(struct.unpack(f"<{ndeg}I", _read_exact(fh, 4 * ndeg)))
-        if sorted(degrees) != list(model.active_degrees):
-            raise DomainError("file degree list does not match model series")
-        tensors = {}
-        for p in degrees:
-            raw = np.frombuffer(_read_exact(fh, 8 * n ** p), dtype="<f8")
-            tensors[p] = float(raw[0]) if p == 0 else raw.reshape((n,) * p).copy()
-        if fh.read(1):
-            raise DomainError("trailing bytes after the last disorder tensor")
-    return DisorderSample(model, int(seed), tensors)
+    DomainError unless m lies in the open ball, S is (rows, N) and every
+    m + s lies in the closed ball; a NaN fails these checks. grad H(m) . s is
+    the 1-D dot product of each (replica, row) pair, as in `_dots`.
+    """
+    m = _check_ball(m, d.n, open_ball=True)
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 2 or S.shape[1] != d.n:
+        raise DomainError(f"expected rows of length {d.n}")
+    X = m + S
+    # written so that a NaN norm fails
+    if not np.all(np.sqrt((X * X).sum(axis=1) / d.n) <= 1.0 + NORM_TOLERANCE):
+        raise DomainError("some m + s lies outside the unit ball beyond tolerance")
+    powers = _kron_powers(m, max(d.tensors, default=0) - 1)
+    g = _gradient_at(d, powers)
+    dots = np.matmul(g[:, None, None, :], S[:, :, None])[..., 0, 0]
+    return _energy_rows(d, X) - dots - _energy_at(d, powers)[:, None]

@@ -17,6 +17,9 @@ SLICE_EXPERIMENTS = {"slice-entropy"}
 # Replica-mean experiments: each criterion is a z-score against a standard
 # error over the replicas
 LAW_EXPERIMENTS = {"gaussian-law", "recentering-law"}
+# The only experiments that read `field`; every other one runs a linear
+# field (or none), and only tap-max reads `measure`
+FIELD_EXPERIMENTS = {"bound-ising", "bound-sphere", "tap-max"}
 
 
 def _floats(value: str) -> tuple:
@@ -148,10 +151,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad.append("xi coefficients must be nonnegative")
     if not all(b >= 0 for b in cfg.beta):
         bad.append("beta values must be >= 0")
+    for key in ("beta", "h"):
+        if not getattr(cfg, key):
+            bad.append(f"{key} must not be empty")
     if cfg.field not in ("none", "linear", "quadratic_spike"):
         bad.append(f"unknown field kind {cfg.field!r}")
+    elif cfg.field != "linear" and cfg.experiment not in FIELD_EXPERIMENTS:
+        bad.append(f"{cfg.experiment} does not read field; only "
+                   f"{', '.join(sorted(FIELD_EXPERIMENTS))} do")
     if cfg.measure not in ("ising", "sphere"):
         bad.append(f"unknown measure {cfg.measure!r}")
+    elif cfg.measure != "ising" and cfg.experiment != "tap-max":
+        bad.append(f"{cfg.experiment} does not read measure; only tap-max does")
     if cfg.starts < 1:
         bad.append("starts must be >= 1")
     if cfg.workers < 1:

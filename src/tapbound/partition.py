@@ -10,8 +10,9 @@ product and folded into a running log-sum-exp. Sphere estimates draw
 normalized Gaussians from a counter-based (Philox) stream, so replica
 streams are independent and reproducible; a block of problems of one model
 shares one draw, scored by stacked contractions. Restricted partitions and
-slice measures sum over atoms only; the sphere has none and raises
-UnsupportedOperationError there. All accumulation is in the log domain;
+slice measures (a cover region's mass and the thin-slice image of the
+measure conditioned on it) sum over atoms only; the sphere has none and
+raises UnsupportedOperationError there. All accumulation is in the log domain;
 -inf is a first-class value for empty restrictions.
 """
 
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cover import CoverNode, region_masks, thin_projections
-from .entropy import ReferenceMeasure, _sign_table, point_cloud
+from .entropy import ReferenceMeasure, _sign_table
 from .errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from .hamiltonian import (
     _ROW_CHUNK,
@@ -344,9 +345,7 @@ class ThinPushforward:
 @dataclass(frozen=True)
 class SliceMeasures:
     mass: float
-    conditional: Optional[ReferenceMeasure]
-    thin_pushforward: Optional[ThinPushforward]
-    empty: bool
+    thin_pushforward: Optional[ThinPushforward]  # None for an empty region
 
 
 def node_member_mask(node: CoverNode, block: np.ndarray) -> np.ndarray:
@@ -360,11 +359,10 @@ def node_member_mask(node: CoverNode, block: np.ndarray) -> np.ndarray:
 
 
 def slice_measures(E: ReferenceMeasure, node: CoverNode) -> SliceMeasures:
-    """Mass of E_alpha, the conditioned measure, and its thin-slice image,
-    exact over the atoms of E (UnsupportedOperationError for the sphere).
+    """Mass of E_alpha and the thin-slice image of E conditioned on it, exact
+    over the atoms of E (UnsupportedOperationError for the sphere).
 
-    An empty region is flagged and carries no conditional (mirrors the
-    positive mass guard on the conditioned measure).
+    An empty region has mass 0.0 and no image.
     """
     if not E.is_atomic:
         raise UnsupportedOperationError("slice measures need an atomic measure")
@@ -372,10 +370,6 @@ def slice_measures(E: ReferenceMeasure, node: CoverNode) -> SliceMeasures:
     mask = node_member_mask(node, pts.astype(np.float64))
     mass = float(wts[mask].sum())
     if mass <= 0.0:
-        return SliceMeasures(0.0, None, None, True)
-    members = pts[mask].astype(np.float64)
-    w = wts[mask] / mass
-    tau = thin_projections(node, members)
-    cond = point_cloud(members, w)
-    return SliceMeasures(mass, cond, ThinPushforward(tau, w, node.q), False)
-
+        return SliceMeasures(0.0, None)
+    tau = thin_projections(node, pts[mask].astype(np.float64))
+    return SliceMeasures(mass, ThinPushforward(tau, wts[mask] / mass, node.q))

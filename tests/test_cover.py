@@ -459,6 +459,8 @@ class TestThinProjectionRows:
 
     @pytest.mark.parametrize("n, seed", [(6, 1), (10, 2), (12, 3)])
     def test_ising_slice_members(self, n, seed):
+        # slice_measures: the members' exact mass k / 2^N, and their
+        # projections in atom order, uniformly weighted
         E = ising_uniform(n)
         b = make_builder(n=n, seed=seed, epsilon=0.1, delta=0.2)
         atoms = E.atoms()[0].astype(np.float64)
@@ -466,7 +468,10 @@ class TestThinProjectionRows:
         for idx in rng.choice(len(atoms), size=4, replace=False):
             _, node = b.classify(atoms[idx], eta=0.6)
             out = slice_measures(E, node)
-            members = out.conditional.points
+            members = atoms[node_member_mask(node, atoms)]
+            assert out.mass == len(members) / 2 ** n
+            assert np.allclose(out.thin_pushforward.weights, 1 / len(members),
+                               rtol=1e-12, atol=0.0)
             assert out.thin_pushforward.points.tobytes() == np.array(
                 [oracle_thin_projection(node, s) for s in members]).tobytes()
             self.assert_rows_match_oracle(node, members)

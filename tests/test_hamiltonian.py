@@ -24,11 +24,9 @@ from tapbound.hamiltonian import (
     field_none,
     gradient,
     gradient_many,
-    load_disorder,
     recentered_energy,
     sample_disorder,
     sample_disorders,
-    save_disorder,
 )
 
 from oracles import (
@@ -120,9 +118,10 @@ class TestEnergyAndGradient:
     def test_nan_entry_rejected(self):
         d = sample_disorder(MixedModel(4, XI23), 0)
         m = np.array([0.1, np.nan, 0.0, 0.2])
+        # a NaN centre fails the open-ball check, a NaN row the closed-ball one
         for call in (lambda: energy(d, m), lambda: gradient(d, m),
-                     lambda: recentered_energy(d, m, np.zeros(4)),
-                     lambda: recentered_energy(d, np.zeros(4), m)):
+                     lambda: recentered_energy(d, m, np.zeros((1, 4))),
+                     lambda: recentered_energy(d, np.zeros(4), np.vstack([np.zeros(4), m]))):
             with pytest.raises(DomainError):
                 call()
 
@@ -365,36 +364,50 @@ class TestCovarianceLaw:
 
 
 class TestRecentering:
+    """`recentered_energy`, the one body of H^m(s) = H(m + s) - grad H(m) . s
+    - H(m), over rows s and the replicas of a sample or a block."""
+
     def test_zero_increment_gives_zero(self):
         d = sample_disorder(MixedModel(7, XI23), 21)
         rng = np.random.default_rng(2)
         m = 0.5 * unit_vector(rng, 7)
-        assert recentered_energy(d, m, np.zeros(7)) == pytest.approx(0.0, abs=1e-12)
+        out = recentered_energy(d, m, np.zeros((3, 7)))
+        assert out.shape == (1, 3)
+        assert np.allclose(out, 0.0, rtol=0.0, atol=1e-12)
 
     def test_recentering_at_origin_is_identity_for_pure_p2(self):
         d = sample_disorder(MixedModel(7, XI2), 22)
         rng = np.random.default_rng(3)
-        s = 0.9 * unit_vector(rng, 7)
-        assert recentered_energy(d, np.zeros(7), s) == pytest.approx(energy(d, s), rel=1e-12)
+        S = np.array([rng.uniform(0.1, 0.9) * unit_vector(rng, 7) for _ in range(5)])
+        assert np.allclose(recentered_energy(d, np.zeros(7), S)[0], energy_many(d, S),
+                           rtol=1e-12, atol=0.0)
+
+    def test_rows_match_the_defining_formula(self):
+        # against the one-point energy and gradient, row by row, to 1e-12
+        rng = np.random.default_rng(6)
+        d = sample_disorder(MixedModel(6, CovarianceSeries((0.3, 0.5, 1.0, 0.5))), 24)
+        m = 0.6 * unit_vector(rng, 6)
+        S = np.array([0.3 * unit_vector(rng, 6) for _ in range(8)])
+        got = recentered_energy(d, m, S)[0]
+        expect = [energy(d, m + s) - gradient(d, m) @ s - energy(d, m) for s in S]
+        assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_gradient_and_composition_identities(self):
         # grad H^a(b) = grad H(a+b) - grad H(a), and (H^a)^b = H^{a+b}, to 1e-10
         rng = np.random.default_rng(4)
         d = sample_disorder(MixedModel(6, XI23), 23)
+        step = 1e-6
+        shifts = step * np.eye(6)
         for _ in range(25):
             a = 0.35 * unit_vector(rng, 6) * rng.uniform(0.1, 1.0)
             b = 0.35 * unit_vector(rng, 6) * rng.uniform(0.1, 1.0)
             s = 0.2 * unit_vector(rng, 6)
-            step = 1e-6
-            ga_b = np.empty(6)
-            for i in range(6):
-                e = np.zeros(6)
-                e[i] = step
-                ga_b[i] = (recentered_energy(d, a, b + e) - recentered_energy(d, a, b - e)) / (2 * step)
+            vals = recentered_energy(d, a, np.vstack([b + shifts, b - shifts]))[0]
+            ga_b = (vals[:6] - vals[6:]) / (2 * step)
             assert np.allclose(ga_b, gradient(d, a + b) - gradient(d, a), atol=2e-6)
-            lhs = (recentered_energy(d, a, b + s) - recentered_energy(d, a, b)
-                   - (gradient(d, a + b) - gradient(d, a)) @ s)
-            rhs = recentered_energy(d, a + b, s)
+            at_bs, at_b = recentered_energy(d, a, np.array([b + s, b]))[0]
+            lhs = at_bs - at_b - (gradient(d, a + b) - gradient(d, a)) @ s
+            rhs = recentered_energy(d, a + b, s[None])[0, 0]
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_recentered_covariance_law(self):
@@ -407,18 +420,45 @@ class TestRecentering:
         rng = np.random.default_rng(8)
         s1 = np.sqrt(1 - q) * normalize(np.concatenate([[0.0], rng.standard_normal(n - 1)]))
         s2 = np.sqrt(1 - q) * normalize(np.concatenate([[0.0], rng.standard_normal(n - 1)]))
-        rows = []
-        for seed in range(4000):
-            d = sample_disorder(model, seed)
-            rows.append([recentered_energy(d, m, s1), recentered_energy(d, m, s2),
-                         energy(d, m)])
-        rows = np.array(rows)
+        d = sample_disorders(model, range(4000))
+        rec = recentered_energy(d, m, np.array([s1, s2]))
+        hm = _energy_rows(d, m[None])[:, 0]
         xi_q = model.series.recenter(q)
-        c, se = mc_cov(rows[:, 0], rows[:, 1])
+        c, se = mc_cov(rec[:, 0], rec[:, 1])
         assert abs(c - n * xi_q(inner(s1, s2))) <= 5 * se
         # independence of H(m) and the recentered field on the slice
-        c0, se0 = mc_cov(rows[:, 0], rows[:, 2])
+        c0, se0 = mc_cov(rec[:, 0], hm)
         assert abs(c0) <= 5 * se0
+
+    @pytest.mark.parametrize("coefficients, n, replicas", [
+        ((0.0, 0.0, 1.0), 8, 3),
+        ((0.5, 0.5, 1.0, 0.5), 6, 65),
+        ((0.0, 0.0, 0.0, 1.0, 0.25), 4, 2),
+        ((0.0, 1.0), 5, 1),
+    ])
+    def test_block_rows_equal_each_replica_sample(self, coefficients, n, replicas):
+        model = MixedModel(n, CovarianceSeries(coefficients))
+        rng = np.random.default_rng(replicas)
+        seeds = rng.integers(0, 2 ** 64, size=replicas, dtype=np.uint64)
+        m = 0.5 * unit_vector(rng, n)
+        S = np.array([0.4 * unit_vector(rng, n) for _ in range(7)] + [np.zeros(n)])
+        block = recentered_energy(sample_disorders(model, seeds), m, S)
+        assert block.shape == (replicas, len(S))
+        for r, seed in enumerate(seeds):
+            alone = recentered_energy(sample_disorder(model, int(seed)), m, S)
+            assert block[r].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("m, S", [
+        (np.ones(4), np.zeros((1, 4))),  # m on the sphere, not inside
+        (np.zeros(4), 1.01 * np.ones((2, 4))),  # m + s beyond the closed ball
+        (np.zeros(4), np.zeros(4)),  # a vector, not rows
+        (np.zeros(4), np.zeros((2, 3))),  # rows of another length
+        (np.zeros(5), np.zeros((2, 4))),  # m of another length
+    ], ids=["m-on-sphere", "row-outside", "not-rows", "row-length", "m-length"])
+    def test_domain_errors(self, m, S):
+        d = sample_disorder(MixedModel(4, XI23), 0)
+        with pytest.raises(DomainError):
+            recentered_energy(d, m, S)
 
 
 class TestExternalField:
@@ -554,60 +594,3 @@ class TestEffectiveFieldAndProbes:
                                            + model.series.evaluate(1.0, 1))))
         se = np.sqrt(max(freq * (1 - freq), 1e-9) / reps)
         assert freq <= bound + 3 * se
-
-
-class TestPersistence:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        model = MixedModel(5, XI23)
-        d = sample_disorder(model, 123)
-        path = tmp_path / "disorder.bin"
-        save_disorder(d, path)
-        d2 = load_disorder(path, model)
-        assert d2.seed == 123
-        for p in d.tensors:
-            assert np.array_equal(np.asarray(d.tensors[p]), np.asarray(d2.tensors[p]))
-
-    def test_dimension_mismatch_rejected(self, tmp_path):
-        d = sample_disorder(MixedModel(5, XI2), 1)
-        path = tmp_path / "d.bin"
-        save_disorder(d, path)
-        with pytest.raises(DomainError):
-            load_disorder(path, MixedModel(6, XI2))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(DomainError):
-            load_disorder(path, MixedModel(5, XI2))
-
-
-    def _saved(self, tmp_path):
-        model = MixedModel(5, XI23)
-        path = tmp_path / "d.bin"
-        save_disorder(sample_disorder(model, 7), path)
-        return model, path
-
-    @pytest.mark.parametrize("keep", [10, 23, 30])
-    def test_truncated_header_rejected(self, tmp_path, keep):
-        # 24-byte header, then one u32 per degree
-        model, path = self._saved(tmp_path)
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(DomainError):
-            load_disorder(path, model)
-
-    def test_truncated_tensor_rejected(self, tmp_path):
-        model, path = self._saved(tmp_path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DomainError):
-            load_disorder(path, model)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        model, path = self._saved(tmp_path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(DomainError):
-            load_disorder(path, model)
-
-    def test_degree_list_mismatch_rejected(self, tmp_path):
-        model, path = self._saved(tmp_path)
-        with pytest.raises(DomainError):
-            load_disorder(path, MixedModel(5, XI2))

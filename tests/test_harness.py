@@ -30,8 +30,9 @@ from tapbound.harness import (
 from tapbound.harness.config import ExperimentConfig
 from tapbound.harness.experiments import REPLICA_BLOCK, make_field
 from tapbound.harness.report import histogram_svg, polyline_svg
-from tapbound.partition import log_partition_mc_sphere_many
-from tapbound.tap import TapProblem
+from tapbound.hamiltonian import field_quadratic_spike
+from tapbound.partition import log_partition_exact_ising, log_partition_mc_sphere_many
+from tapbound.tap import TapProblem, maximize_tap
 
 from oracles import gaussian_law_replica, recentering_replica
 
@@ -155,6 +156,74 @@ class TestValidation:
             assert make_field(kind, h, 6).kind == kind
         with pytest.raises(ConfigError):
             make_field("bogus", h, 6)
+
+    @pytest.mark.parametrize("key", ["beta", "h"])
+    @pytest.mark.parametrize("experiment", ["bound-ising", "bound-sphere",
+                                            "zero-disorder", "onsager-markov",
+                                            "tap-continuity"])
+    def test_empty_beta_or_h_rejected(self, experiment, key):
+        # without the check these runs fail inside the experiment with a
+        # ValueError, IndexError or ZeroDivisionError
+        with pytest.raises(ConfigError) as err:
+            build_config(experiment, {key: ()})
+        assert f"{key} must not be empty" in err.value.violations
+
+    def test_empty_list_from_a_config_file_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            build_config("tap-continuity", parse_config_text("h =\n"))
+        assert "h must not be empty" in err.value.violations
+
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("zero-disorder", dict(field="quadratic_spike")),
+        ("tap-continuity", dict(field="quadratic_spike")),
+        ("onsager-markov", dict(field="none")),
+        ("beta0-exact", dict(field="none")),
+        ("cover-property", dict(measure="sphere")),
+        ("bound-sphere", dict(measure="sphere")),
+    ])
+    def test_field_or_measure_the_experiment_ignores_rejected(self, experiment,
+                                                              overrides):
+        with pytest.raises(ConfigError) as err:
+            build_config(experiment, overrides)
+        (violation,) = err.value.violations
+        assert violation.startswith(f"{experiment} does not read ")
+
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("bound-ising", dict(field="quadratic_spike")),
+        ("bound-sphere", dict(field="none")),
+        ("tap-max", dict(field="quadratic_spike", measure="sphere")),
+    ])
+    def test_field_and_measure_accepted_where_read(self, experiment, overrides):
+        cfg = build_config(experiment, overrides)
+        assert (cfg.field, cfg.measure) == (overrides["field"],
+                                            overrides.get("measure", "ising"))
+
+
+class TestBoundExperimentsRunTheirField:
+    """bound-ising and bound-sphere build every problem with `cfg.field`."""
+
+    SMALL = dict(n=8, beta=(0.4,), h=(0.5,), replicas=2)
+
+    def test_spike_rows_are_the_spike_problems(self):
+        cfg = build_config("bound-ising", dict(self.SMALL, field="quadratic_spike"))
+        rows = run(cfg).rows
+        linear = run(build_config("bound-ising", self.SMALL)).rows
+        assert len(rows) == len(linear) == 2
+        for (beta, h, r, log_z, sup, _), lin in zip(rows, linear):
+            d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
+            spike = field_quadratic_spike(h, cfg.n)
+            assert log_z == log_partition_exact_ising(d, spike, beta).log_value
+            seed = experiments.derive_seed(cfg.seed, experiments.STREAM_STARTS, r)
+            assert sup == maximize_tap(TapProblem(d, spike, beta, "ising"),
+                                       starts=cfg.starts, rng_seed=seed).value
+            assert log_z != lin[3] and sup != lin[4]
+
+    def test_sphere_rows_move_with_the_field(self):
+        small = dict(self.SMALL, mc_samples=1000)
+        spike = run(build_config("bound-sphere", dict(small, field="quadratic_spike")))
+        linear = run(build_config("bound-sphere", small))
+        for row, lin in zip(spike.rows, linear.rows):
+            assert row[3] != lin[3] and row[5] != lin[5]  # log_z, tap_sup
 
 
 class TestRunAndArtifacts:
@@ -412,6 +481,20 @@ class TestCriteriaFailOnNaN:
         rep = experiments.run_zero_disorder(build_config("zero-disorder", dict(n=8)))
         assert len(calls) == 3
         assert not self.criterion(rep, "partition-closed-form").passed
+
+    def test_sphere_cap_bound(self, monkeypatch):
+        monkeypatch.setattr(experiments, "halfspace_log_mass", lambda *a, **k: np.nan)
+        crit = self.criterion(
+            experiments.run_entropy_lemmas(build_config("entropy-lemmas")),
+            "sphere-cap-bound")
+        assert np.isnan(crit.value) and not crit.passed
+
+    def test_spherical_entropy_domination(self, monkeypatch):
+        monkeypatch.setattr(experiments, "general_entropy_upper", lambda *a, **k: np.nan)
+        crit = self.criterion(
+            experiments.run_entropy_lemmas(build_config("entropy-lemmas")),
+            "spherical-entropy-domination")
+        assert np.isnan(crit.value) and not crit.passed
 
     def test_tap_lipschitz_modulus(self, monkeypatch):
         # only the third TAP energy, of the second probe pair of replica 0
