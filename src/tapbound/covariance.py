@@ -57,9 +57,11 @@ class CovarianceSeries:
     coefficients: tuple[float, ...]
     # derivative_coefficients(k) for every k below len(coefficients)
     _derivatives: tuple = field(init=False, repr=False, compare=False)
-    # polynomial coefficients of On(q) and of On'(q) = -(1-q) xi''(q)
+    # polynomial coefficients of On(q), of On'(q) = -(1-q) xi''(q) and of
+    # On''(q) = xi''(q) - (1-q) xi'''(q)
     _onsager: tuple = field(init=False, repr=False, compare=False)
     _onsager_derivative: tuple = field(init=False, repr=False, compare=False)
+    _onsager_second_derivative: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -76,9 +78,12 @@ class CovarianceSeries:
         onsager = [sum(coeffs) - a[0] - a[1]] + [
             (k - 1) * a[k] - (k + 1) * a[k + 1] for k in range(1, len(coeffs))]
         e = (0.0,) + self.derivative_coefficients(2) + (0.0,)
+        first = tuple(e[k] - e[k + 1] for k in range(len(e) - 1))
         object.__setattr__(self, "_onsager", tuple(onsager))
-        object.__setattr__(self, "_onsager_derivative",
-                           tuple(e[k] - e[k + 1] for k in range(len(e) - 1)))
+        object.__setattr__(self, "_onsager_derivative", first)
+        # On'' is the term-by-term derivative of the stored On'
+        object.__setattr__(self, "_onsager_second_derivative",
+                           tuple(k * c for k, c in enumerate(first))[1:] or (0.0,))
 
     @property
     def degree(self) -> int:
@@ -116,6 +121,11 @@ class CovarianceSeries:
         """On'(q) = -(1-q) xi''(q) as one Horner pass, for float64 q already
         in [0, 1] (unchecked)."""
         return _horner(self._onsager_derivative, q)
+
+    def _onsager_second_derivative_rows(self, q: np.ndarray) -> np.ndarray:
+        """On''(q) = xi''(q) - (1-q) xi'''(q) as one Horner pass, for float64
+        q already in [0, 1] (unchecked)."""
+        return _horner(self._onsager_second_derivative, q)
 
     def recenter(self, q: float) -> "RecenteredSeries":
         """The series xi_q; q must lie in [0, 1]."""

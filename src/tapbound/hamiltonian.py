@@ -140,6 +140,32 @@ class ExternalField:
                             dtype=np.float64).reshape(t.shape)
         return (partials @ self.basis) / self.n
 
+    def hessian_many(self, sigmas: np.ndarray) -> np.ndarray:
+        """d^2 f / d sigma_i d sigma_j at every row: shape (rows, n, n).
+
+        Zero for none and linear, (2h/N) u u^T for the quadratic spike. A
+        custom f varies only along its basis, so its Hessian is
+        sum_k D_k u_k^T / N, with D_k the central difference of
+        `gradient_many` along u_k: 2K gradient rows per row.
+        """
+        sigmas = np.asarray(sigmas, dtype=np.float64)
+        rows, n = sigmas.shape
+        if self.kind in ("none", "linear"):
+            return np.zeros((rows, n, n))
+        if self.kind == "quadratic_spike":
+            u = self.basis[0]
+            return np.repeat(((2.0 * self.h / n) * np.outer(u, u))[None], rows, axis=0)
+        shifts = _FIELD_HESSIAN_STEP * self.basis
+        plus = self.gradient_many((sigmas[:, None] + shifts).reshape(-1, n))
+        minus = self.gradient_many((sigmas[:, None] - shifts).reshape(-1, n))
+        D = ((plus - minus) / (2 * _FIELD_HESSIAN_STEP)).reshape(rows, self.K, n)
+        return np.matmul(D.transpose(0, 2, 1), self.basis) / n
+
+
+# Step along each basis direction (a change of one projection coordinate)
+# in the central differences of a custom field's Hessian.
+_FIELD_HESSIAN_STEP = 1e-5
+
 
 def _field_gradient_fd(f: ExternalField, sigma: np.ndarray, step: float = 1e-6) -> np.ndarray:
     shifts = step * np.eye(f.n)
@@ -228,6 +254,26 @@ class DisorderSample:
         return tuple((p, scale, sum(np.moveaxis(g, k, -1) for k in range(p)))
                      for p, scale, g in self.terms if p)
 
+    @cached_property
+    def hessian_terms(self) -> tuple:
+        """(degree, scale, S_p) for every degree p >= 2, with
+        S_p = sum_{k != l} moveaxis(g_p, (k, l), (-2, -1)).
+
+        S_p carries the two derivative indices last, so d^2 H_ij(x) is its
+        contraction with x at every other axis. At p = 2 it is g + g^T;
+        above, its last two axes are merged into one of length N^2, as
+        `_contract_rows` takes it. Each entry is the sum of its (k, l) and
+        (l, k) halves, so S_p is exactly symmetric in them.
+        """
+        terms = []
+        for p, scale, g in self.terms:
+            if p >= 2:
+                half = sum(np.moveaxis(g, (k, l), (-2, -1))
+                           for k in range(p) for l in range(k + 1, p))
+                s = half + np.swapaxes(half, -1, -2)
+                terms.append((p, scale, s if p == 2 else s.reshape(s.shape[:-2] + (-1,))))
+        return tuple(terms)
+
 
 @dataclass(frozen=True)
 class DisorderBlock:
@@ -303,7 +349,7 @@ def _check_seed(seed) -> int:
     """The integer `seed`, DomainError unless it lies in [0, 2**64)."""
     seed = operator.index(seed)
     if not 0 <= seed < 1 << 64:
-        raise DomainError(f"disorder seed {seed} outside [0, 2**64)")
+        raise DomainError(f"seed {seed} outside [0, 2**64)")
     return seed
 
 
@@ -517,6 +563,18 @@ def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     for p, scale, s in d.gradient_terms:
         grad += scale * (s if p == 1 else _contract_rows(s[None], X)[0])
     return grad
+
+
+def hessian_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
+    """Row-wise Hessian of H over the rows of `sigmas` (no per-row domain
+    check): shape (rows, N, N), the contraction of each `hessian_terms`
+    tensor with the row at all but its last two axes."""
+    X = np.asarray(sigmas, dtype=np.float64)
+    rows, n = X.shape
+    hess = np.zeros((rows, n, n))
+    for p, scale, s in d.hessian_terms:
+        hess += scale * (s if p == 2 else _contract_rows(s[None], X)[0].reshape(rows, n, n))
+    return hess
 
 
 def recentered_energy(d, m: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -655,7 +655,7 @@ def run_bound_ising(cfg: ExperimentConfig) -> ExperimentReport:
     crit = Criterion("gap-bound", bool(np.all(gaps <= cfg.delta_check)),
                      float(gaps.max()), cfg.delta_check,
                      "per-spin log Z - sup TAP <= delta_check "
-                     "(sup surrogate: multi-start projected L-BFGS)", len(rows))
+                     "(sup surrogate: multi-start projected Newton ascent)", len(rows))
     return ExperimentReport(cfg.experiment, cfg.asdict(),
                             ["beta", "h", "replica", "log_z", "tap_sup", "gap"],
                             list(rows), [crit],
@@ -907,7 +907,7 @@ def run_tap_max(cfg: ExperimentConfig) -> ExperimentReport:
     rows = [[row.start, row.iteration, row.value, row.grad_norm, row.step]
             for row in out.trace]
     crit = Criterion("maximizer-finished", True, out.value, out.value,
-                     "best value over multi-start projected L-BFGS "
+                     "best value over multi-start projected Newton ascent "
                      "(reported, not asserted)",
                      cfg.starts)
     direction = out.m_star / max(norm(out.m_star), 1e-12)

@@ -14,25 +14,29 @@ term is computed once, row-batched, by `tap_energy_many` and
 `tap_gradient_many` (the general flavor has no gradient); `tap_energy` and
 `tap_gradient` are their one-row calls.
 
-Maximization is multi-start projected L-BFGS (Nocedal & Wright, Numerical
-Optimization, ch. 7), for the ising and spherical flavors and a block of
-problems at once (`maximize_tap_many`; `maximize_tap` is its block of one).
-The problems share n, flavor and covariance series; their starts advance
-together as the rows of one array, problem-major. Only the disorder and
-field kernels run per problem, on its contiguous run of rows; the domain
-check, beta scaling, Onsager and entropy terms, projection, two-loop
-recursion and Armijo bookkeeping are one call over the stack, and the
-term bodies behind `tap_energy_many` and `tap_gradient_many` are the same
-stacked bodies, called for a block of one. Each row keeps its own curvature
-history, backtracking Armijo search on the projected candidate and stopping
-state, so a start follows the same rules as if it ran alone, and each
-problem's result is bit for bit the one it gets alone; ties break toward
-the lowest start index. The ascent's gradients skip the domain check: every
-row has passed the energy's. The earlier projected gradient ascent and the
-per-problem L-BFGS are kept as test oracles. The general flavor has no
-gradient and no maximizer. The best value found is a lower bound on
-the true supremum and is used as the sup surrogate by the bound experiments;
-the tests check it against an exhaustive grid oracle at tiny N.
+Maximization is multi-start projected Newton ascent with a modified
+Hessian (Nocedal & Wright, Numerical Optimization, section 3.4), for the
+ising and spherical flavors and a block of problems at once
+(`maximize_tap_many`; `maximize_tap` is its block of one). The problems
+share n, flavor and covariance series; their starts advance together as the
+rows of one array, problem-major. Only the disorder and field kernels run
+per problem, on its contiguous run of rows; the domain check, beta scaling,
+Onsager and entropy terms, projection, Hessian shifts and solves and Armijo
+bookkeeping are one call over the stack, and the term bodies behind
+`tap_energy_many` and `tap_gradient_many` are the same stacked bodies,
+called for a block of one. The Hessian is exact: `_hessian_block` adds beta
+times the disorder and field Hessians, the Onsager term's and the
+entropy's. Each row's direction solves its own shifted Newton system
+(`_newton_directions`), and each row keeps its own backtracking Armijo
+search on the projected candidate and stopping state, so a start follows
+the same rules as if it ran alone, and each problem's result is bit for bit
+the one it gets alone; ties break toward the lowest start index. The
+ascent's gradients and Hessians skip the domain check: every row has passed
+the energy's. The earlier projected gradient ascent and block L-BFGS ascent
+are kept as test oracles. The general flavor has no gradient and no
+maximizer. The best value found is a lower bound on the true supremum and
+is used as the sup surrogate by the bound experiments; the tests check it
+against an exhaustive grid oracle at tiny N.
 """
 
 from __future__ import annotations
@@ -48,15 +52,17 @@ from .geometry import norm
 from .hamiltonian import (
     DisorderSample,
     ExternalField,
+    _check_seed,
     check_gibbs_parameters,
     energy_many,
     gradient_many,
+    hessian_many,
 )
 
 FLAVORS = ("ising", "spherical", "general")
 
 MAX_ITERATIONS = 500
-HISTORY = 8  # L-BFGS curvature pairs kept per start
+CURVATURE_FLOOR = 1e-3  # least eigenvalue of each row's shifted -Hessian
 INITIAL_STEP = 0.1
 BACKTRACK_FACTOR = 0.5
 GRAD_TOLERANCE = 1e-8
@@ -214,6 +220,34 @@ def _gradient_block(block: _Block, M: np.ndarray, counts: np.ndarray) -> np.ndar
     return g
 
 
+def _hessian_block(block: _Block, M: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """TAP Hessian of the problem-major rows of M (ising or spherical),
+    which have passed the domain check: shape (rows, N, N). The disorder
+    and field Hessians run per problem as in `_energy_block`; the beta
+    scaling, the Onsager term beta^2 [On'(q) I + (2/N) On''(q) m m^T] and
+    the entropy term, -diag(1 / (1 - m_i^2)) or
+    -I / (1 - q) - (2/N) m m^T / (1 - q)^2, are one call over all rows."""
+    n = block.n
+    hess = np.empty((len(M), n, n))
+    for p, lo, hi in block.runs(counts):
+        X = M[lo:hi]
+        hess[lo:hi] = hessian_many(p.disorder, X) + p.field.hessian_many(X)
+    hess *= np.repeat(block.beta, counts)[:, None, None]
+    q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
+    beta2 = np.repeat(block.onsager_grad, counts)
+    diag = beta2 * block.series._onsager_derivative_rows(q)
+    outer = beta2 * block.series._onsager_second_derivative_rows(q) * (2.0 / n)
+    if block.flavor == "ising":
+        diag = diag[:, None] - 1.0 / (1.0 - M ** 2)
+    else:
+        diag = (diag - 1.0 / (1.0 - q))[:, None]
+        outer -= (2.0 / n) / (1.0 - q) ** 2
+    hess += outer[:, None, None] * (M[:, :, None] * M[:, None, :])
+    diagonal = np.arange(n)
+    hess[:, diagonal, diagonal] += diag
+    return hess
+
+
 def _project(p: TapProblem, M: np.ndarray) -> np.ndarray:
     """Pull every row of M back to the domain, DOMAIN_MARGIN inside its edge."""
     limit = 1.0 - DOMAIN_MARGIN
@@ -249,42 +283,49 @@ class MaximizeResult:
 
 
 def maximize_tap(p: TapProblem, starts: int, rng_seed: int) -> MaximizeResult:
-    """Best magnetization over multi-start projected L-BFGS (a block-of-one
-    `maximize_tap_many`). The returned value is a lower bound of the true
-    supremum."""
+    """Best magnetization over multi-start projected Newton ascent (a
+    block-of-one `maximize_tap_many`). The returned value is a lower bound of
+    the true supremum."""
     return maximize_tap_many([p], starts, [rng_seed])[0]
 
 
 def maximize_tap_many(problems, starts: int, rng_seeds) -> list:
-    """`MaximizeResult`s of multi-start projected L-BFGS for a block of
-    problems, one ascent over all their starts.
+    """`MaximizeResult`s of multi-start projected Newton ascent for a block
+    of problems, one ascent over all their starts.
 
     The problems must share n, the flavor (ising or spherical) and the
     covariance series (DomainError otherwise; the general flavor raises
     UnsupportedOperationError); each keeps its own beta, field and
-    disorder. Problem j's starts are seeded from `rng_seeds[j]` and stacked
-    problem-major as rows of one (problems * starts, N) array. The disorder
-    and field kernels run once per problem on its contiguous run of rows;
-    every other step is one call over the whole stack. Each row keeps its
-    own curvature history, line search and stopping state, and each kernel
-    sees the rows it would see for its problem alone, so every result is
-    bit for bit the one its problem gets alone, and a start follows the same
-    rules as if it ran alone up to rounding (the batched kernels can differ
-    in the last bit at different batch heights).
+    disorder. Problem j's start s is drawn from the PCG64 stream of
+    SeedSequence(rng_seeds[j], spawn_key=(s,)), a seed in [0, 2**64)
+    (DomainError otherwise); the streams of the whole block are hashed at
+    once. The starts are stacked problem-major as rows of one
+    (problems * starts, N) array. The disorder and field kernels run once
+    per problem on its contiguous run of rows; every other step is one call
+    over the whole stack. Each row keeps its own line search and stopping
+    state, each kernel sees the rows it would see for its problem alone, and
+    LAPACK factors each row's matrix on its own, so every result is bit for
+    bit the one its problem gets alone, and a start follows the same rules
+    as if it ran alone up to rounding (the batched kernels can differ in the
+    last bit at different batch heights).
 
     Up to 500 iterations each record a trace row (the step column is the t
     accepted at the previous iteration, `INITIAL_STEP` at the first) and
     stop the start once the normalized gradient norm drops below 1e-8.
-    Otherwise the direction D is the L-BFGS two-loop product of the row's
-    last `HISTORY` curvature pairs with its gradient (`INITIAL_STEP` times
-    the gradient without pairs, or when D is no ascent direction), and t = 1
-    is halved until the projected candidate `_project(M + t D)` passes
-    Armijo on the slope <g, D>; a start with no acceptable t above 1e-14
-    stops, converged when its gradient norm is below 1e-6. A problem's trace
-    lists all of its start 0, then start 1, and so on. Ties between starts
-    break toward the lowest start index. Each returned value is a lower
-    bound of its problem's true supremum.
+    Otherwise the direction is the modified Newton step of
+    `_newton_directions` on the exact Hessian of `_hessian_block` (Nocedal
+    & Wright, Numerical Optimization, section 3.4), or `INITIAL_STEP` times
+    the gradient when that is no ascent direction, and t = 1 is halved
+    until the projected candidate `_project(M + t D)` passes Armijo on the
+    slope <g, D>; a start with no acceptable t above 1e-14 stops, converged
+    when its gradient norm is below 1e-6. A problem's trace lists all of
+    its start 0, then start 1, and so on. Ties between starts break toward
+    the lowest start index. Each returned value is a lower bound of its
+    problem's true supremum.
     """
+    # Imported here so that importing the package does not load numpy.random
+    from .seeding import pcg64, spawned_states
+
     problems, rng_seeds = list(problems), list(rng_seeds)
     if starts < 1:
         raise DomainError("starts must be >= 1")
@@ -305,40 +346,26 @@ def maximize_tap_many(problems, starts: int, rng_seeds) -> list:
     def counts(rows):
         return np.bincount(rows // starts, minlength=len(problems))
 
-    M = _project(first, np.array([
-        _draw_start(p, np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(s,))))
-        for p, seed in zip(problems, rng_seeds) for s in range(starts)]))
+    seeds = np.array([_check_seed(seed) for seed in rng_seeds], dtype=np.uint64)
+    states = spawned_states(seeds[:, None], (np.arange(starts),), 4)
+    M = _project(first, np.array([_draw_start(p, pcg64(state))
+                                  for p, row in zip(problems, states) for state in row]))
     active = np.arange(len(M))
     val = _energy_block(block, _check_domain_many(first, M), counts(active))
     step = np.full(len(M), INITIAL_STEP)
     converged = np.zeros(len(M), dtype=bool)
-    # Curvature pairs of -TAP, newest last; an empty slot has rho = 0.
-    hist_s = np.zeros((len(M), HISTORY, n))
-    hist_y = np.zeros((len(M), HISTORY, n))
-    rho = np.zeros((len(M), HISTORY))
-    gamma = np.full(len(M), INITIAL_STEP)
-    M_prev = np.empty_like(M)
-    g_prev = np.empty_like(M)
     records = []  # per iteration: (rows, iteration, values, gradient norms, steps)
     for it in range(MAX_ITERATIONS):
         if not len(active):
             break
         # every row of M passed the domain check
         g = _gradient_block(block, M[active], counts(active))
-        if it:
-            _push_pairs(active, M[active] - M_prev[active], g_prev[active] - g,
-                        hist_s, hist_y, rho, gamma)
         gn = _row_norms(g)
         records.append((active, np.full(len(active), it), val[active], gn, step[active]))
         small = gn < GRAD_TOLERANCE
         converged[active[small]] = True
         rows, g, gn = active[~small], g[~small], gn[~small]
-        M_prev[rows], g_prev[rows] = M[rows], g
-        # a row has at most `it` pairs, all in the newest slots
-        k = min(it, HISTORY)
-        D = _two_loop(g, hist_s[rows, HISTORY - k:], hist_y[rows, HISTORY - k:],
-                      rho[rows, HISTORY - k:], gamma[rows])
+        D = _newton_directions(-_hessian_block(block, M[rows], counts(rows)), g)
         slope = _dot_rows(g, D) / n
         uphill = ~(slope > 0.0)
         D[uphill] = INITIAL_STEP * g[uphill]
@@ -371,32 +398,28 @@ def maximize_tap_many(problems, starts: int, rng_seeds) -> list:
     return results
 
 
-def _push_pairs(rows, s, y, hist_s, hist_y, rho, gamma) -> None:
-    """Append each row's pair (s, y) to its history, dropping the oldest;
-    a pair without curvature, s.y <= 1e-12 |s| |y|, is skipped."""
-    sy = _dot_rows(s, y)
-    yy = _dot_rows(y, y)
-    keep = sy > 1e-12 * np.sqrt(_dot_rows(s, s) * yy)
-    rows, s, y, sy, yy = rows[keep], s[keep], y[keep], sy[keep], yy[keep]
-    for hist, new in ((hist_s, s), (hist_y, y), (rho, 1.0 / sy)):
-        hist[rows, :-1] = hist[rows, 1:]
-        hist[rows, -1] = new
-    gamma[rows] = sy / yy
+def _newton_directions(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(A_r + tau_r I)^{-1} g_r for every row r of the stacks A (rows, N, N)
+    and g (rows, N), with tau_r = max(0, CURVATURE_FLOOR - lambda_min(A_r)).
 
-
-def _two_loop(g, hist_s, hist_y, rho, gamma) -> np.ndarray:
-    """Row-wise L-BFGS product of the inverse-Hessian estimate of -TAP with
-    g, over pairs newest to oldest and back."""
-    q = g.copy()
-    alpha = np.empty(rho.shape)
-    for i in reversed(range(rho.shape[1])):
-        alpha[:, i] = rho[:, i] * _dot_rows(hist_s[:, i], q)
-        q -= alpha[:, i, None] * hist_y[:, i]
-    r = gamma[:, None] * q
-    for i in range(rho.shape[1]):
-        b = rho[:, i] * _dot_rows(hist_y[:, i], r)
-        r += (alpha[:, i] - b)[:, None] * hist_s[:, i]
-    return r
+    A is minus the TAP Hessian, so the shift lifts each row's least
+    eigenvalue to at least the floor and the direction is uphill. When one
+    Cholesky factorization of A - CURVATURE_FLOOR I over the whole stack
+    succeeds, every tau is 0 and no eigenvalue is computed; otherwise every
+    row's tau comes from its eigenvalues, and a row whose shifted
+    factorization would have succeeded gets tau = 0 again (unless its least
+    eigenvalue lies within rounding of the floor). LAPACK factors each
+    matrix of a stack on its own, so a row's direction does not depend on
+    the other rows.
+    """
+    diagonal = np.arange(A.shape[-1])
+    try:
+        np.linalg.cholesky(A - CURVATURE_FLOOR * np.eye(A.shape[-1]))
+    except np.linalg.LinAlgError:
+        tau = np.maximum(0.0, CURVATURE_FLOOR - np.linalg.eigvalsh(A)[:, 0])
+        A = A.copy()
+        A[:, diagonal, diagonal] += tau[:, None]
+    return np.linalg.solve(A, g[:, :, None])[:, :, 0]
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

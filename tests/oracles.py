@@ -12,12 +12,10 @@ package's own. The sequential TAP ascent runs one start at a time on
 functionals. The exhaustive grid oracle of the maximizer,
 `brute_force_tap_max`, lives here: a mixed-radix walk of the Ising grid and
 radial shells of seeded directions on the sphere. The batched projected
-gradient ascent and the `itertools.product` grid walk are the production
-paths that the L-BFGS maximizer and the mixed-radix grid walk replaced;
-they stay here as references for them. So does the per-problem L-BFGS ascent, with the TAP
-energy and gradient bodies of one problem it ran on, that the ascent over
-a block of problems replaced; it is the block ascent's bit-equality
-reference. So does the full-array sphere Monte Carlo estimator
+gradient ascent, the block L-BFGS ascent and the `itertools.product` grid
+walk are production paths that the L-BFGS maximizer, the Newton maximizer
+and the mixed-radix grid walk replaced; they stay here as references for
+them. So does the full-array sphere Monte Carlo estimator
 that the streamed one replaced; it scores its draws with the package's
 `energy_many`, so that the two can be compared bit for bit. The row
 contraction that multiplied each axis step into a second block-sized
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tapbound import tap
-from tapbound.entropy import _ising_atoms, binary_entropy, general_entropy_upper
+from tapbound.entropy import _ising_atoms, general_entropy_upper
 from tapbound.errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from tapbound.geometry import norm
 from tapbound.hamiltonian import (
@@ -51,7 +49,6 @@ from tapbound.hamiltonian import (
     energy,
     energy_many,
     gradient,
-    gradient_many,
 )
 from tapbound.harness import experiments
 from tapbound.partition import _lse_merge, _lse_value
@@ -219,6 +216,15 @@ def oracle_onsager_derivative(coefficients, q):
                             for k, a in enumerate(coefficients) if k >= 2)
 
 
+def oracle_onsager_second_derivative(coefficients, q):
+    """On''(q) = xi''(q) - (1-q) xi^(3)(q), with both derivatives summed term
+    by term."""
+    xi2 = sum(k * (k - 1) * a * q ** (k - 2) for k, a in enumerate(coefficients) if k >= 2)
+    xi3 = sum(k * (k - 1) * (k - 2) * a * q ** (k - 3)
+              for k, a in enumerate(coefficients) if k >= 3)
+    return xi2 - (1.0 - q) * xi3
+
+
 def _field_closed_form(f, m):
     if f.kind == "none":
         return 0.0
@@ -383,68 +389,51 @@ def _trace_rows(records):
     return [tap.TraceRow(*row) for row in zip(*(c[order].tolist() for c in cols))]
 
 
-def _tap_energy_rows(p, M):
-    """The TAP energy of one problem's rows, term by term, as
-    `tap_energy_many` computed it before its terms were stacked across
-    problems (ising and spherical flavors)."""
-    M = tap._check_domain_many(p, M)
-    beta = p.beta
-    n = p.n
-    vals = beta * (energy_many(p.disorder, M) + p.field.value_many(M))
-    q = np.minimum(1.0, (M ** 2).sum(axis=1) / n)
-    vals += 0.5 * beta ** 2 * n * p.disorder.model.series._onsager_rows(q)
-    if p.flavor == "ising":
-        vals -= binary_entropy(M).sum(axis=1)
-    else:
-        vals += 0.5 * n * np.log1p(-q)
-    return vals
+# L-BFGS curvature pairs kept per start by `maximize_tap_lbfgs`
+HISTORY = 8
 
 
-def _tap_gradient_rows(p, M):
-    """The unchecked TAP gradient of one problem's rows, as the package's
-    one-problem gradient body computed it before its terms were stacked
-    across problems."""
-    beta = p.beta
-    q = np.minimum(1.0, (M ** 2).sum(axis=1) / p.n)
-    g = beta * (gradient_many(p.disorder, M) + p.field.gradient_many(M))
-    g += (beta ** 2 * p.disorder.model.series._onsager_derivative_rows(q))[:, None] * M
-    if p.flavor == "ising":
-        g -= np.arctanh(M)
-    else:
-        g -= M / (1.0 - q)[:, None]
-    return g
+def maximize_tap_lbfgs(problems, starts, rng_seeds):
+    """The block ascent that `maximize_tap_many` ran before Newton's method:
+    multi-start projected L-BFGS (Nocedal & Wright, Numerical Optimization,
+    ch. 7) over all starts of a block of problems as one array, with each
+    start seeded by its own numpy SeedSequence. Each row keeps its own
+    curvature history, Armijo backtracking on the projected candidate and
+    stopping state; the direction is the two-loop product of the row's last
+    `HISTORY` pairs with its gradient (`INITIAL_STEP` times the gradient
+    without pairs, or when that is no ascent direction)."""
+    problems, rng_seeds = list(problems), list(rng_seeds)
+    first = problems[0]
+    block = tap._Block(problems)
+    n = first.n
 
+    def counts(rows):
+        return np.bincount(rows // starts, minlength=len(problems))
 
-def maximize_tap_per_problem(p, starts, rng_seed):
-    """`maximize_tap` for the ising and spherical flavors as it ran before
-    the ascent was stacked across problems: one problem's starts as the rows
-    of one (S, N) array, on that problem's own term bodies. The block
-    ascent must reproduce it bit for bit."""
-    n = p.n
-    M = tap._project(p, np.array([
+    M = tap._project(first, np.array([
         tap._draw_start(p, np.random.default_rng(
-            np.random.SeedSequence(rng_seed, spawn_key=(s,))))
-        for s in range(starts)]))
-    val = _tap_energy_rows(p, M)
-    step = np.full(starts, tap.INITIAL_STEP)
-    converged = np.zeros(starts, dtype=bool)
+            np.random.SeedSequence(seed, spawn_key=(s,))))
+        for p, seed in zip(problems, rng_seeds) for s in range(starts)]))
+    active = np.arange(len(M))
+    val = tap._energy_block(block, tap._check_domain_many(first, M), counts(active))
+    step = np.full(len(M), tap.INITIAL_STEP)
+    converged = np.zeros(len(M), dtype=bool)
     # Curvature pairs of -TAP, newest last; an empty slot has rho = 0.
-    hist_s = np.zeros((starts, tap.HISTORY, n))
-    hist_y = np.zeros((starts, tap.HISTORY, n))
-    rho = np.zeros((starts, tap.HISTORY))
-    gamma = np.full(starts, tap.INITIAL_STEP)
+    hist_s = np.zeros((len(M), HISTORY, n))
+    hist_y = np.zeros((len(M), HISTORY, n))
+    rho = np.zeros((len(M), HISTORY))
+    gamma = np.full(len(M), tap.INITIAL_STEP)
     M_prev = np.empty_like(M)
     g_prev = np.empty_like(M)
-    active = np.arange(starts)
-    records = []  # per iteration: (starts, iteration, values, gradient norms, steps)
+    records = []  # per iteration: (rows, iteration, values, gradient norms, steps)
     for it in range(tap.MAX_ITERATIONS):
         if not len(active):
             break
-        # every row of M passed _tap_energy_rows' domain check
-        g = _tap_gradient_rows(p, M[active])
+        # every row of M passed the domain check
+        g = tap._gradient_block(block, M[active], counts(active))
         if it:
-            tap._push_pairs(active, M[active] - M_prev[active], g_prev[active] - g,
-                            hist_s, hist_y, rho, gamma)
+            _push_pairs(active, M[active] - M_prev[active], g_prev[active] - g,
+                        hist_s, hist_y, rho, gamma)
         gn = tap._row_norms(g)
         records.append((active, np.full(len(active), it), val[active], gn, step[active]))
         small = gn < tap.GRAD_TOLERANCE
@@ -452,10 +441,9 @@ def maximize_tap_per_problem(p, starts, rng_seed):
         rows, g, gn = active[~small], g[~small], gn[~small]
         M_prev[rows], g_prev[rows] = M[rows], g
         # a row has at most `it` pairs, all in the newest slots
-        k = min(it, tap.HISTORY)
-        D = tap._two_loop(g, hist_s[rows, tap.HISTORY - k:],
-                          hist_y[rows, tap.HISTORY - k:],
-                          rho[rows, tap.HISTORY - k:], gamma[rows])
+        k = min(it, HISTORY)
+        D = _two_loop(g, hist_s[rows, HISTORY - k:], hist_y[rows, HISTORY - k:],
+                      rho[rows, HISTORY - k:], gamma[rows])
         slope = tap._dot_rows(g, D) / n
         uphill = ~(slope > 0.0)
         D[uphill] = tap.INITIAL_STEP * g[uphill]
@@ -465,8 +453,9 @@ def maximize_tap_per_problem(p, starts, rng_seed):
         pending = np.arange(len(rows))
         while len(pending):
             idx = rows[pending]
-            cand = tap._project(p, M[idx] + trial[pending, None] * D[pending])
-            cand_val = _tap_energy_rows(p, cand)
+            cand = tap._project(first, M[idx] + trial[pending, None] * D[pending])
+            cand_val = tap._energy_block(block, tap._check_domain_many(first, cand),
+                                         counts(idx))
             ok = cand_val > val[idx] + 1e-4 * trial[pending] * slope[pending]
             M[idx[ok]] = cand[ok]
             val[idx[ok]] = cand_val[ok]
@@ -477,9 +466,42 @@ def maximize_tap_per_problem(p, starts, rng_seed):
             pending = pending[trial[pending] > 1e-14]
         converged[rows[~accepted]] = gn[~accepted] < 1e-6
         active = rows[accepted]
-    best = int(np.argmax(val))
-    return tap.MaximizeResult(M[best].copy(), float(val[best]), _trace_rows(records),
-                              best, bool(converged.any()))
+    traces = tap._trace_rows(records, starts, len(problems))
+    converged = converged.reshape(-1, starts).any(axis=1)
+    results = []
+    for j, best in enumerate(val.reshape(-1, starts).argmax(axis=1).tolist()):
+        row = j * starts + best
+        results.append(tap.MaximizeResult(M[row].copy(), float(val[row]), traces[j],
+                                          best, bool(converged[j])))
+    return results
+
+
+def _push_pairs(rows, s, y, hist_s, hist_y, rho, gamma) -> None:
+    """Append each row's pair (s, y) to its history, dropping the oldest;
+    a pair without curvature, s.y <= 1e-12 |s| |y|, is skipped."""
+    sy = tap._dot_rows(s, y)
+    yy = tap._dot_rows(y, y)
+    keep = sy > 1e-12 * np.sqrt(tap._dot_rows(s, s) * yy)
+    rows, s, y, sy, yy = rows[keep], s[keep], y[keep], sy[keep], yy[keep]
+    for hist, new in ((hist_s, s), (hist_y, y), (rho, 1.0 / sy)):
+        hist[rows, :-1] = hist[rows, 1:]
+        hist[rows, -1] = new
+    gamma[rows] = sy / yy
+
+
+def _two_loop(g, hist_s, hist_y, rho, gamma) -> np.ndarray:
+    """Row-wise L-BFGS product of the inverse-Hessian estimate of -TAP with
+    g, over pairs newest to oldest and back."""
+    q = g.copy()
+    alpha = np.empty(rho.shape)
+    for i in reversed(range(rho.shape[1])):
+        alpha[:, i] = rho[:, i] * tap._dot_rows(hist_s[:, i], q)
+        q -= alpha[:, i, None] * hist_y[:, i]
+    r = gamma[:, None] * q
+    for i in range(rho.shape[1]):
+        b = rho[:, i] * tap._dot_rows(hist_y[:, i], r)
+        r += (alpha[:, i] - b)[:, None] * hist_s[:, i]
+    return r
 
 
 _GRID_CHUNK = 8192

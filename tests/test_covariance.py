@@ -8,7 +8,11 @@ import pytest
 from tapbound.covariance import CovarianceSeries
 from tapbound.errors import DomainError
 
-from oracles import oracle_onsager, oracle_onsager_derivative
+from oracles import (
+    oracle_onsager,
+    oracle_onsager_derivative,
+    oracle_onsager_second_derivative,
+)
 
 
 def random_series(rng, max_degree=5):
@@ -166,6 +170,29 @@ class TestOnsager:
             fd = (xi.onsager(q + h) - xi.onsager(q - h)) / (2 * h)
             assert xi._onsager_derivative_rows(np.array([q]))[0] == pytest.approx(
                 fd, rel=2e-5, abs=2e-6)
+
+    def test_second_derivative_matches_finite_differences(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            xi = random_series(rng)
+            q = rng.uniform(0.05, 0.95)
+            h = 1e-6
+            first = xi._onsager_derivative_rows(np.array([q + h, q - h]))
+            fd = (first[0] - first[1]) / (2 * h)
+            assert xi._onsager_second_derivative_rows(np.array([q]))[0] == pytest.approx(
+                fd, rel=2e-5, abs=2e-6)
+
+    @pytest.mark.parametrize("degree", range(-1, 9))
+    def test_second_derivative_matches_the_term_by_term_formula(self, degree):
+        # one coefficient set per length 0..9: On'' = xi'' - (1-q) xi^(3)
+        rng = np.random.default_rng(36 + degree)
+        xi = CovarianceSeries(tuple(rng.uniform(0.0, 1.0, degree + 1)))
+        q = np.concatenate((np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, 40)))
+        got = xi._onsager_second_derivative_rows(q)
+        assert got.shape == q.shape
+        for x, value in zip(q, got):
+            expect = oracle_onsager_second_derivative(xi.coefficients, x)
+            assert value == pytest.approx(expect, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("degree", range(-1, 9))
     def test_horner_many_match_scalar_formulas(self, degree):

@@ -24,6 +24,7 @@ from tapbound.hamiltonian import (
     field_none,
     gradient,
     gradient_many,
+    hessian_many,
     recentered_energy,
     sample_disorder,
     sample_disorders,
@@ -172,6 +173,53 @@ def ball_rows(rng, rows, n, on_sphere):
 def assert_rel_close(got, expect, rel=1e-12):
     scale = max(1.0, float(np.abs(expect).max()))
     assert float(np.abs(np.asarray(got) - expect).max()) <= rel * scale
+
+
+def central_jacobian(grad_rows, X, step=1e-5):
+    """Central differences of a row-wise gradient: entry [r, i] is the
+    derivative of grad_rows at row r along coordinate i."""
+    n = X.shape[1]
+    out = np.empty((len(X), n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = step
+        out[:, i] = (grad_rows(X + e) - grad_rows(X - e)) / (2 * step)
+    return out
+
+
+class TestHessian:
+    @pytest.mark.parametrize("xi", [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
+                                    (0.0, 0.0, 0.0, 0.0, 1.0), (0.3, 0.5, 1.0, 0.5, 0.25)],
+                             ids=["p2", "p3", "p4", "p0-4"])
+    def test_matches_central_differences_of_the_gradient(self, xi):
+        # one row and a block of rows of one sample, at interior points
+        rng = np.random.default_rng(len(xi))
+        for n in (1, 3, 7):
+            d = sample_disorder(MixedModel(n, CovarianceSeries(xi)), 60 + n)
+            X = np.array([0.8 * rng.uniform(0.1, 1.0) * unit_vector(rng, n)
+                          for _ in range(6)])
+            block = hessian_many(d, X)
+            assert block.shape == (6, n, n)
+            fd = central_jacobian(lambda Y: gradient_many(d, Y), X)
+            scale = max(1.0, float(np.abs(block).max()))
+            assert np.abs(block - fd).max() / scale < 1e-6
+            for x, h in zip(X, block):
+                one = hessian_many(d, x[None])[0]
+                assert np.abs(one - h).max() <= 1e-13 * scale
+                assert np.abs(one - one.T).max() <= 1e-13 * scale
+
+    def test_degree_two_is_the_symmetrized_tensor(self):
+        n = 5
+        d = sample_disorder(MixedModel(n, XI2), 3)
+        g = d.tensors[2]
+        X = np.random.default_rng(4).uniform(-0.5, 0.5, (3, n))
+        expect = d.model.scale(2) * (g + g.T)
+        assert all(np.array_equal(h, expect) for h in hessian_many(d, X))
+
+    def test_degrees_below_two_have_none(self):
+        d = sample_disorder(MixedModel(4, CovarianceSeries((0.5, 1.0))), 2)
+        assert d.hessian_terms == ()
+        assert np.array_equal(hessian_many(d, np.zeros((2, 4))), np.zeros((2, 4, 4)))
 
 
 class TestKernelMatchesEinsumOracle:
@@ -517,6 +565,40 @@ class TestExternalField:
             for row, x, e in zip(got, X, expect):
                 assert np.allclose(row, f.gradient(x), rtol=1e-13, atol=1e-15)
                 assert np.allclose(row, e, rtol=1e-13, atol=atol)
+
+    def test_hessian_many_of_every_kind(self):
+        # closed forms, and central differences of the gradient over every
+        # coordinate, although the custom kinds only difference along the basis
+        n = 6
+        rng = np.random.default_rng(12)
+        X = np.array([0.8 * unit_vector(rng, n) for _ in range(4)])
+        t = X.mean(axis=1)
+        ones = np.ones((n, n))
+        two = np.array([np.ones(n), (-1.0) ** np.arange(n)])
+        t2 = X @ two.T / n
+        fields = [
+            (field_none(n), np.zeros((4, n, n)), 1e-15),
+            (field_linear(0.3, n), np.zeros((4, n, n)), 1e-15),
+            (field_quadratic_spike(0.7, n), np.repeat((1.4 / n * ones)[None], 4, axis=0),
+             1e-15),
+            (field_custom(np.ones((1, n)), lambda t: float(np.sin(t[0])),
+                          lambda t: [float(np.cos(t[0]))]),
+             -np.sin(t)[:, None, None] * ones / n ** 2, 1e-10),
+            # differences of the central-difference gradient: good to 1e-5
+            (field_custom(np.ones((1, n)), lambda t: float(t[0] ** 3)),
+             6.0 * t[:, None, None] * ones / n ** 2, 1e-5),
+            # K = 2: F(t) = sin(t_1) t_2 + t_2^2
+            (field_custom(two, lambda t: float(np.sin(t[0]) * t[1] + t[1] ** 2),
+                          lambda t: [float(np.cos(t[0]) * t[1]),
+                                     float(np.sin(t[0]) + 2.0 * t[1])]),
+             np.array([two.T @ np.array([[-np.sin(a) * b, np.cos(a)], [np.cos(a), 2.0]])
+                       @ two for a, b in t2]) / n ** 2, 1e-10)]
+        for f, expect, atol in fields:
+            got = f.hessian_many(X)
+            assert got.shape == (4, n, n)
+            assert np.allclose(got, expect, rtol=1e-12, atol=atol)
+            fd = central_jacobian(f.gradient_many, X)
+            assert np.allclose(got, fd, rtol=1e-6, atol=max(atol, 1e-8))
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(DomainError):

@@ -490,6 +490,29 @@ class TestRestricted:
         assert full.log_value == pytest.approx(exact.log_value, abs=1e-10)
         assert none.log_value == -np.inf
 
+    @pytest.mark.parametrize("n,cut", [(8, 0.3), (14, 0.5), (14, 1.0)])
+    def test_count_and_value_match_a_direct_masked_sum(self, n, cut):
+        # a half-space predicate; at N = 14 the atoms span two 8,192-row
+        # chunks, and the last cut passes no atom of the second one
+        d = sample_disorder(MixedModel(n, XI23), 40 + n)
+        f = field_quadratic_spike(0.3, n)
+        E = ising_uniform(n)
+        w = np.random.default_rng(n).standard_normal(n)
+
+        def predicate(block):
+            return block @ w / n > cut
+
+        got = restricted_log_partition(E, d, f, 0.35, predicate)
+        pts, wts = E.atoms()
+        members = pts[predicate(pts.astype(np.float64))].astype(np.float64)
+        assert got.effective_count == len(members) > 0
+        assert got.sample_count == len(pts)
+        x = (0.35 * (oracle_energy_many(d, members) + f.value_many(members))
+             + np.log(wts[predicate(pts.astype(np.float64))]))
+        top = x.max()
+        direct = top + math.log(math.fsum(np.exp(x - top)))
+        assert got.log_value == pytest.approx(direct, abs=1e-12)
+
     def test_cover_union_dominates_partition(self):
         # sum over a classified cover's regions of restricted Z >= Z
         n, eps, eta, delta, beta = 10, 0.1, 0.8, 0.2, 0.3

@@ -22,6 +22,7 @@ from tapbound.hamiltonian import (
     field_quadratic_spike,
     sample_disorder,
 )
+from tapbound.harness import build_config, experiments
 from tapbound.tap import (
     FLAVORS,
     TapProblem,
@@ -33,10 +34,11 @@ from tapbound.tap import (
     tap_gradient_many,
 )
 
+import oracles
 from oracles import (
     brute_force_tap_max,
     brute_force_tap_max_product,
-    maximize_tap_per_problem,
+    maximize_tap_lbfgs,
     maximize_tap_projected_ascent,
     maximize_tap_sequential,
     oracle_tap_energy,
@@ -496,48 +498,50 @@ class TestLbfgs:
         assert np.array_equal(again.m_star, plain.m_star)
 
     def test_two_loop_matches_dense_bfgs(self):
-        # Each row against the dense inverse-Hessian recursion
+        # The L-BFGS oracle's two-loop product, each row against the dense
+        # inverse-Hessian recursion
         # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T from gamma I,
         # with empty (all-zero, rho = 0) slots before the row's pairs.
         rng = np.random.default_rng(8)
         n, rows = 5, 4
-        hist_s = np.zeros((rows, tap.HISTORY, n))
-        hist_y = np.zeros((rows, tap.HISTORY, n))
-        rho = np.zeros((rows, tap.HISTORY))
+        hist_s = np.zeros((rows, oracles.HISTORY, n))
+        hist_y = np.zeros((rows, oracles.HISTORY, n))
+        rho = np.zeros((rows, oracles.HISTORY))
         g = rng.standard_normal((rows, n))
         gamma = np.full(rows, tap.INITIAL_STEP)
         expect = np.empty((rows, n))
-        for r, pairs in enumerate((0, 1, 3, tap.HISTORY)):
+        for r, pairs in enumerate((0, 1, 3, oracles.HISTORY)):
             A = rng.standard_normal((n, n))
             A = A @ A.T + n * np.eye(n)
-            for slot in range(tap.HISTORY - pairs, tap.HISTORY):
+            for slot in range(oracles.HISTORY - pairs, oracles.HISTORY):
                 s_vec = rng.standard_normal(n)
                 y_vec = A @ s_vec
                 hist_s[r, slot], hist_y[r, slot] = s_vec, y_vec
                 rho[r, slot] = 1.0 / (s_vec @ y_vec)
                 gamma[r] = (s_vec @ y_vec) / (y_vec @ y_vec)
             H = gamma[r] * np.eye(n)
-            for slot in range(tap.HISTORY - pairs, tap.HISTORY):
+            for slot in range(oracles.HISTORY - pairs, oracles.HISTORY):
                 s_vec, y_vec, c = hist_s[r, slot], hist_y[r, slot], rho[r, slot]
                 V = np.eye(n) - c * np.outer(y_vec, s_vec)
                 H = V.T @ H @ V + c * np.outer(s_vec, s_vec)
             expect[r] = H @ g[r]
-        got = tap._two_loop(g, hist_s, hist_y, rho, gamma)
+        got = oracles._two_loop(g, hist_s, hist_y, rho, gamma)
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
     def test_pairs_without_curvature_are_skipped(self):
+        # the L-BFGS oracle's curvature history
         n = 3
-        hist_s = np.zeros((2, tap.HISTORY, n))
-        hist_y = np.zeros((2, tap.HISTORY, n))
-        rho = np.zeros((2, tap.HISTORY))
+        hist_s = np.zeros((2, oracles.HISTORY, n))
+        hist_y = np.zeros((2, oracles.HISTORY, n))
+        rho = np.zeros((2, oracles.HISTORY))
         gamma = np.full(2, tap.INITIAL_STEP)
-        for k in range(tap.HISTORY + 2):
+        for k in range(oracles.HISTORY + 2):
             s = np.array([[1.0 + k, 0.0, 0.0], [1.0, 0.0, 0.0]])
             y = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # row 1: s.y = 0
-            tap._push_pairs(np.array([0, 1]), s, y, hist_s, hist_y, rho, gamma)
-        assert np.array_equal(hist_s[0, :, 0], np.arange(3.0, 3.0 + tap.HISTORY))
-        assert np.array_equal(rho[0], 0.5 / np.arange(3.0, 3.0 + tap.HISTORY))
-        assert gamma[0] == (tap.HISTORY + 2.0) / 2.0
+            oracles._push_pairs(np.array([0, 1]), s, y, hist_s, hist_y, rho, gamma)
+        assert np.array_equal(hist_s[0, :, 0], np.arange(3.0, 3.0 + oracles.HISTORY))
+        assert np.array_equal(rho[0], 0.5 / np.arange(3.0, 3.0 + oracles.HISTORY))
+        assert gamma[0] == (oracles.HISTORY + 2.0) / 2.0
         assert not hist_s[1].any() and not rho[1].any()
         assert gamma[1] == tap.INITIAL_STEP
 
@@ -569,12 +573,12 @@ def trace_bits(trace):
 
 
 def assert_block_matches_per_problem(problems, starts, seeds):
-    """maximize_tap_many against the per-problem oracle, bit for bit:
+    """maximize_tap_many against one maximize_tap per problem, bit for bit:
     value, m_star bytes, best start, converged flag and every trace row."""
     got = maximize_tap_many(problems, starts, seeds)
     assert len(got) == len(problems)
     for p, seed, out in zip(problems, seeds, got):
-        ref = maximize_tap_per_problem(p, starts, seed)
+        ref = maximize_tap(p, starts, seed)
         assert type(out.value) is float and out.value.hex() == ref.value.hex()
         assert out.m_star.tobytes() == ref.m_star.tobytes()
         assert type(out.best_start) is int and out.best_start == ref.best_start
@@ -583,9 +587,10 @@ def assert_block_matches_per_problem(problems, starts, seeds):
     return got
 
 
-# Blocks mixing starts that run into MAX_ITERATIONS (beta = 2.35 on the
-# 1-spin model with a custom field), starts whose first line search fails
-# ("stuck") and starts that converge
+# Blocks mixing slow starts (beta = 2.35 on the 1-spin model with a custom
+# field: 14 to 17 Newton iterations, and MAX_ITERATIONS for the L-BFGS
+# ascent before it), starts whose first line search fails ("stuck") and
+# starts that converge
 CAPPED_BLOCK = dict(flavor="ising", n=10, xi=(0.0, 1.0),
                     cases=[(2.35, "custom", 0.11, 629), (0.4, "linear", 0.3, 5),
                            (2.35, "stuck", 0.0, 7), (1.0, "none", 0.0, 11)])
@@ -614,11 +619,15 @@ class TestBlockAscentMatchesPerProblem:
         problems, seeds = block_problems(flavor, n, xi, cases)
         assert_block_matches_per_problem(problems, starts, seeds)
 
-    def test_capped_and_stuck_starts(self):
+    def test_capped_and_stuck_starts(self, monkeypatch):
+        # Newton finishes every start of these problems within 17
+        # iterations, so a cap of 10 stops the slow ones mid-ascent
+        monkeypatch.setattr(tap, "MAX_ITERATIONS", 10)
         problems, seeds = block_problems(**CAPPED_BLOCK)
-        capped, _, stuck, _ = assert_block_matches_per_problem(problems, 3, seeds)
-        assert iterations_per_start(capped, 3) == [tap.MAX_ITERATIONS] * 3
+        capped, fast, stuck, _ = assert_block_matches_per_problem(problems, 3, seeds)
+        assert iterations_per_start(capped, 3) == [10] * 3
         assert not capped.converged
+        assert fast.converged and max(iterations_per_start(fast, 3)) < 10
         assert [row.iteration for row in stuck.trace] == [0, 0, 0]
         assert not stuck.converged
 
@@ -650,6 +659,149 @@ class TestBlockAscentMatchesPerProblem:
         twin = make_problem(n=6, xi=CovarianceSeries(XI2.coefficients), beta=0.5,
                             seed=2)
         assert len(maximize_tap_many([p, twin], 2, [1, 2])) == 2
+
+
+class TestStartStreams:
+    def test_starts_are_numpy_seed_sequence_streams(self, monkeypatch):
+        # start s of a problem seeded r is drawn from
+        # default_rng(SeedSequence(r, spawn_key=(s,))), bit for bit
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1]
+        for flavor in ("ising", "spherical"):
+            problems = [make_problem(n=5, seed=k, flavor=flavor) for k in range(len(seeds))]
+            drawn = []
+            draw = tap._draw_start
+
+            def record(p, rng):
+                drawn.append(draw(p, rng))
+                return drawn[-1]
+
+            monkeypatch.setattr(tap, "_draw_start", record)
+            maximize_tap_many(problems, 3, seeds)
+            monkeypatch.setattr(tap, "_draw_start", draw)
+            expect = [draw(p, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s,))))
+                      for p, seed in zip(problems, seeds) for s in range(3)]
+            assert np.array(drawn).tobytes() == np.array(expect).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(DomainError):
+            maximize_tap(make_problem(n=4), 2, seed)
+
+
+def tap_hessian_rows(p, M):
+    return tap._hessian_block(tap._Block((p,)), M, np.array([len(M)]))
+
+
+class TestHessian:
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    @pytest.mark.parametrize("xi", [XI2, XI23], ids=["xi2", "xi23"])
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    def test_matches_central_differences_of_the_gradient(self, flavor, xi, kind):
+        rng = np.random.default_rng(31)
+        step = 1e-5
+        for n in (1, 6):
+            p = make_problem(n=n, xi=xi, beta=0.45, seed=n, flavor=flavor,
+                             field=field_of_kind(kind, 0.3, n))
+            M = inside_rows(rng, 5, n, flavor)
+            got = tap_hessian_rows(p, M)
+            assert got.shape == (5, n, n)
+            fd = np.empty_like(got)
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = step
+                fd[:, i] = (tap_gradient_many(p, M + e) - tap_gradient_many(p, M - e)) / (2 * step)
+            scale = max(1.0, float(np.abs(got).max()))
+            # a custom field without partials differences its differences
+            tol = 1e-5 if kind == "custom-fd" else 1e-6
+            assert np.abs(got - fd).max() / scale < tol
+
+    @pytest.mark.parametrize("flavor", ["ising", "spherical"])
+    def test_stacked_call_equals_per_problem_calls(self, flavor):
+        n = 6
+        problems = [make_problem(n=n, xi=XI23, beta=beta, seed=seed, flavor=flavor,
+                                 field=field_of_kind(kind, 0.3, n))
+                    for beta, seed, kind in ((0.3, 1, "linear"), (0.5, 2, "custom"),
+                                             (0.0, 3, "none"), (1.2, 4, "quadratic_spike"),
+                                             (0.7, 5, "custom-fd"))]
+        counts = np.array([3, 0, 2, 4, 1])
+        M = inside_rows(np.random.default_rng(32), counts.sum(), n, flavor)
+        got = tap._hessian_block(tap._Block(tuple(problems)), M, counts)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        for p, lo, hi in zip(problems, bounds[:-1], bounds[1:]):
+            assert got[lo:hi].tobytes() == tap_hessian_rows(p, M[lo:hi]).tobytes()
+
+
+class TestNewtonDirections:
+    @staticmethod
+    def matrices(rng, rows, n, least):
+        """Symmetric matrices with random eigenvectors and least eigenvalue
+        `least[r]`, the others in [least + 0.5, least + 3]."""
+        out = np.empty((rows, n, n))
+        for r in range(rows):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = np.concatenate(([least[r]], least[r] + rng.uniform(0.5, 3.0, n - 1)))
+            out[r] = (Q * lam) @ Q.T
+        return out
+
+    def test_well_curved_rows_take_the_plain_newton_step(self):
+        rng = np.random.default_rng(40)
+        A = self.matrices(rng, 4, 6, [0.01, 0.5, 2.0, 10.0])
+        g = rng.standard_normal((4, 6))
+        got = tap._newton_directions(A, g)
+        for a, b, d in zip(A, g, got):
+            assert d.tobytes() == np.linalg.solve(a[None], b[None, :, None])[0, :, 0].tobytes()
+
+    def test_rows_below_the_floor_are_shifted_to_it(self):
+        rng = np.random.default_rng(41)
+        least = [-2.0, -1e-6, 0.0, 0.5 * tap.CURVATURE_FLOOR, 1.0]
+        A = self.matrices(rng, 5, 6, least)
+        g = rng.standard_normal((5, 6))
+        got = tap._newton_directions(A, g)
+        for a, b, d, lam in zip(A, g, got, least):
+            tau = max(0.0, tap.CURVATURE_FLOOR - np.linalg.eigvalsh(a)[0])
+            assert tau == pytest.approx(max(0.0, tap.CURVATURE_FLOOR - lam), abs=1e-12)
+            shifted = a + tau * np.eye(6)
+            assert np.linalg.eigvalsh(shifted)[0] >= tap.CURVATURE_FLOOR - 1e-12
+            assert np.allclose(shifted @ d, b, rtol=1e-10, atol=1e-10)
+            assert b @ d > 0.0
+
+    def test_a_row_does_not_depend_on_the_others(self):
+        # rows of a stack that needs shifts equal their one-row calls, bit
+        # for bit, whether or not the one-row call needs a shift
+        rng = np.random.default_rng(42)
+        A = self.matrices(rng, 6, 5, [-1.0, 2.0, 1e-5, 0.3, -0.2, 5.0])
+        g = rng.standard_normal((6, 5))
+        got = tap._newton_directions(A, g)
+        for r in range(6):
+            assert got[r].tobytes() == tap._newton_directions(A[r:r + 1], g[r:r + 1])[0].tobytes()
+
+
+def bound_default_problems(experiment):
+    """The problems and start seeds of an experiment's default grid, as
+    its blocks build them."""
+    cfg = build_config(experiment)
+    flavor = "ising" if experiment == "bound-ising" else "spherical"
+    cases = experiments._bound_grid(cfg)
+    problems = [TapProblem(experiments._disorder(cfg, r, cfg.xi, cfg.n),
+                           experiments.make_field(cfg.field, h, cfg.n), beta, flavor)
+                for beta, h, r in cases]
+    seeds = [experiments.derive_seed(cfg.seed, experiments.STREAM_STARTS, r)
+             for _, _, r in cases]
+    return cfg, problems, seeds
+
+
+class TestNewtonAgainstLbfgs:
+    @pytest.mark.parametrize("experiment", ["bound-ising", "bound-sphere"])
+    def test_default_grid_at_least_the_lbfgs_oracle(self, experiment):
+        cfg, problems, seeds = bound_default_problems(experiment)
+        assert len(problems) == 400 and max(cfg.beta) <= 0.4
+        for lo in range(0, len(problems), 64):
+            block, block_seeds = problems[lo:lo + 64], seeds[lo:lo + 64]
+            got = maximize_tap_many(block, cfg.starts, block_seeds)
+            ref = maximize_tap_lbfgs(block, cfg.starts, block_seeds)
+            for out, oracle in zip(got, ref):
+                assert out.converged
+                assert out.value >= oracle.value - 1e-9 * cfg.n
 
 
 class TestMaximize:
