@@ -18,8 +18,13 @@ disorder.
 Seeding: a sample is a deterministic function of (model, seed); the tensor of
 degree p is drawn from the substream SeedSequence(seed, spawn_key=(p,)).
 `sample_disorders` draws the same tensors for a block of seeds, stacked on a
-leading replica axis, and the energy and gradient kernels contract every
-replica of such a block at once; a single sample is a block of one.
+leading replica axis.
+
+One kernel, `_contract_rows`, evaluates H and its derivatives: it contracts
+every replica of a block with every row of a (rows, N) array at once, and a
+single sample is a block of one. `energy` and `gradient` at a point are
+ball-checked one-row calls of the same bodies as `energy_many` and
+`gradient_many`, so they equal them bit for bit.
 
 `recentered_energy` is the one body of the recentered Hamiltonian
 H^m(s) = H(m + s) - grad H(m) . s - H(m), over rows s and for every replica
@@ -61,7 +66,8 @@ class ExternalField:
       custom          -- user function of the K projection coordinates
 
     `lipschitz_bound` is the Lipschitz constant of f with respect to the
-    normalized norm (order N for the built-in kinds).
+    normalized norm (order N for the built-in kinds). A non-finite h or
+    `lipschitz_bound` raises DomainError.
 
     The field keeps a read-only copy of `basis`, so one field can be shared
     by many problems and replicas.
@@ -78,6 +84,9 @@ class ExternalField:
     def __post_init__(self):
         if self.kind not in ("none", "linear", "quadratic_spike", "custom"):
             raise DomainError(f"unknown field kind {self.kind!r}")
+        if not (np.isfinite(self.h) and np.isfinite(self.lipschitz_bound)):
+            raise DomainError(f"field h = {self.h} and lipschitz_bound = "
+                              f"{self.lipschitz_bound} must be finite")
         basis = np.array(self.basis, dtype=np.float64, ndmin=2)
         if basis.ndim != 2 or basis.shape[1] != self.n:
             raise DomainError(f"field basis of shape {basis.shape}, "
@@ -218,8 +227,54 @@ class MixedModel:
         return np.sqrt(self.series.coefficients[p]) * self.n ** ((1 - p) / 2)
 
 
+class _DerivativeTerms:
+    """The derivative tensors of a sample or a block, built by one body from
+    its `replica_terms` (stacked on the replica axis; a sample is a block of
+    one)."""
+
+    @cached_property
+    def gradient_terms(self) -> tuple:
+        """(degree, scale, sum_k moveaxis(g_p, k, -1)) for every degree p >= 1,
+        k running over the tensor axes.
+
+        The summed tensor carries the derivative index last, so dH_i(x) is
+        its contraction with x at every other tensor axis. It is summed in
+        place into a C-ordered array, which the contraction reshapes
+        without a copy.
+        """
+        terms = []
+        for p, scale, g in self.replica_terms:
+            if p:
+                s = np.zeros(np.shape(g))
+                for k in range(1, p + 1):
+                    s += np.moveaxis(g, k, -1)
+                terms.append((p, scale, s))
+        return tuple(terms)
+
+    @cached_property
+    def hessian_terms(self) -> tuple:
+        """(degree, scale, S_p) for every degree p >= 2, with
+        S_p = sum_{k != l} moveaxis(g_p, (k, l), (-2, -1)), k and l running
+        over the tensor axes.
+
+        S_p carries the two derivative indices last, so d^2 H_ij(x) is its
+        contraction with x at every other tensor axis. At p = 2 it is
+        g + g^T; above, its last two axes are merged into one of length N^2,
+        as `_contract_rows` takes it. Each entry is the sum of its (k, l) and
+        (l, k) halves, so S_p is exactly symmetric in them.
+        """
+        terms = []
+        for p, scale, g in self.replica_terms:
+            if p >= 2:
+                half = sum(np.moveaxis(g, (k, l), (-2, -1))
+                           for k in range(1, p + 1) for l in range(k + 1, p + 1))
+                s = half + np.swapaxes(half, -1, -2)
+                terms.append((p, scale, s if p == 2 else s.reshape(s.shape[:-2] + (-1,))))
+        return tuple(terms)
+
+
 @dataclass(frozen=True)
-class DisorderSample:
+class DisorderSample(_DerivativeTerms):
     """Raw Gaussian coupling tensors for one realization of the field."""
 
     model: MixedModel
@@ -244,39 +299,9 @@ class DisorderSample:
         return tuple((p, scale, np.reshape(g, (1,) + np.shape(g)))
                      for p, scale, g in self.terms)
 
-    @cached_property
-    def gradient_terms(self) -> tuple:
-        """(degree, scale, sum_k moveaxis(g_p, k, -1)) for every degree p >= 1.
-
-        The summed tensor carries the derivative index last, so dH_i(x) is
-        its contraction with x at every other axis.
-        """
-        return tuple((p, scale, sum(np.moveaxis(g, k, -1) for k in range(p)))
-                     for p, scale, g in self.terms if p)
-
-    @cached_property
-    def hessian_terms(self) -> tuple:
-        """(degree, scale, S_p) for every degree p >= 2, with
-        S_p = sum_{k != l} moveaxis(g_p, (k, l), (-2, -1)).
-
-        S_p carries the two derivative indices last, so d^2 H_ij(x) is its
-        contraction with x at every other axis. At p = 2 it is g + g^T;
-        above, its last two axes are merged into one of length N^2, as
-        `_contract_rows` takes it. Each entry is the sum of its (k, l) and
-        (l, k) halves, so S_p is exactly symmetric in them.
-        """
-        terms = []
-        for p, scale, g in self.terms:
-            if p >= 2:
-                half = sum(np.moveaxis(g, (k, l), (-2, -1))
-                           for k in range(p) for l in range(k + 1, p))
-                s = half + np.swapaxes(half, -1, -2)
-                terms.append((p, scale, s if p == 2 else s.reshape(s.shape[:-2] + (-1,))))
-        return tuple(terms)
-
 
 @dataclass(frozen=True)
-class DisorderBlock:
+class DisorderBlock(_DerivativeTerms):
     """The coupling tensors of several realizations of one model, stacked on
     a leading replica axis: replica i is `sample_disorder(model, seeds[i])`."""
 
@@ -429,31 +454,6 @@ def _check_ball(sigma: np.ndarray, n: int, open_ball: bool = False) -> np.ndarra
 _ROW_CHUNK = 1 << 13
 
 
-def _kron_powers(sigma: np.ndarray, top: int) -> list:
-    """[None, sigma, sigma^{tensor 2}, ..., sigma^{tensor top}], flattened."""
-    powers = [None, sigma]
-    while len(powers) <= top:
-        powers.append(np.multiply.outer(powers[-1], sigma).ravel())
-    return powers
-
-
-def _partial(g: np.ndarray, powers: list, k: int) -> np.ndarray:
-    """Contraction of each replica's g[r] with sigma at every axis but
-    position k: shape (R, N) for g of shape (R, N, ..., N).
-
-    Reshapes of the C-ordered tensor turn both sides into plain matvecs:
-    (sigma^{tensor k} @ g.reshape(N^k, -1)).reshape(N, -1) @ sigma^{tensor p-1-k},
-    one stacked matmul per step, which makes the same BLAS call for every
-    replica as for a tensor alone.
-    """
-    reps, n = len(g), len(powers[1])
-    rest = g.ndim - 2 - k
-    if k:
-        g = np.matmul(powers[k], g.reshape(reps, n ** k, -1))
-    g = g.reshape(reps, n, -1)
-    return np.matmul(g, powers[rest]) if rest else g[:, :, 0]
-
-
 def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """rows[r] @ v for every r, each by the 1-D dot product.
 
@@ -502,18 +502,18 @@ def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _energy_at(d, powers) -> np.ndarray:
-    """H at the point powers[1] for each replica of `d` (a sample or a
-    block): shape (R,), from its `_kron_powers` up to at least the top
-    degree minus one, without the ball check."""
-    total = np.zeros(d.replicas)
-    for p, scale, g in d.replica_terms:
-        total += scale * (g if p == 0 else _dots(_partial(g, powers, p - 1), powers[1]))
-    return total
+def _check_rows(X, n: int) -> np.ndarray:
+    """X as float64 rows, DomainError unless it is a (rows, n) array."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise DomainError(f"expected a (rows, {n}) array, not shape {X.shape}")
+    return X
 
 
 def _energy_rows(d, X: np.ndarray) -> np.ndarray:
-    """H over the rows of X for each replica of `d`: shape (R, rows)."""
+    """H over the rows of X for each replica of `d` (a sample or a block):
+    shape (R, rows)."""
+    X = _check_rows(X, d.n)
     total = np.zeros((d.replicas, len(X)))
     for p, scale, g in d.replica_terms:
         total += scale * (g[:, None] if p == 0
@@ -521,59 +521,58 @@ def _energy_rows(d, X: np.ndarray) -> np.ndarray:
     return total
 
 
-def _gradient_at(d, powers) -> np.ndarray:
-    """grad H for each replica of `d` at the point whose `_kron_powers` are
-    given (up to at least the top degree minus one): shape (R, N), without
-    the ball check."""
-    grad = np.zeros((d.replicas, d.n))
-    for p, scale, g in d.replica_terms:
-        if p:
-            part = _partial(g, powers, 0)
-            for k in range(1, p):
-                part = part + _partial(g, powers, k)
-            grad += scale * part
+def _gradient_rows(d, X: np.ndarray) -> np.ndarray:
+    """grad H over the rows of X for each replica of `d` (a sample or a
+    block): shape (R, rows, N), the contraction of each `gradient_terms`
+    tensor with the row at all but its last axis."""
+    X = _check_rows(X, d.n)
+    grad = np.zeros((d.replicas,) + X.shape)
+    for p, scale, s in d.gradient_terms:
+        grad += scale * (s[:, None] if p == 1 else _contract_rows(s, X))
     return grad
 
 
 def energy(d: DisorderSample, sigma: np.ndarray) -> float:
-    """H(sigma) = sum_p sqrt(a_p) N^{(1-p)/2} <g_p, sigma^{tensor p}>."""
+    """H(sigma) = sum_p sqrt(a_p) N^{(1-p)/2} <g_p, sigma^{tensor p}>, for
+    sigma in the closed ball: a one-row `energy_many`, so equal to it bit
+    for bit."""
     sigma = _check_ball(sigma, d.n)
-    return float(_energy_at(d, _kron_powers(sigma, max(d.tensors, default=0) - 1))[0])
+    return float(_energy_rows(d, sigma[None])[0, 0])
 
 
 def energy_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
-    """Vectorized H over the rows of `sigmas` (no per-row domain check)."""
-    return _energy_rows(d, np.asarray(sigmas, dtype=np.float64))[0]
+    """Vectorized H over the rows of `sigmas` (no per-row domain check;
+    DomainError unless `sigmas` is a (rows, N) array)."""
+    return _energy_rows(d, sigmas)[0]
 
 
 def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
-    """Analytic partial derivatives of H at sigma in the open ball.
+    """Analytic partial derivatives of H at sigma in the open ball: a
+    one-row `gradient_many`, so equal to it bit for bit.
 
     For a non-symmetrized degree-p tensor the derivative sums the p partial
-    contractions with index i placed at each position.
+    contractions with index i placed at each position (`gradient_terms`).
     """
     sigma = _check_ball(sigma, d.n, open_ball=True)
-    return _gradient_at(d, _kron_powers(sigma, max(d.tensors, default=0) - 1))[0]
+    return _gradient_rows(d, sigma[None])[0, 0]
 
 
 def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
-    """Row-wise grad H over the rows of `sigmas` (no per-row domain check)."""
-    X = np.asarray(sigmas, dtype=np.float64)
-    grad = np.zeros(X.shape)
-    for p, scale, s in d.gradient_terms:
-        grad += scale * (s if p == 1 else _contract_rows(s[None], X)[0])
-    return grad
+    """Row-wise grad H over the rows of `sigmas` (no per-row domain check;
+    DomainError unless `sigmas` is a (rows, N) array)."""
+    return _gradient_rows(d, sigmas)[0]
 
 
 def hessian_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     """Row-wise Hessian of H over the rows of `sigmas` (no per-row domain
-    check): shape (rows, N, N), the contraction of each `hessian_terms`
-    tensor with the row at all but its last two axes."""
-    X = np.asarray(sigmas, dtype=np.float64)
+    check; DomainError unless `sigmas` is a (rows, N) array): shape
+    (rows, N, N), the contraction of each `hessian_terms` tensor with the
+    row at all but its last two axes."""
+    X = _check_rows(sigmas, d.n)
     rows, n = X.shape
     hess = np.zeros((rows, n, n))
     for p, scale, s in d.hessian_terms:
-        hess += scale * (s if p == 2 else _contract_rows(s[None], X)[0].reshape(rows, n, n))
+        hess += scale * (s[0] if p == 2 else _contract_rows(s, X)[0].reshape(rows, n, n))
     return hess
 
 
@@ -582,18 +581,16 @@ def recentered_energy(d, m: np.ndarray, S: np.ndarray) -> np.ndarray:
     replica of `d` (a sample or a block): shape (R, rows).
 
     DomainError unless m lies in the open ball, S is (rows, N) and every
-    m + s lies in the closed ball; a NaN fails these checks. grad H(m) . s is
-    the 1-D dot product of each (replica, row) pair, as in `_dots`.
+    m + s lies in the closed ball; a NaN fails these checks. H and grad H at
+    m are the row bodies at the one row m; grad H(m) . s is the 1-D dot
+    product of each (replica, row) pair, as in `_dots`.
     """
     m = _check_ball(m, d.n, open_ball=True)
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] != d.n:
-        raise DomainError(f"expected rows of length {d.n}")
+    S = _check_rows(S, d.n)
     X = m + S
     # written so that a NaN norm fails
     if not np.all(np.sqrt((X * X).sum(axis=1) / d.n) <= 1.0 + NORM_TOLERANCE):
         raise DomainError("some m + s lies outside the unit ball beyond tolerance")
-    powers = _kron_powers(m, max(d.tensors, default=0) - 1)
-    g = _gradient_at(d, powers)
+    g = _gradient_rows(d, m[None])[:, 0]
     dots = np.matmul(g[:, None, None, :], S[:, :, None])[..., 0, 0]
-    return _energy_rows(d, X) - dots - _energy_at(d, powers)[:, None]
+    return _energy_rows(d, X) - dots - _energy_rows(d, m[None])

@@ -59,11 +59,9 @@ from ..hamiltonian import (
     MixedModel,
     _check_ball,
     _dots,
-    _energy_at,
     _energy_rows,
     _fill_disorders,
-    _gradient_at,
-    _kron_powers,
+    _gradient_rows,
     _stream_states,
     energy,
     field_linear,
@@ -230,10 +228,10 @@ def run_zero_disorder(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _gaussian_law_probes(cfg: ExperimentConfig) -> tuple:
-    """(pairs, m, m', pts, powers): ten probe pairs (a, b), the points m and
-    m', the (20, n) array of pair points a block scores in one stacked
-    contraction, and the ball-checked `_kron_powers` of m and m' up to the
-    top degree of xi minus one."""
+    """(pairs, m, m', pts, ms): ten probe pairs (a, b), the points m and m',
+    the (20, n) array of pair points a block scores in one stacked
+    contraction, and the (2, n) array of m and m', checked to lie in the
+    open ball, at which a block takes both gradients in one call."""
     n = cfg.n
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE,)))
@@ -241,10 +239,8 @@ def _gaussian_law_probes(cfg: ExperimentConfig) -> tuple:
              for _ in range(10)]
     m = 0.6 * normalize(rng.standard_normal(n))
     mp = 0.5 * normalize(rng.standard_normal(n))
-    top = CovarianceSeries(cfg.xi).degree - 1
-    powers = tuple(_kron_powers(_check_ball(x, n, open_ball=True), top)
-                   for x in (m, mp))
-    return pairs, m, mp, np.array([p for ab in pairs for p in ab]), powers
+    ms = np.array([_check_ball(x, n, open_ball=True) for x in (m, mp)])
+    return pairs, m, mp, np.array([p for ab in pairs for p in ab]), ms
 
 
 def _law_streams(cfg: ExperimentConfig) -> tuple:
@@ -282,11 +278,11 @@ _CROSS_INDICES = (0, 2, 5)
 
 
 def _gaussian_law_block(cfg, seeds, states, probes):
-    _, _, _, pts, (pm, pmp) = probes
+    _, _, _, pts, ms = probes
     d = _fill_disorders(_model(cfg.n, tuple(cfg.xi)), seeds, states)
     vals = _energy_rows(d, pts)
-    gm = _gradient_at(d, pm)
-    gmp = _gradient_at(d, pmp)
+    grads = _gradient_rows(d, ms)
+    gm, gmp = grads[:, 0], grads[:, 1]
     feats = [vals[:, 2 * k] * vals[:, 2 * k + 1] for k in range(10)]  # H(a) H(b)
     feats += [gm[:, i] * gmp[:, j] for i, j in _GRAD_PAIRS]
     feats += [vals[:, 0] * gmp[:, i] for i in _CROSS_INDICES]
@@ -345,9 +341,8 @@ def _recentering_block(cfg, seeds, states, probes):
     m, (s1, s2, s3), w = probes
     d = _fill_disorders(_model(cfg.n, tuple(cfg.xi)), seeds, states)
     rec = recentered_energy(d, m, np.array([s1, s2, s3])).T  # checks m
-    powers = _kron_powers(m, max(d.tensors, default=0) - 1)
-    g = _gradient_at(d, powers)
-    hm = _energy_at(d, powers)
+    g = _gradient_rows(d, m[None])[:, 0]
+    hm = _energy_rows(d, m[None])[:, 0]
     mhat = m / np.sqrt(m @ m)
     g_perp = g - _dots(g, mhat)[:, None] * mhat
     t = _dots(g_perp, w)
@@ -570,8 +565,10 @@ def _maximizer_diagnostics(sup, n: int) -> tuple:
     """(converged, per-start iteration counts, starts within 1e-6 N of the best).
 
     A start's iterations are its trace rows and its final value is its last
-    row's value, the definitions perfbench/tracer.py counts maximize_tap
-    calls by, so the two can be cross-checked.
+    row's value, the definitions perfbench/tracer.py counts `maximize_tap`
+    calls by. The two can be cross-checked only where `maximize_tap` is
+    called: the bound experiments call `maximize_tap_many`, which the tracer
+    does not wrap, so on their runs its `tap.maximize_tap.*` metrics read 0.
     """
     iterations, final = {}, {}
     for row in sup.trace:

@@ -49,6 +49,7 @@ from tapbound.hamiltonian import (
     energy,
     energy_many,
     gradient,
+    gradient_many,
 )
 from tapbound.harness import experiments
 from tapbound.partition import _lse_merge, _lse_value
@@ -154,8 +155,8 @@ def oracle_gradient_many_blocked(d, sigmas):
     """`gradient_many` on the out-of-place row contraction above."""
     X = np.asarray(sigmas, dtype=np.float64)
     grad = np.zeros(X.shape)
-    for p, scale, s in d.gradient_terms:
-        grad += scale * (s if p == 1 else _contract_rows(s, X))
+    for p, scale, s in d.gradient_terms:  # s[0]: the sample's one replica
+        grad += scale * (s[0] if p == 1 else _contract_rows(s[0], X))
     return grad
 
 
@@ -632,12 +633,14 @@ def oracle_thin_projection(node, sigma):
 def gaussian_law_replica(cfg, r):
     """The gaussian-law features of replica r alone: products of the energies
     at the ten probe pairs, of gradient entries at m and m', and of the
-    energy at a0 with gradient entries at m'."""
+    energy at a0 with gradient entries at m'. Both gradients come from one
+    two-row `gradient_many`, the row count the block contracts: numpy sends
+    a one-row matmul to a matrix-vector BLAS call, which can round
+    differently."""
     pairs, m, mp, pts, _ = experiments._gaussian_law_probes(cfg)
     d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
     vals = energy_many(d, pts)
-    gm = gradient(d, m)
-    gmp = gradient(d, mp)
+    gm, gmp = gradient_many(d, np.array([m, mp]))
     feats = []
     for k in range(10):
         feats.append(vals[2 * k] * vals[2 * k + 1])           # H(a) H(b)

@@ -14,8 +14,7 @@ from tapbound.hamiltonian import (
     ExternalField,
     MixedModel,
     _energy_rows,
-    _gradient_at,
-    _kron_powers,
+    _gradient_rows,
     energy,
     energy_many,
     field_custom,
@@ -255,14 +254,6 @@ class TestKernelMatchesEinsumOracle:
         assert got.shape == (rows, n)
         assert_rel_close(got, np.array([oracle_gradient(d, x) for x in X]))
 
-    def test_degree_two_gradient_is_bit_identical(self):
-        # Two plain matvecs, g @ sigma and sigma @ g, as before the kernel
-        rng = np.random.default_rng(3)
-        for n in (3, 12, 16):
-            d = sample_disorder(MixedModel(n, XI2), n)
-            for sigma in ball_rows(rng, 20, n, on_sphere=False):
-                assert np.array_equal(gradient(d, sigma), oracle_gradient(d, sigma))
-
     def test_energy_many_memory_is_chunked(self):
         # An unchunked 1e5 x 16 contraction holds two 12.8 MB temporaries
         n = 16
@@ -316,10 +307,45 @@ class TestKernelMatchesBlockedOracle:
         assert np.array_equal(gradient_many(d, X), oracle_gradient_many_blocked(d, X))
 
 
+class TestPointCallsAreOneRowCalls:
+    """`energy` and `gradient` at a point run the row bodies on one row."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @example(coefficients=[0.0, 0.0, 0.0, 1.0], n=6, seed=1)
+    @example(coefficients=[0.0, 0.0, 1.0, 0.5], n=8, seed=2)
+    @example(coefficients=[0.5, 0.5, 1.0, 0.5, 0.25], n=3, seed=3)
+    @example(coefficients=[0.0, 0.0, 0.0, 0.0, 1.0], n=1, seed=4)
+    @given(coefficients=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                 min_size=1, max_size=5).filter(any),
+           n=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_equal_to_the_row_calls(self, coefficients, n, seed):
+        d = sample_disorder(MixedModel(n, CovarianceSeries(tuple(coefficients))), seed)
+        for x in ball_rows(np.random.default_rng(seed), 4, n, on_sphere=False):
+            assert energy(d, x) == energy_many(d, x[None])[0]
+            assert gradient(d, x).tobytes() == gradient_many(d, x[None])[0].tobytes()
+
+
+class TestRowShapes:
+    """The row kernels take a (rows, N) array and nothing else."""
+
+    @pytest.mark.parametrize("kernel", [energy_many, gradient_many, hessian_many])
+    @pytest.mark.parametrize("shape", [(6,), (3, 7), (3, 5), (2, 3, 6), ()])
+    def test_other_shapes_rejected(self, kernel, shape):
+        d = sample_disorder(MixedModel(6, XI23), 1)
+        with pytest.raises(DomainError):
+            kernel(d, np.zeros(shape))
+
+    @pytest.mark.parametrize("kernel", [energy_many, gradient_many, hessian_many])
+    def test_no_rows_give_no_rows(self, kernel):
+        d = sample_disorder(MixedModel(6, XI23), 1)
+        assert len(kernel(d, np.zeros((0, 6)))) == 0
+
+
 class TestStackedKernelMatchesOracles:
     """The stacked kernels the law experiments run, on `sample_disorders`
     blocks: replica r of a block equals its own sample under the blocked
-    oracle and the one-sample gradient, byte for byte."""
+    oracles, byte for byte."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @example(coefficients=(0.0, 0.0, 1.0, 0.5, 0.0), n=16, replicas=65, rows=9, seed=1)
@@ -340,13 +366,13 @@ class TestStackedKernelMatchesOracles:
         seeds = rng.integers(0, 2 ** 64, size=replicas, dtype=np.uint64)
         block = sample_disorders(model, seeds)
         X = ball_rows(rng, rows, n, on_sphere=False)
-        x = X[0]  # radius below 0.99: inside the open ball
         energies = _energy_rows(block, X)
-        grads = _gradient_at(block, _kron_powers(x, max(model.active_degrees) - 1))
+        grads = _gradient_rows(block, X)
+        assert grads.shape == (replicas, rows, n)
         for r, s in enumerate(seeds):
             d = sample_disorder(model, int(s))
             assert energies[r].tobytes() == oracle_energy_many_blocked(d, X).tobytes()
-            assert grads[r].tobytes() == gradient(d, x).tobytes()
+            assert grads[r].tobytes() == oracle_gradient_many_blocked(d, X).tobytes()
 
 
 class TestCovarianceLaw:
@@ -599,6 +625,17 @@ class TestExternalField:
             assert np.allclose(got, expect, rtol=1e-12, atol=atol)
             fd = central_jacobian(f.gradient_many, X)
             assert np.allclose(got, fd, rtol=1e-6, atol=max(atol, 1e-8))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: field_linear(v, 4),
+        lambda v: field_quadratic_spike(v, 4),
+        lambda v: ExternalField("none", 4, h=v, basis=np.ones((1, 4))),
+        lambda v: field_custom(np.ones((1, 4)), lambda t: 0.0, lipschitz_bound=v),
+    ], ids=["linear", "spike", "none", "custom-lipschitz"])
+    def test_non_finite_h_or_lipschitz_bound_rejected(self, make, value):
+        with pytest.raises(DomainError):
+            make(value)
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(DomainError):

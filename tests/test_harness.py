@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -342,17 +343,6 @@ class TestRunAndArtifacts:
                 # one hash for the run, sliced for each of its three blocks
                 assert sorted(log.read_text().split()) == sorted(
                     ["derive_seeds", "_stream_states", probes])
-
-    def test_law_powers_match_gradient(self):
-        from tapbound.hamiltonian import _gradient_at, gradient
-        cfg = build_config("gaussian-law", dict(replicas=2))
-        _, m, mp, _, powers = experiments._gaussian_law_probes(cfg)
-        for r in range(2):
-            d = experiments._disorder(cfg, r, cfg.xi, cfg.n)
-            top = max(d.tensors) - 1
-            for x, pw in zip((m, mp), powers):
-                assert pw[1] is x and len(pw) == top + 1
-                assert np.array_equal(_gradient_at(d, pw)[0], gradient(d, x))
 
     def test_model_shared_within_a_cell_and_distinct_across_cells(self):
         from tapbound.harness.experiments import _disorder, _model
@@ -757,15 +747,43 @@ class TestCli:
 
 
 class TestPerfbenchTracer:
-    def test_traced_names_resolve(self):
-        # perfbench/tracer.py patches these names from outside the package;
-        # deleting or renaming one breaks `perfbench/run.py --trace 1`
+    """perfbench/tracer.py patches package names from outside the package;
+    deleting or renaming one, or changing its signature, breaks
+    `perfbench/run.py --trace 1`."""
+
+    # the traced hamiltonian names, whose arguments the tracer reads by position
+    SIGNATURES = {"sample_disorder": ["model", "seed"],
+                  "energy": ["d", "sigma"],
+                  "energy_many": ["d", "sigmas"],
+                  "gradient": ["d", "sigma"]}
+
+    @pytest.fixture
+    def tracer(self, monkeypatch):
+        """tracer.py loaded by importlib without writing into perfbench/:
+        no bytecode cache and no entry in sys.modules."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        before = sorted(path.parent.rglob("*"))
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert sorted(path.parent.rglob("*")) == before
+        assert "perfbench_tracer" not in sys.modules
+        return module
+
+    def test_traced_names_resolve(self, tracer):
         for _, module, attr in tracer.SPANS + tracer.COUNTERS:
             owner = importlib.import_module(module)
             for part in attr.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), f"{module}.{attr}"
+
+    def test_traced_hamiltonian_signatures(self, tracer):
+        from tapbound import hamiltonian
+
+        traced = {attr for _, module, attr in tracer.SPANS + tracer.COUNTERS
+                  if module == "tapbound.hamiltonian"}
+        assert traced == set(self.SIGNATURES)
+        for attr, params in self.SIGNATURES.items():
+            signature = inspect.signature(getattr(hamiltonian, attr))
+            assert list(signature.parameters) == params, attr
