@@ -24,7 +24,16 @@ One kernel, `_contract_rows`, evaluates H and its derivatives: it contracts
 every replica of a block with every row of a (rows, N) array at once, and a
 single sample is a block of one. `energy` and `gradient` at a point are
 ball-checked one-row calls of the same bodies as `energy_many` and
-`gradient_many`, so they equal them bit for bit.
+`gradient_many`, so they equal a one-row `energy_many` or `gradient_many`
+bit for bit. A row's bits depend on how many rows are contracted with it:
+numpy sends a one-row matmul to a matrix-vector product, whose summation
+order differs from the matrix product of several rows. So a point call and
+row i of a batch of five can differ in the last bit; they are equal bit for
+bit only when both sides contract the same number of rows. The sample
+kernels (`energy`, `gradient`, `energy_many`, `gradient_many`,
+`hessian_many`) take one replica and raise DomainError for a block of
+several; the block kernels are `_energy_rows`, `_gradient_rows` and
+`recentered_energy`.
 
 `recentered_energy` is the one body of the recentered Hamiltonian
 H^m(s) = H(m + s) - grad H(m) . s - H(m), over rows s and for every replica
@@ -472,6 +481,11 @@ def _contract_rows(g: np.ndarray, X: np.ndarray) -> np.ndarray:
     reshape-multiply-sum against the rows. A trailing axis of length 1,
     g[..., None], gives <g, x^{tensor p}>.
 
+    A row's bits depend on the number of rows contracted with it: a one-row
+    X makes the first matmul a matrix-vector product, which sums in another
+    order than the matrix product of several rows. Results of two calls are
+    equal bit for bit only when both contract the same number of rows.
+
     Reduction order, axis by axis: the first axis is the matmul's dot
     product. A middle axis, one with more entries after it, is summed by
     in-place adds in index order starting from 0.0: numpy's own order for
@@ -510,6 +524,14 @@ def _check_rows(X, n: int) -> np.ndarray:
     return X
 
 
+def _check_sample(d) -> None:
+    """DomainError unless `d` holds one replica: the sample kernels return
+    that replica's values alone, so a block of several would lose the rest."""
+    if d.replicas != 1:
+        raise DomainError(f"expected one disorder sample, not a block of "
+                          f"{d.replicas} replicas")
+
+
 def _energy_rows(d, X: np.ndarray) -> np.ndarray:
     """H over the rows of X for each replica of `d` (a sample or a block):
     shape (R, rows)."""
@@ -535,39 +557,46 @@ def _gradient_rows(d, X: np.ndarray) -> np.ndarray:
 def energy(d: DisorderSample, sigma: np.ndarray) -> float:
     """H(sigma) = sum_p sqrt(a_p) N^{(1-p)/2} <g_p, sigma^{tensor p}>, for
     sigma in the closed ball: a one-row `energy_many`, so equal to it bit
-    for bit."""
+    for bit (not always to a row of a larger batch). DomainError for a
+    block of several replicas."""
+    _check_sample(d)
     sigma = _check_ball(sigma, d.n)
     return float(_energy_rows(d, sigma[None])[0, 0])
 
 
 def energy_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     """Vectorized H over the rows of `sigmas` (no per-row domain check;
-    DomainError unless `sigmas` is a (rows, N) array)."""
+    DomainError unless `sigmas` is a (rows, N) array and `d` one sample)."""
+    _check_sample(d)
     return _energy_rows(d, sigmas)[0]
 
 
 def gradient(d: DisorderSample, sigma: np.ndarray) -> np.ndarray:
     """Analytic partial derivatives of H at sigma in the open ball: a
-    one-row `gradient_many`, so equal to it bit for bit.
+    one-row `gradient_many`, so equal to it bit for bit (not always to a row
+    of a larger batch). DomainError for a block of several replicas.
 
     For a non-symmetrized degree-p tensor the derivative sums the p partial
     contractions with index i placed at each position (`gradient_terms`).
     """
+    _check_sample(d)
     sigma = _check_ball(sigma, d.n, open_ball=True)
     return _gradient_rows(d, sigma[None])[0, 0]
 
 
 def gradient_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     """Row-wise grad H over the rows of `sigmas` (no per-row domain check;
-    DomainError unless `sigmas` is a (rows, N) array)."""
+    DomainError unless `sigmas` is a (rows, N) array and `d` one sample)."""
+    _check_sample(d)
     return _gradient_rows(d, sigmas)[0]
 
 
 def hessian_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     """Row-wise Hessian of H over the rows of `sigmas` (no per-row domain
-    check; DomainError unless `sigmas` is a (rows, N) array): shape
-    (rows, N, N), the contraction of each `hessian_terms` tensor with the
-    row at all but its last two axes."""
+    check; DomainError unless `sigmas` is a (rows, N) array and `d` one
+    sample): shape (rows, N, N), the contraction of each `hessian_terms`
+    tensor with the row at all but its last two axes."""
+    _check_sample(d)
     X = _check_rows(sigmas, d.n)
     rows, n = X.shape
     hess = np.zeros((rows, n, n))

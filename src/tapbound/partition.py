@@ -9,11 +9,15 @@ chunk of tail patterns is scored against every head pattern by one matrix
 product and folded into a running log-sum-exp. Sphere estimates draw
 normalized Gaussians from a counter-based (Philox) stream, so replica
 streams are independent and reproducible; a block of problems of one model
-shares one draw, scored by stacked contractions. Restricted partitions and
-slice measures (a cover region's mass and the thin-slice image of the
-measure conditioned on it) sum over atoms only; the sphere has none and
-raises UnsupportedOperationError there. All accumulation is in the log domain;
--inf is a first-class value for empty restrictions.
+shares one draw, scored by stacked contractions a chunk of points at a time.
+Each chunk's log-weights are merged into a running per-problem state (the
+largest log-weight, and the mean and summed squared deviations of
+exp(x - max)) as soon as they are scored, so no (problems, samples) array is
+held. Restricted partitions and slice measures (a cover region's mass and
+the thin-slice image of the measure conditioned on it) sum over atoms only;
+the sphere has none and raises UnsupportedOperationError there. All
+accumulation is in the log domain; -inf is a first-class value for empty
+restrictions.
 """
 
 from __future__ import annotations
@@ -221,10 +225,11 @@ def log_partition_mc_sphere(d: DisorderSample, f: ExternalField, beta: float,
     The estimate is a log-mean-exp over `samples` normalized Gaussian draws;
     std_error comes from the delta method on the log (scale-invariant). It
     is `log_partition_mc_sphere_many` of the block of one problem: the draws
-    stream through one reused block of `_ROW_CHUNK` rows, in the order and
-    with the arithmetic of one (samples, N) draw, so only the vector of
-    log-weights grows with `samples`. Raises DomainError as
-    `log_partition_exact_ising` does, and for fewer than 100 samples.
+    stream through one reused block of `_ROW_CHUNK` rows, in the order of one
+    (samples, N) draw, and each block's log-weights are merged into the
+    running estimate, so memory does not grow with `samples`. Raises
+    DomainError as `log_partition_exact_ising` does, and for fewer than 100
+    samples.
     """
     return log_partition_mc_sphere_many([(d, f, beta)], samples, rng_seed)[0]
 
@@ -241,10 +246,13 @@ def log_partition_mc_sphere_many(problems, samples: int,
     problem's estimate averages the same `samples` iid uniform points, drawn
     independently of its disorder, so it has the law of its own
     `log_partition_mc_sphere`; estimates within a block share the points and
-    are correlated. The (problems, samples) log-weights are held for the
-    exact two-pass estimate. Raises DomainError for an empty block, for
-    disorders of different N or xi, for fewer than 100 samples and for a bad
-    field or beta of any problem.
+    are correlated. Each chunk's (problems, rows) log-weights are merged
+    into a running state by `_mean_exp_merge` as soon as they are scored,
+    so memory holds one chunk and four numbers per problem, whatever
+    `samples`. The merged estimate rounds differently from a two-pass
+    log-mean-exp over all the log-weights, in the last bits. Raises
+    DomainError for an empty block, for disorders of different N or xi, for
+    fewer than 100 samples and for a bad field or beta of any problem.
     """
     problems = list(problems)
     if not problems:
@@ -261,24 +269,47 @@ def log_partition_mc_sphere_many(problems, samples: int,
     rows = max(1, _ROW_CHUNK // len(problems))
     rng = _sphere_rng(rng_seed)
     buf = np.empty((min(samples, rows), disorder.n))
-    x = np.empty((len(problems), samples))
+    acc = (0, np.full(len(problems), -np.inf), np.zeros(len(problems)),
+           np.zeros(len(problems)))
     for start in range(0, samples, rows):
         block = _to_sphere(rng.standard_normal(out=buf[:min(rows, samples - start)]))
-        energies = _energy_rows(disorder, block)
-        energies += np.stack([f.value_many(block) for f in fields.values()])[which]
-        np.multiply(betas, energies, out=x[:, start:start + len(block)])
-    return [_mc_estimate(row, rng_seed) for row in x]
+        x = _energy_rows(disorder, block)
+        x += np.stack([f.value_many(block) for f in fields.values()])[which]
+        x *= betas
+        acc = _mean_exp_merge(acc, x)
+    count, top, mean, m2 = acc
+    se = np.sqrt(m2 / (count - 1)) / math.sqrt(count) / mean
+    return [PartitionEstimate(float(t) + math.log(float(w)), float(e), "monte_carlo",
+                              count, seed=rng_seed)
+            for t, w, e in zip(top, mean, se)]
 
 
-def _mc_estimate(x: np.ndarray, rng_seed: int) -> PartitionEstimate:
-    """Log-mean-exp of the draws' log-weights x, with the delta-method
-    standard error of the log."""
-    m = float(x.max())
-    w = np.exp(x - m)
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(len(x)) / mean)
-    return PartitionEstimate(m + math.log(mean), se, "monte_carlo", len(x),
-                             seed=rng_seed)
+def _mean_exp_merge(acc: tuple, x: np.ndarray) -> tuple:
+    """Fold a (R, rows) chunk of log-weights into the running per-row state
+    (count, max, mean, M2), overwriting x.
+
+    mean and M2 are the mean and the summed squared deviations of
+    exp(x - max) over the values seen so far, for each of the R rows. When a
+    row's max rises, its mean is rescaled by exp(old max - new max) and its
+    M2 by the square (an earlier state rescaled below the smallest double
+    becomes 0); the chunk's own mean and M2 (two passes over the chunk, as
+    `np.std` takes them) then join by the pairwise update of Chan, Golub and
+    LeVeque (1983). All-equal values keep M2 at exactly 0.
+    """
+    count, top, mean, m2 = acc
+    new_top = np.maximum(top, x.max(axis=1))
+    scale = np.exp(top - new_top)
+    x -= new_top[:, None]
+    w = np.exp(x, out=x)
+    rows = w.shape[1]
+    chunk_mean = w.sum(axis=1) / rows  # the arithmetic of w.mean(axis=1)
+    w -= chunk_mean[:, None]
+    chunk_m2 = np.multiply(w, w, out=w).sum(axis=1)
+    mean = mean * scale
+    total = count + rows
+    delta = chunk_mean - mean
+    return (total, new_top, mean + delta * (rows / total),
+            m2 * (scale * scale) + chunk_m2 + delta * delta * (count * rows / total))
 
 
 def restricted_log_partition(E: ReferenceMeasure, d: DisorderSample,

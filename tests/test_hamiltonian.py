@@ -342,6 +342,32 @@ class TestRowShapes:
         assert len(kernel(d, np.zeros((0, 6)))) == 0
 
 
+SAMPLE_KERNELS = {"energy": energy, "gradient": gradient, "energy_many": energy_many,
+                  "gradient_many": gradient_many, "hessian_many": hessian_many}
+
+
+class TestSampleKernelsTakeOneReplica:
+    """The sample kernels return one replica's values, so a block of several
+    replicas is a DomainError rather than its replica 0 alone."""
+
+    @staticmethod
+    def call(name, d):
+        x = np.full(d.n, 0.5)  # normalized norm 0.5: inside the open ball
+        return SAMPLE_KERNELS[name](d, x if name in ("energy", "gradient") else x[None])
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_KERNELS))
+    def test_block_of_several_rejected(self, name):
+        block = sample_disorders(MixedModel(4, XI23), [1, 2, 3])
+        with pytest.raises(DomainError):
+            self.call(name, block)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_KERNELS))
+    def test_block_of_one_is_its_sample(self, name):
+        model = MixedModel(4, XI23)
+        got = self.call(name, sample_disorders(model, [7]))
+        assert np.array_equal(got, self.call(name, sample_disorder(model, 7)))
+
+
 class TestStackedKernelMatchesOracles:
     """The stacked kernels the law experiments run, on `sample_disorders`
     blocks: replica r of a block equals its own sample under the blocked

@@ -283,6 +283,15 @@ class TestArgumentChecks:
             self.CALLS[call](d, field_linear(0.3, field_n), beta)
 
 
+def assert_matches_oracle(est, oracle):
+    """A streamed estimate against the two-pass (log value, std error) of
+    `oracle_log_partition_mc_sphere`: the running merge sums in another
+    order, so they agree to the last bits, and a zero error stays zero."""
+    value, se = oracle
+    assert abs(est.log_value - value) <= 1e-14 * max(1.0, abs(value))
+    assert abs(est.std_error - se) <= 1e-12 * se
+
+
 class TestSphereMonteCarlo:
     def test_beta_zero(self):
         d = sample_disorder(MixedModel(8, XI2), 1)
@@ -320,8 +329,7 @@ class TestSphereMonteCarlo:
         d = sample_disorder(MixedModel(n, XI23), 12)
         f = FIELDS[kind](n)
         est = log_partition_mc_sphere(d, f, 0.4, samples, 29)
-        assert (est.log_value, est.std_error) == oracle_log_partition_mc_sphere(
-            d, f, 0.4, samples, 29)
+        assert_matches_oracle(est, oracle_log_partition_mc_sphere(d, f, 0.4, samples, 29))
         assert est.sample_count == samples
 
     def test_memory_does_not_grow_with_samples(self):
@@ -402,8 +410,7 @@ class TestSphereMonteCarloMany:
         d = sample_disorder(MixedModel(n, XI23), 12)
         f = FIELDS[kind](n)
         (est,) = log_partition_mc_sphere_many([(d, f, 0.4)], samples, 29)
-        assert (est.log_value, est.std_error) == oracle_log_partition_mc_sphere(
-            d, f, 0.4, samples, 29)
+        assert_matches_oracle(est, oracle_log_partition_mc_sphere(d, f, 0.4, samples, 29))
         assert est == log_partition_mc_sphere(d, f, 0.4, samples, 29)
 
     def test_every_problem_scores_the_shared_draw(self):
@@ -439,8 +446,9 @@ class TestSphereMonteCarloMany:
         assert 0.5 <= np.std(z, ddof=1) <= 1.5
 
     def test_scratch_does_not_grow_with_the_block(self):
-        # the (R, samples) log-weights, and no more than the 8 MiB of one
-        # problem's stream: the contraction scratch stays one chunk's size
+        # no (R, samples) log-weights (10.24 MB here), and no more than the
+        # 8 MiB of one problem's stream: the contraction scratch stays one
+        # chunk's size and the running merge four numbers per problem
         samples = 20000
         problems = _grid_problems(64)
         log_partition_mc_sphere_many(problems[:2], 100, 1)  # warm any lazy set-up
@@ -450,7 +458,7 @@ class TestSphereMonteCarloMany:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * len(problems) * samples + 8 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
 
     @staticmethod
     def bad_block(name):
@@ -476,6 +484,72 @@ class TestSphereMonteCarloMany:
         problems, samples = self.bad_block(name)
         with pytest.raises(DomainError):
             log_partition_mc_sphere_many(problems, samples, 0)
+
+
+def _sphere_points(n, samples, rng_seed):
+    """The points of one full (samples, N) Monte Carlo draw, as the oracle
+    makes them."""
+    z = _sphere_rng(rng_seed).standard_normal((samples, n))
+    return z * (math.sqrt(n) / np.linalg.norm(z, axis=1))[:, None]
+
+
+def _spike_at(point, height):
+    """A custom field that is `height` at `point` (a sphere point, so a unit
+    basis row) and 0 wherever <sigma, point> <= 0.9."""
+    return field_custom(point[None], lambda t: height * 10.0 * max(t[0] - 0.9, 0.0))
+
+
+class TestStreamedMerge:
+    """The running per-chunk merge against the two-pass oracle where a
+    streamed log-mean-exp can go wrong: equal weights, a late rise of the
+    max, weights past exp underflow and ragged last chunks."""
+
+    def test_beta_zero_over_several_chunks_is_exactly_zero(self):
+        # rows of 8192 // 4 = 2048: three full chunks and a ragged one
+        n, samples = 8, 3 * 2048 + 7
+        model = MixedModel(n, XI23)
+        fields = [field_none(n), field_linear(0.3, n), field_quadratic_spike(0.5, n),
+                  FIELDS["custom"](n)]
+        problems = [(sample_disorder(model, 60 + i), f, 0.0) for i, f in enumerate(fields)]
+        for (d, f, _), est in zip(problems, log_partition_mc_sphere_many(problems, samples, 5)):
+            assert (est.log_value, est.std_error) == (0.0, 0.0)
+            assert oracle_log_partition_mc_sphere(d, f, 0.0, samples, 5) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("height", [40.0, 1000.0])
+    def test_max_rises_only_in_the_last_ragged_chunk(self, height):
+        # zero disorder and a spike at the draw's last point: every earlier
+        # log-weight of the spike problem is exactly 0, so its max rises
+        # once, in the last chunk of 5 rows, by e^40 or past exp underflow
+        # (e^-1000 is 0), where the earlier state rescales to 0. The linear
+        # problem with beta h N = 480 spreads its own weights past underflow.
+        n, rows = 16, 8192 // 2
+        samples = 3 * rows + 5
+        pts = _sphere_points(n, samples, 9)
+        d = sample_disorder(MixedModel(n, XI0), 0)
+        spike = _spike_at(pts[-1], height)
+        x = spike.value_many(pts)
+        assert not x[:-1].any() and x[-1] == pytest.approx(height, rel=1e-6)
+        problems = [(d, spike, 1.0), (d, field_linear(30.0, n), 1.0)]
+        for (d, f, beta), est in zip(problems, log_partition_mc_sphere_many(problems, samples, 9)):
+            assert_matches_oracle(est, oracle_log_partition_mc_sphere(d, f, beta, samples, 9))
+            assert est.std_error > 0.0
+        linear = 30.0 * n * pts.mean(axis=1)
+        assert linear.max() - linear.min() > 745  # exp(-745) is 0 in float64
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sample_counts_around_a_chunk_boundary(self, offset):
+        # rows of 8192 // 3 = 2730: three chunks minus one row (a ragged last
+        # chunk of 2729), exactly three, and three plus a one-row chunk
+        n = 8
+        samples = 3 * (8192 // 3) + offset
+        model = MixedModel(n, XI23)
+        problems = [(sample_disorder(model, 70), field_none(n), 0.2),
+                    (sample_disorder(model, 71), field_linear(0.3, n), 0.7),
+                    (sample_disorder(model, 72), field_quadratic_spike(0.4, n), 1.5)]
+        block = log_partition_mc_sphere_many(problems, samples, 13)
+        for (d, f, beta), est in zip(problems, block):
+            assert_matches_oracle(est, oracle_log_partition_mc_sphere(d, f, beta, samples, 13))
+            assert est.sample_count == samples
 
 
 class TestRestricted:
