@@ -23,7 +23,6 @@ from .hamiltonian import (
     ExternalField,
     MixedModel,
     energy,
-    field_custom,
     field_linear,
     field_none,
     field_quadratic_spike,

@@ -37,7 +37,8 @@ several; the block kernels are `_energy_rows`, `_gradient_rows` and
 
 `recentered_energy` is the one body of the recentered Hamiltonian
 H^m(s) = H(m + s) - grad H(m) . s - H(m), over rows s and for every replica
-of a sample or a block.
+of a sample or a block. Its body, `_recentered_rows`, also returns the H(m)
+and grad H(m) it subtracts.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,20 +63,20 @@ TENSOR_BUDGET_BYTES_DEFAULT = 1 << 28  # 256 MiB per tensor
 
 @dataclass(frozen=True)
 class ExternalField:
-    """Generalized external field f(sigma) = F(<sigma, u_1>, ..., <sigma, u_K>).
-
-    `basis` is a (K, n) array whose rows are <.,.>-orthonormal directions
-    spanning the subspace U the field factors through (DomainError
-    otherwise). Built-in kinds:
+    """External field f(sigma) = F(<sigma, u_1>, ..., <sigma, u_K>) of one of
+    three kinds:
 
       none            -- f = 0
-      linear          -- f = h * sum_i sigma_i           (K = 1, u_1 = ones)
-      quadratic_spike -- f = (h/N) (sum_i sigma_i)^2     (K = 1, u_1 = ones)
-      custom          -- user function of the K projection coordinates
+      linear          -- f = h N <sigma, u_1>     (h sum_i sigma_i for u_1 = ones)
+      quadratic_spike -- f = h N <sigma, u_1>^2   ((h/N) (sum_i sigma_i)^2 for u_1 = ones)
 
-    `lipschitz_bound` is the Lipschitz constant of f with respect to the
-    normalized norm (order N for the built-in kinds). A non-finite h or
-    `lipschitz_bound` raises DomainError.
+    `basis` is a (K, n) array whose rows u_1..u_K are <.,.>-orthonormal
+    (DomainError otherwise): the subspace U the field factors through, which
+    the cover and the exact split sum read. The `field_*` builders take
+    u_1 = ones. linear and quadratic_spike read u_1 alone, so only none
+    takes a basis other than ones for K > 1: `ExternalField("none", n,
+    basis=B)` is a K-dimensional cover with no field. A non-finite h raises
+    DomainError.
 
     The field keeps a read-only copy of `basis`, so one field can be shared
     by many problems and replicas.
@@ -86,16 +86,12 @@ class ExternalField:
     n: int
     h: float = 0.0
     basis: np.ndarray = field(default=None, repr=False)
-    func: Optional[Callable[[np.ndarray], float]] = None
-    func_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lipschitz_bound: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "linear", "quadratic_spike", "custom"):
+        if self.kind not in ("none", "linear", "quadratic_spike"):
             raise DomainError(f"unknown field kind {self.kind!r}")
-        if not (np.isfinite(self.h) and np.isfinite(self.lipschitz_bound)):
-            raise DomainError(f"field h = {self.h} and lipschitz_bound = "
-                              f"{self.lipschitz_bound} must be finite")
+        if not np.isfinite(self.h):
+            raise DomainError(f"field h = {self.h} must be finite")
         basis = np.array(self.basis, dtype=np.float64, ndmin=2)
         if basis.ndim != 2 or basis.shape[1] != self.n:
             raise DomainError(f"field basis of shape {basis.shape}, "
@@ -110,10 +106,6 @@ class ExternalField:
     @property
     def K(self) -> int:
         return self.basis.shape[0]
-
-    def value(self, sigma: np.ndarray) -> float:
-        """f(sigma) at one point (a one-row `value_many`)."""
-        return float(self.value_many(np.asarray(sigma, dtype=np.float64)[None])[0])
 
     def value_many(self, sigmas: np.ndarray) -> np.ndarray:
         """f at every row of `sigmas`."""
@@ -130,64 +122,26 @@ class ExternalField:
             return np.zeros(len(t))
         if self.kind == "linear":
             return self.h * self.n * t[:, 0]
-        if self.kind == "quadratic_spike":
-            return self.h * self.n * t[:, 0] ** 2
-        return np.array([float(self.func(row)) for row in t])
-
-    def gradient(self, sigma: np.ndarray) -> np.ndarray:
-        """d f / d sigma_i at one point (a one-row `gradient_many`)."""
-        return self.gradient_many(np.asarray(sigma, dtype=np.float64)[None])[0]
+        return self.h * self.n * t[:, 0] ** 2
 
     def gradient_many(self, sigmas: np.ndarray) -> np.ndarray:
-        """d f / d sigma_i at every row. Custom kinds call `func_grad` (the
-        coordinate partials) once per row, or without it take central
-        differences of f per row."""
+        """d f / d sigma_i at every row: 0, h u_1 or (2h/N) (sigma . u_1) u_1."""
         sigmas = np.asarray(sigmas, dtype=np.float64)
         if self.kind == "none":
             return np.zeros(sigmas.shape)
+        u = self.basis[0]
         if self.kind == "linear":
-            return np.full(sigmas.shape, self.h)
-        if self.kind == "quadratic_spike":
-            u = self.basis[0]
-            return ((2.0 * self.h / self.n) * (sigmas @ u))[:, None] * u
-        if self.func_grad is None:
-            return np.array([_field_gradient_fd(self, row)
-                             for row in sigmas]).reshape(sigmas.shape)
-        t = self.projections(sigmas)
-        partials = np.array([self.func_grad(row) for row in t],
-                            dtype=np.float64).reshape(t.shape)
-        return (partials @ self.basis) / self.n
+            return np.repeat((self.h * u)[None], len(sigmas), axis=0)
+        return ((2.0 * self.h / self.n) * (sigmas @ u))[:, None] * u
 
     def hessian_many(self, sigmas: np.ndarray) -> np.ndarray:
-        """d^2 f / d sigma_i d sigma_j at every row: shape (rows, n, n).
-
-        Zero for none and linear, (2h/N) u u^T for the quadratic spike. A
-        custom f varies only along its basis, so its Hessian is
-        sum_k D_k u_k^T / N, with D_k the central difference of
-        `gradient_many` along u_k: 2K gradient rows per row.
-        """
-        sigmas = np.asarray(sigmas, dtype=np.float64)
-        rows, n = sigmas.shape
-        if self.kind in ("none", "linear"):
+        """d^2 f / d sigma_i d sigma_j at every row: shape (rows, n, n). Zero
+        for none and linear, (2h/N) u_1 u_1^T for the quadratic spike."""
+        rows, n = np.shape(sigmas)
+        if self.kind != "quadratic_spike":
             return np.zeros((rows, n, n))
-        if self.kind == "quadratic_spike":
-            u = self.basis[0]
-            return np.repeat(((2.0 * self.h / n) * np.outer(u, u))[None], rows, axis=0)
-        shifts = _FIELD_HESSIAN_STEP * self.basis
-        plus = self.gradient_many((sigmas[:, None] + shifts).reshape(-1, n))
-        minus = self.gradient_many((sigmas[:, None] - shifts).reshape(-1, n))
-        D = ((plus - minus) / (2 * _FIELD_HESSIAN_STEP)).reshape(rows, self.K, n)
-        return np.matmul(D.transpose(0, 2, 1), self.basis) / n
-
-
-# Step along each basis direction (a change of one projection coordinate)
-# in the central differences of a custom field's Hessian.
-_FIELD_HESSIAN_STEP = 1e-5
-
-
-def _field_gradient_fd(f: ExternalField, sigma: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    shifts = step * np.eye(f.n)
-    return (f.value_many(sigma + shifts) - f.value_many(sigma - shifts)) / (2 * step)
+        u = self.basis[0]
+        return np.repeat(((2.0 * self.h / n) * np.outer(u, u))[None], rows, axis=0)
 
 
 def field_none(n: int) -> ExternalField:
@@ -195,19 +149,11 @@ def field_none(n: int) -> ExternalField:
 
 
 def field_linear(h: float, n: int) -> ExternalField:
-    return ExternalField("linear", n, h=h, basis=np.ones((1, n)),
-                         lipschitz_bound=abs(h) * n)
+    return ExternalField("linear", n, h=h, basis=np.ones((1, n)))
 
 
 def field_quadratic_spike(h: float, n: int) -> ExternalField:
-    return ExternalField("quadratic_spike", n, h=h, basis=np.ones((1, n)),
-                         lipschitz_bound=2.0 * abs(h) * n)
-
-
-def field_custom(basis, func, func_grad=None, lipschitz_bound=0.0) -> ExternalField:
-    basis = np.atleast_2d(np.asarray(basis, dtype=np.float64))
-    return ExternalField("custom", basis.shape[1], basis=basis, func=func,
-                         func_grad=func_grad, lipschitz_bound=lipschitz_bound)
+    return ExternalField("quadratic_spike", n, h=h, basis=np.ones((1, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +560,13 @@ def recentered_energy(d, m: np.ndarray, S: np.ndarray) -> np.ndarray:
     m are the row bodies at the one row m; grad H(m) . s is the 1-D dot
     product of each (replica, row) pair, as in `_dots`.
     """
+    return _recentered_rows(d, m, S)[0]
+
+
+def _recentered_rows(d, m: np.ndarray, S: np.ndarray) -> tuple:
+    """The body of `recentered_energy`: (H^m over the rows of S, grad H(m),
+    H(m)) for each replica of `d`, of shapes (R, rows), (R, N) and (R,). The
+    one-row values at m are those that H^m subtracts."""
     m = _check_ball(m, d.n, open_ball=True)
     S = _check_rows(S, d.n)
     X = m + S
@@ -621,5 +574,6 @@ def recentered_energy(d, m: np.ndarray, S: np.ndarray) -> np.ndarray:
     if not np.all(np.sqrt((X * X).sum(axis=1) / d.n) <= 1.0 + NORM_TOLERANCE):
         raise DomainError("some m + s lies outside the unit ball beyond tolerance")
     g = _gradient_rows(d, m[None])[:, 0]
+    hm = _energy_rows(d, m[None])[:, 0]
     dots = np.matmul(g[:, None, None, :], S[:, :, None])[..., 0, 0]
-    return _energy_rows(d, X) - dots - _energy_rows(d, m[None])
+    return _energy_rows(d, X) - dots - hm[:, None], g, hm

@@ -62,6 +62,7 @@ from ..hamiltonian import (
     _energy_rows,
     _fill_disorders,
     _gradient_rows,
+    _recentered_rows,
     _stream_states,
     energy,
     field_linear,
@@ -340,9 +341,8 @@ def _recentering_probes(cfg: ExperimentConfig) -> tuple:
 def _recentering_block(cfg, seeds, states, probes):
     m, (s1, s2, s3), w = probes
     d = _fill_disorders(_model(cfg.n, tuple(cfg.xi)), seeds, states)
-    rec = recentered_energy(d, m, np.array([s1, s2, s3])).T  # checks m
-    g = _gradient_rows(d, m[None])[:, 0]
-    hm = _energy_rows(d, m[None])[:, 0]
+    rec, g, hm = _recentered_rows(d, m, np.array([s1, s2, s3]))  # checks m
+    rec = rec.T
     mhat = m / np.sqrt(m @ m)
     g_perp = g - _dots(g, mhat)[:, None] * mhat
     t = _dots(g_perp, w)

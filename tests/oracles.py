@@ -4,12 +4,11 @@ energies are explicit per-degree `einsum` contractions, the exact Ising
 sum visits one configuration at a time in Python floats, and the TAP energy
 and gradient of one magnetization are assembled from those energies, the
 closed forms of the field kinds and entropies, and On(q) = xi(1) -
-(1-q) xi'(q) - xi(q) taken straight from the series coefficients. Only the
-general flavor's entropy surrogate and the central-difference gradient of a
-custom field without partials, which have no closed form, are the
-package's own. The sequential TAP ascent runs one start at a time on
-`tap_energy` and `tap_gradient`, the one-row calls of the batched
-functionals. The exhaustive grid oracle of the maximizer,
+(1-q) xi'(q) - xi(q) taken straight from the series coefficients; the field
+closed forms read only the kind, h and the first basis row. Only the general
+flavor's entropy surrogate, which has no closed form, is the package's own.
+The sequential TAP ascent runs one start at a time on `tap_energy` and
+`tap_gradient`, the one-row calls of the batched functionals. The exhaustive grid oracle of the maximizer,
 `brute_force_tap_max`, lives here: a mixed-radix walk of the Ising grid and
 radial shells of seeded directions on the sphere. The batched projected
 gradient ascent, the block L-BFGS ascent and the `itertools.product` grid
@@ -17,8 +16,8 @@ walk are production paths that the L-BFGS maximizer, the Newton maximizer
 and the mixed-radix grid walk replaced; they stay here as references for
 them. So does the full-array sphere Monte Carlo estimator
 that the streamed one replaced; it scores its draws with the package's
-`energy_many`, so that the two can be compared bit for bit. The row
-contraction that multiplied each axis step into a second block-sized
+`energy_many` and the field's `value_many`, so that the two can be compared
+bit for bit. The row contraction that multiplied each axis step into a second block-sized
 array, before the kernel learned to multiply in place, is kept too, with
 `energy_many` and `gradient_many` rebuilt on it, as a bit-equality
 reference for the production kernel. The uniform Ising half-space count
@@ -27,7 +26,8 @@ against every atom in chunks, is the reference for exact hit counts, on its
 own enumeration of the atoms; and the per-vector thin projection that the
 stacked one replaced is a bit-equality reference for it. The blocked
 exact Ising sum, a fixed block of the low spins completed by each pattern of
-the high spins and scored by `energy_many`, is the reference of the split
+the high spins and scored by `energy_many` and the field's `value_many`,
+is the reference of the split
 sum that replaced it. The law
 experiments' per-replica features, each replica with its own numpy
 SeedSequence disorder and one-sample kernel calls, are the bit-equality
@@ -162,10 +162,10 @@ def oracle_gradient_many_blocked(d, sigmas):
 
 def oracle_log_partition_ising(d, f, beta):
     """log 2^{-N} sum_sigma exp(beta (H + f)(sigma)), one configuration at a
-    time: itertools.product, the einsum energy, the field's scalar value and a
+    time: itertools.product, the einsum energy, the field's closed form and a
     two-pass log-sum-exp in Python floats."""
     n = d.n
-    xs = [beta * (oracle_energy(d, s) + f.value(s))
+    xs = [beta * (oracle_energy(d, s) + _field_closed_form(f, s))
           for s in (np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n))]
     top = max(xs)
     return top + math.log(math.fsum(math.exp(x - top) for x in xs)) - n * math.log(2.0)
@@ -226,31 +226,32 @@ def oracle_onsager_second_derivative(coefficients, q):
     return xi2 - (1.0 - q) * xi3
 
 
+def _field_coordinate(f, m):
+    """m . u_1, for u_1 the field's first basis row, in Python floats."""
+    return math.fsum(float(u) * float(x) for u, x in zip(f.basis[0], m))
+
+
 def _field_closed_form(f, m):
+    """f(m) from the kind's formula in t = m . u_1: 0, h t, or h t^2 / N for
+    the quadratic spike."""
     if f.kind == "none":
         return 0.0
+    t = _field_coordinate(f, m)
     if f.kind == "linear":
-        return f.h * m.sum()
-    if f.kind == "quadratic_spike":
-        return f.h * m.sum() ** 2 / f.n
-    return float(f.func(f.basis @ m / f.n))
+        return f.h * t
+    assert f.kind == "quadratic_spike", f.kind
+    return f.h * t * t / f.n
 
 
 def _field_gradient_closed_form(f, m):
+    """The gradient of `_field_closed_form`: 0, h u_1, or (2 h t / N) u_1."""
     if f.kind == "none":
         return np.zeros(f.n)
+    u = np.array(f.basis[0])
     if f.kind == "linear":
-        return np.full(f.n, f.h)
-    if f.kind == "quadratic_spike":
-        return np.full(f.n, 2.0 * f.h * m.sum() / f.n)
-    if f.func_grad is not None:
-        return np.asarray(f.func_grad(f.basis @ m / f.n)) @ f.basis / f.n
-    # A custom field without partials has no closed form: its gradient is
-    # defined as the package's central differences, which tests check
-    # against the analytic derivative to their own accuracy (1e-8). An
-    # independent difference quotient differs from it by ~4e-11 at N = 6
-    # through rounding alone, above the TAP row tests' 1e-12.
-    return f.gradient(m)
+        return f.h * u
+    assert f.kind == "quadratic_spike", f.kind
+    return (2.0 * f.h * _field_coordinate(f, m) / f.n) * u
 
 
 def oracle_tap_energy(p, m):
@@ -275,8 +276,7 @@ def oracle_tap_energy(p, m):
 
 def oracle_tap_gradient(p, m):
     """Gradient of `oracle_tap_energy` (ising and spherical): the einsum
-    gradient, the field's closed-form gradient (a custom field without
-    partials takes the package's central differences), beta^2 On'(q) m, and
+    gradient, the field's closed-form gradient, beta^2 On'(q) m, and
     -atanh(m_i) = -log((1 + m_i) / (1 - m_i)) / 2 or -m / (1 - q)."""
     m = np.asarray(m, dtype=np.float64)
     beta = p.beta

@@ -22,7 +22,13 @@ from tapbound.cover import (
 from tapbound.entropy import ising_uniform, lambda_min_entropy, sphere_uniform
 from tapbound.errors import DomainError
 from tapbound.geometry import inner, inner_many, norm, normalize
-from tapbound.hamiltonian import MixedModel, field_linear, gradient, sample_disorder
+from tapbound.hamiltonian import (
+    ExternalField,
+    MixedModel,
+    field_linear,
+    gradient,
+    sample_disorder,
+)
 from tapbound.partition import node_member_mask, slice_measures
 
 from oracles import oracle_thin_projection
@@ -299,9 +305,7 @@ class TestClassify:
         n = 10
         basis = np.zeros((2, n))
         basis[0, 0] = basis[1, 1] = np.sqrt(n)
-        from tapbound.hamiltonian import field_custom
-        field = field_custom(basis, lambda t: float(t[0] + 0.5 * t[1]),
-                             lipschitz_bound=2 * n)
+        field = ExternalField("none", n, basis=basis)
         model = MixedModel(n, XI2)
         d = sample_disorder(model, 51)
         b = CoverBuilder(d, sphere_uniform(n), field, 0.05, 0.1)

@@ -17,7 +17,6 @@ from tapbound.hamiltonian import (
     _gradient_rows,
     energy,
     energy_many,
-    field_custom,
     field_linear,
     field_quadratic_spike,
     field_none,
@@ -561,41 +560,37 @@ class TestRecentering:
             recentered_energy(d, m, S)
 
 
+FIELD_KINDS = ("none", "linear", "quadratic_spike")
+
+
 class TestExternalField:
     def test_linear_value(self):
         f = field_linear(0.2, 4)
         sigma = np.ones(4)
-        assert f.value(sigma) == pytest.approx(0.8, abs=1e-15)
+        assert f.value_many(sigma[None])[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_spike_vanishes_on_balanced(self):
         f = field_quadratic_spike(1.0, 4)
-        assert f.value(np.array([1.0, 1.0, -1.0, -1.0])) == 0.0
+        assert f.value_many(np.array([[1.0, 1.0, -1.0, -1.0]]))[0] == 0.0
 
     def test_spike_value(self):
         f = field_quadratic_spike(0.5, 4)
         sigma = np.array([1.0, 1.0, 1.0, -1.0])  # sum = 2
-        assert f.value(sigma) == pytest.approx(0.5, abs=1e-15)
+        assert f.value_many(sigma[None])[0] == pytest.approx(0.5, abs=1e-15)
 
-    def test_custom_uses_projection_coordinates_only(self):
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    def test_value_uses_projection_coordinates_only(self, kind):
         n = 6
-        basis = np.ones((1, n))
-        f = field_custom(basis, lambda t: float(np.sin(t[0])), lipschitz_bound=n)
         rng = np.random.default_rng(9)
-        sigma = 0.9 * unit_vector(rng, n)
-        proj = inner(basis[0], sigma) * basis[0]
-        assert f.value(sigma) == pytest.approx(f.value(proj), rel=1e-12)
-
-    def test_custom_gradient_finite_difference_fallback(self):
-        n = 5
-        f = field_custom(np.ones((1, n)), lambda t: float(t[0] ** 3))
-        rng = np.random.default_rng(10)
-        sigma = 0.5 * unit_vector(rng, n)
-        g = f.gradient(sigma)
-        t = inner(np.ones(n), sigma)
-        assert np.allclose(g, 3 * t ** 2 * np.ones(n) / n, atol=1e-8)
+        basis = unit_vector(rng, n)[None]
+        f = ExternalField(kind, n, h=0.7, basis=basis)
+        sigmas = np.array([0.9 * unit_vector(rng, n) for _ in range(4)])
+        proj = (sigmas @ basis[0] / n)[:, None] * basis[0]
+        assert np.allclose(f.value_many(sigmas), f.value_many(proj),
+                           rtol=1e-12, atol=1e-15)
 
     def test_gradient_many_matches_rows(self):
-        # every row against its one-row call and the field's closed form
+        # every row against the field's closed form
         n = 6
         rng = np.random.default_rng(11)
         X = np.array([0.8 * unit_vector(rng, n) for _ in range(5)])
@@ -603,69 +598,70 @@ class TestExternalField:
         fields = [
             (field_none(n), np.zeros_like(X)),
             (field_linear(0.3, n), np.full_like(X, 0.3)),
-            (field_quadratic_spike(0.7, n), np.repeat(2.0 * 0.7 * t[:, None], n, axis=1)),
-            (field_custom(np.ones((1, n)), lambda t: float(np.sin(t[0])),
-                          lambda t: [float(np.cos(t[0]))]),
-             np.repeat(np.cos(t)[:, None] / n, n, axis=1)),
-            (field_custom(np.ones((1, n)), lambda t: float(t[0] ** 3)),
-             np.repeat(3.0 * t[:, None] ** 2 / n, n, axis=1))]
+            (field_quadratic_spike(0.7, n), np.repeat(2.0 * 0.7 * t[:, None], n, axis=1))]
         for f, expect in fields:
             got = f.gradient_many(X)
             assert got.shape == X.shape
-            # central differences (custom without func_grad) are good to 1e-8
-            atol = 1e-8 if f.kind == "custom" and f.func_grad is None else 1e-15
-            for row, x, e in zip(got, X, expect):
-                assert np.allclose(row, f.gradient(x), rtol=1e-13, atol=1e-15)
-                assert np.allclose(row, e, rtol=1e-13, atol=atol)
+            assert np.allclose(got, expect, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    @pytest.mark.parametrize("n, basis", [
+        (4, [[2.0, 0.0, 0.0, 0.0]]),
+        (6, unit_vector(np.random.default_rng(13), 6)[None]),
+    ], ids=["axis", "seeded"])
+    def test_gradient_many_matches_central_differences_off_the_ones_basis(
+            self, kind, n, basis):
+        # the gradient follows the basis row the value reads, not ones
+        f = ExternalField(kind, n, h=0.3, basis=basis)
+        X = np.array([0.8 * unit_vector(np.random.default_rng(14 + r), n)
+                      for r in range(5)])
+        step = 1e-5
+        fd = np.empty_like(X)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = step
+            fd[:, i] = (f.value_many(X + e) - f.value_many(X - e)) / (2 * step)
+        assert np.allclose(f.gradient_many(X), fd, rtol=1e-8, atol=1e-9)
 
     def test_hessian_many_of_every_kind(self):
         # closed forms, and central differences of the gradient over every
-        # coordinate, although the custom kinds only difference along the basis
+        # coordinate, on the ones basis and on a seeded direction
         n = 6
         rng = np.random.default_rng(12)
         X = np.array([0.8 * unit_vector(rng, n) for _ in range(4)])
-        t = X.mean(axis=1)
         ones = np.ones((n, n))
-        two = np.array([np.ones(n), (-1.0) ** np.arange(n)])
-        t2 = X @ two.T / n
+        u = unit_vector(rng, n)
         fields = [
-            (field_none(n), np.zeros((4, n, n)), 1e-15),
-            (field_linear(0.3, n), np.zeros((4, n, n)), 1e-15),
-            (field_quadratic_spike(0.7, n), np.repeat((1.4 / n * ones)[None], 4, axis=0),
-             1e-15),
-            (field_custom(np.ones((1, n)), lambda t: float(np.sin(t[0])),
-                          lambda t: [float(np.cos(t[0]))]),
-             -np.sin(t)[:, None, None] * ones / n ** 2, 1e-10),
-            # differences of the central-difference gradient: good to 1e-5
-            (field_custom(np.ones((1, n)), lambda t: float(t[0] ** 3)),
-             6.0 * t[:, None, None] * ones / n ** 2, 1e-5),
-            # K = 2: F(t) = sin(t_1) t_2 + t_2^2
-            (field_custom(two, lambda t: float(np.sin(t[0]) * t[1] + t[1] ** 2),
-                          lambda t: [float(np.cos(t[0]) * t[1]),
-                                     float(np.sin(t[0]) + 2.0 * t[1])]),
-             np.array([two.T @ np.array([[-np.sin(a) * b, np.cos(a)], [np.cos(a), 2.0]])
-                       @ two for a, b in t2]) / n ** 2, 1e-10)]
-        for f, expect, atol in fields:
+            (field_none(n), np.zeros((4, n, n))),
+            (field_linear(0.3, n), np.zeros((4, n, n))),
+            (field_quadratic_spike(0.7, n), np.repeat((1.4 / n * ones)[None], 4, axis=0)),
+            (ExternalField("linear", n, h=0.3, basis=u[None]), np.zeros((4, n, n))),
+            (ExternalField("quadratic_spike", n, h=0.7, basis=u[None]),
+             np.repeat((1.4 / n * np.outer(u, u))[None], 4, axis=0))]
+        for f, expect in fields:
             got = f.hessian_many(X)
             assert got.shape == (4, n, n)
-            assert np.allclose(got, expect, rtol=1e-12, atol=atol)
+            assert np.allclose(got, expect, rtol=1e-12, atol=1e-15)
             fd = central_jacobian(f.gradient_many, X)
-            assert np.allclose(got, fd, rtol=1e-6, atol=max(atol, 1e-8))
+            assert np.allclose(got, fd, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
         lambda v: field_linear(v, 4),
         lambda v: field_quadratic_spike(v, 4),
         lambda v: ExternalField("none", 4, h=v, basis=np.ones((1, 4))),
-        lambda v: field_custom(np.ones((1, 4)), lambda t: 0.0, lipschitz_bound=v),
-    ], ids=["linear", "spike", "none", "custom-lipschitz"])
-    def test_non_finite_h_or_lipschitz_bound_rejected(self, make, value):
+    ], ids=["linear", "spike", "none"])
+    def test_non_finite_h_rejected(self, make, value):
         with pytest.raises(DomainError):
             make(value)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError):
+            ExternalField("custom", 4, basis=np.ones((1, 4)))
+
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(DomainError):
-            field_custom(np.array([[1.0, 0.0, 0.0]]), lambda t: 0.0)
+            ExternalField("none", 3, basis=np.array([[1.0, 0.0, 0.0]]))
 
     @pytest.mark.parametrize("basis", [[[2.0, 0.0]], [[2.0, 0.0, 0.0, 0.0, 0.0]],
                                        np.full((1, 1, 4), 1.0)])
@@ -680,18 +676,18 @@ class TestExternalField:
         n = 4
         basis = np.zeros((2, n))
         basis[0, 0] = basis[1, 1] = np.sqrt(n)
-        field_custom(basis, lambda t: 0.0)
+        ExternalField("none", n, basis=basis)
         scaled = basis.copy()
         scaled[1] *= 1 + 1e-8
         with pytest.raises(DomainError):
-            field_custom(scaled, lambda t: 0.0)
+            ExternalField("none", n, basis=scaled)
         with pytest.raises(DomainError):
-            field_custom(np.full((1, n), np.nan), lambda t: 0.0)
+            ExternalField("none", n, basis=np.full((1, n), np.nan))
 
     def test_basis_is_a_read_only_copy(self):
         n = 5
         basis = np.ones((1, n))
-        f = field_custom(basis, lambda t: 0.0)
+        f = ExternalField("none", n, basis=basis)
         for field in (f, field_none(n), field_linear(0.3, n),
                       field_quadratic_spike(0.3, n)):
             with pytest.raises(ValueError):

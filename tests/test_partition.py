@@ -17,8 +17,8 @@ from tapbound.entropy import general_entropy_upper, ising_uniform, point_cloud, 
 from tapbound.errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from tapbound.geometry import normalize
 from tapbound.hamiltonian import (
+    ExternalField,
     MixedModel,
-    field_custom,
     field_linear,
     field_none,
     field_quadratic_spike,
@@ -119,13 +119,15 @@ class TestExactIsing:
         assert streaming == pytest.approx(sorted_lse, abs=1e-12)
 
 
-def custom_field(n):
-    u = np.ones(n)
-    return field_custom(u[None, :], lambda t: 0.7 * n * math.tanh(3.0 * t[0]))
+def tilted_spike(n, rng):
+    """A quadratic spike of h = 0.7 along a random direction in place of ones."""
+    u = normalize(rng.standard_normal(n))
+    return ExternalField("quadratic_spike", n, h=0.7, basis=u[None])
 
 
 FIELDS = {"none": field_none, "linear": lambda n: field_linear(0.3, n),
-          "spike": lambda n: field_quadratic_spike(0.4, n), "custom": custom_field}
+          "spike": lambda n: field_quadratic_spike(0.4, n),
+          "tilted": lambda n: tilted_spike(n, np.random.default_rng(n))}
 
 
 class TestBlockedEnumeratorMatchesOracle:
@@ -192,14 +194,9 @@ def test_enumeration_memory_does_not_grow_at_the_top_of_the_range():
 
 
 def _property_field(kind, n, rng):
-    """A field of the given kind; the custom one reads two projections on a
-    random <.,.>-orthonormal basis (one when n = 1), so the head and tail
-    parts of every coordinate are exercised."""
-    if kind != "custom":
-        return FIELDS[kind](n)
-    q, _ = np.linalg.qr(rng.standard_normal((n, min(2, n))))
-    return field_custom(math.sqrt(n) * q.T,
-                        lambda t: n * (0.7 * math.tanh(3.0 * t[0]) + 0.3 * t[-1] ** 2))
+    """A field of the given kind; the tilted one reads a direction drawn from
+    rng, so the head and tail parts of every coordinate are exercised."""
+    return tilted_spike(n, rng) if kind == "tilted" else FIELDS[kind](n)
 
 
 class TestSplitSumMatchesBlockedOracle:
@@ -211,10 +208,10 @@ class TestSplitSumMatchesBlockedOracle:
                           min_size=4, max_size=4),
            top=st.floats(0.05, 1.0), kind=st.sampled_from(sorted(FIELDS)),
            beta=st.floats(0.0, 2.5), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n=1, degree=4, lower=[0.2, 0.5, 0.6, 0.3], top=0.4, kind="custom",
+    @example(n=1, degree=4, lower=[0.2, 0.5, 0.6, 0.3], top=0.4, kind="tilted",
              beta=2.5, seed=0)
     @example(n=2, degree=4, lower=[0.0] * 4, top=1.0, kind="spike", beta=1.0, seed=1)
-    @example(n=14, degree=4, lower=[0.3, 0.2, 0.5, 0.4], top=0.3, kind="custom",
+    @example(n=14, degree=4, lower=[0.3, 0.2, 0.5, 0.4], top=0.3, kind="tilted",
              beta=2.5, seed=2)
     @example(n=13, degree=2, lower=[0.0] * 4, top=1.0, kind="none", beta=0.0, seed=3)
     def test_log_partition(self, n, degree, lower, top, kind, beta, seed):
@@ -323,7 +320,7 @@ class TestSphereMonteCarlo:
 
     @pytest.mark.parametrize("samples", [100, 8192, 8193, 20000])
     @pytest.mark.parametrize("kind", ["none", "linear", "spike"])
-    def test_streamed_blocks_match_full_array_bitwise(self, samples, kind):
+    def test_streamed_blocks_match_full_array_oracle(self, samples, kind):
         # one block, exactly one full block, a one-row tail, several blocks
         n = 16
         d = sample_disorder(MixedModel(n, XI23), 12)
@@ -404,7 +401,7 @@ def _grid_problems(count, n=16):
 
 class TestSphereMonteCarloMany:
     @pytest.mark.parametrize("samples", [100, 8192, 8193])
-    @pytest.mark.parametrize("kind", ["none", "linear", "spike", "custom"])
+    @pytest.mark.parametrize("kind", ["none", "linear", "spike", "tilted"])
     def test_block_of_one_is_the_single_problem_estimate(self, samples, kind):
         n = 16
         d = sample_disorder(MixedModel(n, XI23), 12)
@@ -420,7 +417,7 @@ class TestSphereMonteCarloMany:
         n, samples = 8, 3000
         model = MixedModel(n, XI23)
         linear = field_linear(0.3, n)
-        fields = [linear, FIELDS["custom"](n), linear, FIELDS["spike"](n),
+        fields = [linear, FIELDS["tilted"](n), linear, FIELDS["spike"](n),
                   field_none(n)]
         problems = [(sample_disorder(model, 40 + i), f, 0.1 * (i + 1))
                     for i, f in enumerate(fields)]
@@ -493,10 +490,13 @@ def _sphere_points(n, samples, rng_seed):
     return z * (math.sqrt(n) / np.linalg.norm(z, axis=1))[:, None]
 
 
-def _spike_at(point, height):
-    """A custom field that is `height` at `point` (a sphere point, so a unit
-    basis row) and 0 wherever <sigma, point> <= 0.9."""
-    return field_custom(point[None], lambda t: height * 10.0 * max(t[0] - 0.9, 0.0))
+def _spike_at(pts, gap):
+    """A linear field along the last of the sphere points `pts` (so a unit
+    basis row), `gap` higher there than at any other of them."""
+    n = pts.shape[1]
+    point = pts[-1]
+    h = gap / (n * (1.0 - float((pts[:-1] @ point).max()) / n))
+    return ExternalField("linear", n, h=h, basis=point[None])
 
 
 class TestStreamedMerge:
@@ -509,7 +509,7 @@ class TestStreamedMerge:
         n, samples = 8, 3 * 2048 + 7
         model = MixedModel(n, XI23)
         fields = [field_none(n), field_linear(0.3, n), field_quadratic_spike(0.5, n),
-                  FIELDS["custom"](n)]
+                  FIELDS["tilted"](n)]
         problems = [(sample_disorder(model, 60 + i), f, 0.0) for i, f in enumerate(fields)]
         for (d, f, _), est in zip(problems, log_partition_mc_sphere_many(problems, samples, 5)):
             assert (est.log_value, est.std_error) == (0.0, 0.0)
@@ -517,18 +517,18 @@ class TestStreamedMerge:
 
     @pytest.mark.parametrize("height", [40.0, 1000.0])
     def test_max_rises_only_in_the_last_ragged_chunk(self, height):
-        # zero disorder and a spike at the draw's last point: every earlier
-        # log-weight of the spike problem is exactly 0, so its max rises
-        # once, in the last chunk of 5 rows, by e^40 or past exp underflow
+        # zero disorder and a field along the draw's last point, `height`
+        # above every earlier log-weight of the spike problem there: its max
+        # rises in the last chunk of 5 rows by e^40 or past exp underflow
         # (e^-1000 is 0), where the earlier state rescales to 0. The linear
         # problem with beta h N = 480 spreads its own weights past underflow.
         n, rows = 16, 8192 // 2
         samples = 3 * rows + 5
         pts = _sphere_points(n, samples, 9)
         d = sample_disorder(MixedModel(n, XI0), 0)
-        spike = _spike_at(pts[-1], height)
+        spike = _spike_at(pts, height)
         x = spike.value_many(pts)
-        assert not x[:-1].any() and x[-1] == pytest.approx(height, rel=1e-6)
+        assert x[-1] - x[:-1].max() == pytest.approx(height, rel=1e-6)
         problems = [(d, spike, 1.0), (d, field_linear(30.0, n), 1.0)]
         for (d, f, beta), est in zip(problems, log_partition_mc_sphere_many(problems, samples, 9)):
             assert_matches_oracle(est, oracle_log_partition_mc_sphere(d, f, beta, samples, 9))

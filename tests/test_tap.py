@@ -15,8 +15,8 @@ from tapbound.entropy import ising_uniform
 from tapbound.errors import DomainError, ResourceBudgetError, UnsupportedOperationError
 from tapbound.geometry import norm, normalize
 from tapbound.hamiltonian import (
+    ExternalField,
     MixedModel,
-    field_custom,
     field_linear,
     field_none,
     field_quadratic_spike,
@@ -58,24 +58,33 @@ def make_problem(n=8, xi=XI2, beta=0.3, h=0.0, seed=0, flavor="ising",
                       **kw)
 
 
-FIELD_KINDS = ("none", "linear", "quadratic_spike", "custom", "custom-fd")
+FIELD_KINDS = ("none", "linear", "quadratic_spike", "tilted_linear", "tilted_spike")
 
 
 def field_of_kind(kind, h, n):
-    """A field of each kind; the custom ones are h N sin(2 <sigma, 1>), with
-    an analytic gradient or (custom-fd) the finite-difference fallback."""
+    """A field of each kind; the tilted ones are linear and quadratic_spike
+    along a direction seeded by n in place of ones."""
     if kind == "none":
         return field_none(n)
     if kind == "linear":
         return field_linear(h, n)
     if kind == "quadratic_spike":
         return field_quadratic_spike(h, n)
+    u = normalize(np.random.default_rng(n).standard_normal(n))
+    return ExternalField({"tilted_linear": "linear", "tilted_spike": "quadratic_spike"}[kind],
+                         n, h=h, basis=u[None])
 
-    def grad(t):
-        return [2.0 * h * n * math.cos(2.0 * t[0])]
 
-    return field_custom(np.ones((1, n)), lambda t: h * n * math.sin(2.0 * t[0]),
-                        grad if kind == "custom" else None)
+class StuckField(ExternalField):
+    """A field of kind none whose gradient is 1e9 at every row: no step can
+    follow it, so every start's first line search fails."""
+
+    def gradient_many(self, sigmas):
+        return np.full(np.shape(sigmas), 1e9)
+
+
+def stuck_field(n):
+    return StuckField("none", n, basis=np.ones((1, n)))
 
 
 def inside_rows(rng, rows, n, flavor):
@@ -331,8 +340,7 @@ class TestBatchedAscentMatchesSequential:
         # A field gradient no step can follow: every start's first line
         # search fails with a large gradient, so none has converged
         n = 6
-        field = field_custom(np.ones((1, n)), lambda t: 0.0, lambda t: [1e9])
-        p = make_problem(n=n, seed=3, flavor=flavor, field=field)
+        p = make_problem(n=n, seed=3, flavor=flavor, field=stuck_field(n))
         got, ref = assert_matches_sequential(p, 3, 5)
         for out in (got, ref):
             assert [row.iteration for row in out.trace] == [0, 0, 0]
@@ -407,7 +415,7 @@ class TestLbfgs:
             assert type(row.step) is float and type(row.iteration) is int
 
     @pytest.mark.parametrize("flavor", ["ising", "spherical"])
-    @pytest.mark.parametrize("kind", ["none", "linear", "quadratic_spike", "custom"])
+    @pytest.mark.parametrize("kind", ["none", "linear", "quadratic_spike", "tilted_spike"])
     def test_agrees_with_scipy_lbfgsb(self, flavor, kind):
         for n, xi, beta, seed in ((2, XI2, 0.4, 1), (5, XI23, 0.5, 2), (8, XI2, 0.4, 3)):
             p = make_problem(n=n, xi=xi, beta=beta, seed=seed, flavor=flavor,
@@ -430,8 +438,7 @@ class TestLbfgs:
     @pytest.mark.parametrize("flavor", ["ising", "spherical"])
     def test_failed_line_search_stops_the_start(self, flavor):
         n = 6
-        field = field_custom(np.ones((1, n)), lambda t: 0.0, lambda t: [1e9])
-        p = make_problem(n=n, seed=3, flavor=flavor, field=field)
+        p = make_problem(n=n, seed=3, flavor=flavor, field=stuck_field(n))
         out = maximize_tap(p, 3, 5)
         assert [row.iteration for row in out.trace] == [0, 0, 0]
         assert not out.converged
@@ -450,7 +457,7 @@ class TestLbfgs:
         assert all(r == rows[0] for r in rows)
 
     @pytest.mark.parametrize("flavor", ["ising", "spherical"])
-    @pytest.mark.parametrize("kind", ["none", "linear", "custom-fd"])
+    @pytest.mark.parametrize("kind", ["none", "linear", "tilted_linear"])
     def test_unchecked_gradient_rows_pass_the_domain_check(self, flavor, kind,
                                                            monkeypatch):
         # the ascent hands `_gradient_block` only rows that the energy's
@@ -554,7 +561,7 @@ def block_field(kind, h, n):
     """`field_of_kind`, or "stuck": a field gradient no step can follow, so
     every start's first line search fails."""
     if kind == "stuck":
-        return field_custom(np.ones((1, n)), lambda t: 0.0, lambda t: [1e9])
+        return stuck_field(n)
     return field_of_kind(kind, h, n)
 
 
@@ -587,18 +594,18 @@ def assert_block_matches_per_problem(problems, starts, seeds):
     return got
 
 
-# Blocks mixing slow starts (beta = 2.35 on the 1-spin model with a custom
-# field: 14 to 17 Newton iterations, and MAX_ITERATIONS for the L-BFGS
-# ascent before it), starts whose first line search fails ("stuck") and
-# starts that converge
+# Blocks mixing slow starts (beta = 2.35 on the 1-spin model with a
+# quadratic spike: 15 to 16 trace rows per start under Newton, and
+# MAX_ITERATIONS for the L-BFGS ascent before it), starts whose first line
+# search fails ("stuck") and starts that converge
 CAPPED_BLOCK = dict(flavor="ising", n=10, xi=(0.0, 1.0),
-                    cases=[(2.35, "custom", 0.11, 629), (0.4, "linear", 0.3, 5),
+                    cases=[(2.35, "quadratic_spike", 0.11, 629), (0.4, "linear", 0.3, 5),
                            (2.35, "stuck", 0.0, 7), (1.0, "none", 0.0, 11)])
 MIXED_CAP_BLOCK = dict(flavor="ising", n=14, xi=(0.0, 1.0),
-                       cases=[(0.2, "custom-fd", 0.3, 1),
+                       cases=[(0.2, "tilted_linear", 0.3, 1),
                               (2.3, "quadratic_spike", 0.19, 765)])
 STUCK_SPHERE_BLOCK = dict(flavor="spherical", n=6, xi=(0.0, 0.0, 1.0, 0.5),
-                          cases=[(0.5, "stuck", 0.0, 3), (0.5, "custom", 0.3, 3),
+                          cases=[(0.5, "stuck", 0.0, 3), (0.5, "tilted_spike", 0.3, 3),
                                  (2.5, "quadratic_spike", 0.5, 4)])
 
 
@@ -620,8 +627,8 @@ class TestBlockAscentMatchesPerProblem:
         assert_block_matches_per_problem(problems, starts, seeds)
 
     def test_capped_and_stuck_starts(self, monkeypatch):
-        # Newton finishes every start of these problems within 17
-        # iterations, so a cap of 10 stops the slow ones mid-ascent
+        # Newton finishes every start of these problems within 16 trace
+        # rows, so a cap of 10 stops the slow ones mid-ascent
         monkeypatch.setattr(tap, "MAX_ITERATIONS", 10)
         problems, seeds = block_problems(**CAPPED_BLOCK)
         capped, fast, stuck, _ = assert_block_matches_per_problem(problems, 3, seeds)
@@ -711,18 +718,16 @@ class TestHessian:
                 e[i] = step
                 fd[:, i] = (tap_gradient_many(p, M + e) - tap_gradient_many(p, M - e)) / (2 * step)
             scale = max(1.0, float(np.abs(got).max()))
-            # a custom field without partials differences its differences
-            tol = 1e-5 if kind == "custom-fd" else 1e-6
-            assert np.abs(got - fd).max() / scale < tol
+            assert np.abs(got - fd).max() / scale < 1e-6
 
     @pytest.mark.parametrize("flavor", ["ising", "spherical"])
     def test_stacked_call_equals_per_problem_calls(self, flavor):
         n = 6
         problems = [make_problem(n=n, xi=XI23, beta=beta, seed=seed, flavor=flavor,
                                  field=field_of_kind(kind, 0.3, n))
-                    for beta, seed, kind in ((0.3, 1, "linear"), (0.5, 2, "custom"),
+                    for beta, seed, kind in ((0.3, 1, "linear"), (0.5, 2, "tilted_spike"),
                                              (0.0, 3, "none"), (1.2, 4, "quadratic_spike"),
-                                             (0.7, 5, "custom-fd"))]
+                                             (0.7, 5, "tilted_linear"))]
         counts = np.array([3, 0, 2, 4, 1])
         M = inside_rows(np.random.default_rng(32), counts.sum(), n, flavor)
         got = tap._hessian_block(tap._Block(tuple(problems)), M, counts)
