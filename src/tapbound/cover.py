@@ -36,7 +36,7 @@ import numpy as np
 from .entropy import ReferenceMeasure, ising_uniform, lambda_min_entropy
 from .errors import DomainError, InvariantViolationError
 from .geometry import inner, norm, orthonormal_extension, project_off
-from .hamiltonian import DisorderSample, ExternalField, gradient
+from .hamiltonian import DisorderSample, ExternalField, _check_sample, gradient
 
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -222,13 +222,14 @@ class CoverBuilder:
     orthonormalization only read it. Deeper prefixes, the sphere (closed
     form) and point clouds call lambda_min_entropy directly.
 
-    DomainError for an epsilon that is not finite and > 0, or a delta that
-    is not finite and >= 0 (a NaN fails both), so the table and every
-    entropy call receive checked inputs.
+    DomainError for a disorder of several replicas, for an epsilon that is
+    not finite and > 0, or a delta that is not finite and >= 0 (a NaN fails
+    both), so the table and every entropy call receive checked inputs.
     """
 
     def __init__(self, disorder: DisorderSample, measure: ReferenceMeasure,
                  field: ExternalField, epsilon: float, delta: float):
+        _check_sample(disorder)
         if measure.n != disorder.n or field.n != disorder.n:
             raise DomainError("dimension mismatch between disorder/measure/field")
         _check_epsilon(epsilon)

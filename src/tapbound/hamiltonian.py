@@ -15,30 +15,35 @@ f are parameters of the Gibbs measure and of the TAP functional, not of H:
 the partition functions, the cover and `tap.TapProblem` take them beside the
 disorder.
 
-Seeding: a sample is a deterministic function of (model, seed); the tensor of
-degree p is drawn from the substream SeedSequence(seed, spawn_key=(p,)).
-`sample_disorders` draws the same tensors for a block of seeds, stacked on a
-leading replica axis.
+One type, `DisorderSample`, holds the disorder of R >= 1 replicas of one
+model, every tensor stacked on a leading replica axis; a single sample is
+the case R = 1. Replica i is a deterministic function of (model, seeds[i]):
+its tensor of degree p is drawn from the PCG64 stream of
+SeedSequence(seeds[i], spawn_key=(p,)). One body, `_fill_disorders`, draws
+every disorder from those stream states: `sample_disorder` takes them from
+numpy's SeedSequence for its one seed, `sample_disorders` from one array
+hash over a block of seeds, and `stack_disorders` concatenates disorders of
+one law along the replica axis.
 
 One kernel, `_contract_rows`, evaluates H and its derivatives: it contracts
-every replica of a block with every row of a (rows, N) array at once, and a
-single sample is a block of one. `energy` and `gradient` at a point are
-ball-checked one-row calls of the same bodies as `energy_many` and
-`gradient_many`, so they equal a one-row `energy_many` or `gradient_many`
-bit for bit. A row's bits depend on how many rows are contracted with it:
-numpy sends a one-row matmul to a matrix-vector product, whose summation
-order differs from the matrix product of several rows. So a point call and
-row i of a batch of five can differ in the last bit; they are equal bit for
-bit only when both sides contract the same number of rows. The sample
-kernels (`energy`, `gradient`, `energy_many`, `gradient_many`,
-`hessian_many`) take one replica and raise DomainError for a block of
-several; the block kernels are `_energy_rows`, `_gradient_rows` and
-`recentered_energy`.
+every replica of a disorder with every row of a (rows, N) array at once.
+`energy` and `gradient` at a point are ball-checked one-row calls of the
+same bodies as `energy_many` and `gradient_many`, so they equal a one-row
+`energy_many` or `gradient_many` bit for bit. A row's bits depend on how
+many rows are contracted with it: numpy sends a one-row matmul to a
+matrix-vector product, whose summation order differs from the matrix product
+of several rows. So a point call and row i of a batch of five can differ in
+the last bit; they are equal bit for bit only when both sides contract the
+same number of rows. The sample kernels (`energy`, `gradient`,
+`energy_many`, `gradient_many`, `hessian_many`), the partition functions,
+`tap.TapProblem` and `cover.CoverBuilder` take one replica and raise
+DomainError for a block of several; the block kernels are `_energy_rows`,
+`_gradient_rows` and `recentered_energy`.
 
 `recentered_energy` is the one body of the recentered Hamiltonian
 H^m(s) = H(m + s) - grad H(m) . s - H(m), over rows s and for every replica
-of a sample or a block. Its body, `_recentered_rows`, also returns the H(m)
-and grad H(m) it subtracts.
+of a disorder. Its body, `_recentered_rows`, also returns the H(m) and
+grad H(m) it subtracts.
 """
 
 from __future__ import annotations
@@ -73,10 +78,10 @@ class ExternalField:
     `basis` is a (K, n) array whose rows u_1..u_K are <.,.>-orthonormal
     (DomainError otherwise): the subspace U the field factors through, which
     the cover and the exact split sum read. The `field_*` builders take
-    u_1 = ones. linear and quadratic_spike read u_1 alone, so only none
-    takes a basis other than ones for K > 1: `ExternalField("none", n,
-    basis=B)` is a K-dimensional cover with no field. A non-finite h raises
-    DomainError.
+    u_1 = ones. linear and quadratic_spike read u_1 alone and take K = 1
+    (DomainError otherwise); only none takes K > 1: `ExternalField("none",
+    n, basis=B)` is a K-dimensional cover with no field. A non-finite h
+    raises DomainError.
 
     The field keeps a read-only copy of `basis`, so one field can be shared
     by many problems and replicas.
@@ -100,6 +105,9 @@ class ExternalField:
         # written so that a NaN entry fails
         if not np.all(np.abs(gram - np.eye(len(basis))) <= 1e-12):
             raise DomainError("field basis rows are not <.,.>-orthonormal to 1e-12")
+        if self.kind != "none" and len(basis) != 1:
+            raise DomainError(f"a {self.kind} field reads one basis row, "
+                              f"not {len(basis)}")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
@@ -182,10 +190,29 @@ class MixedModel:
         return np.sqrt(self.series.coefficients[p]) * self.n ** ((1 - p) / 2)
 
 
-class _DerivativeTerms:
-    """The derivative tensors of a sample or a block, built by one body from
-    its `replica_terms` (stacked on the replica axis; a sample is a block of
-    one)."""
+@dataclass(frozen=True)
+class DisorderSample:
+    """The coupling tensors of R >= 1 realizations of one model, stacked on
+    a leading replica axis: replica i is `sample_disorder(model, seeds[i])`.
+    A single sample is the case R = 1."""
+
+    model: MixedModel
+    seeds: np.ndarray  # uint64, shape (R,)
+    tensors: dict  # degree -> ndarray of shape (R,) + (n,)*degree
+
+    @property
+    def n(self) -> int:
+        return self.model.n
+
+    @property
+    def replicas(self) -> int:
+        return len(self.seeds)
+
+    @cached_property
+    def terms(self) -> tuple:
+        """(degree, sqrt(a_p) N^{(1-p)/2}, stacked tensors) for every active
+        degree."""
+        return tuple((p, self.model.scale(p), g) for p, g in self.tensors.items())
 
     @cached_property
     def gradient_terms(self) -> tuple:
@@ -198,9 +225,9 @@ class _DerivativeTerms:
         without a copy.
         """
         terms = []
-        for p, scale, g in self.replica_terms:
+        for p, scale, g in self.terms:
             if p:
-                s = np.zeros(np.shape(g))
+                s = np.zeros(g.shape)
                 for k in range(1, p + 1):
                     s += np.moveaxis(g, k, -1)
                 terms.append((p, scale, s))
@@ -219,7 +246,7 @@ class _DerivativeTerms:
         (l, k) halves, so S_p is exactly symmetric in them.
         """
         terms = []
-        for p, scale, g in self.replica_terms:
+        for p, scale, g in self.terms:
             if p >= 2:
                 half = sum(np.moveaxis(g, (k, l), (-2, -1))
                            for k in range(1, p + 1) for l in range(k + 1, p + 1))
@@ -228,83 +255,43 @@ class _DerivativeTerms:
         return tuple(terms)
 
 
-@dataclass(frozen=True)
-class DisorderSample(_DerivativeTerms):
-    """Raw Gaussian coupling tensors for one realization of the field."""
-
-    model: MixedModel
-    seed: int
-    tensors: dict  # degree -> ndarray of shape (n,)*degree (degree 0: scalar)
-
-    replicas = 1  # the kernels take a sample as a block of one replica
-
-    @property
-    def n(self) -> int:
-        return self.model.n
-
-    @cached_property
-    def terms(self) -> tuple:
-        """(degree, sqrt(a_p) N^{(1-p)/2}, tensor) for every active degree."""
-        return tuple((p, self.model.scale(p), g) for p, g in self.tensors.items())
-
-    @cached_property
-    def replica_terms(self) -> tuple:
-        """`terms` with a leading replica axis of length 1, as the kernels
-        take them."""
-        return tuple((p, scale, np.reshape(g, (1,) + np.shape(g)))
-                     for p, scale, g in self.terms)
-
-
-@dataclass(frozen=True)
-class DisorderBlock(_DerivativeTerms):
-    """The coupling tensors of several realizations of one model, stacked on
-    a leading replica axis: replica i is `sample_disorder(model, seeds[i])`."""
-
-    model: MixedModel
-    seeds: np.ndarray  # uint64, one per replica
-    tensors: dict  # degree -> ndarray of shape (R,) + (n,)*degree
-
-    @property
-    def n(self) -> int:
-        return self.model.n
-
-    @property
-    def replicas(self) -> int:
-        return len(self.seeds)
-
-    @cached_property
-    def replica_terms(self) -> tuple:
-        """(degree, sqrt(a_p) N^{(1-p)/2}, stacked tensors) for every active
-        degree."""
-        return tuple((p, self.model.scale(p), g) for p, g in self.tensors.items())
-
-
 def _law(d: DisorderSample) -> tuple:
-    """(N, the (degree, weight) of every tensor): what a sample must share
+    """(N, the (degree, weight) of every tensor): what a disorder must share
     with the others to be stacked with them."""
     return d.n, tuple((p, scale) for p, scale, _ in d.terms)
 
 
-def stack_disorders(samples) -> DisorderBlock:
-    """The samples as one block, replica i holding the tensors of samples[i].
+def stack_disorders(disorders) -> DisorderSample:
+    """The disorders concatenated along the replica axis, in order.
 
-    Raises DomainError for no samples, or for samples of another N or
+    Raises DomainError for no disorders, or for disorders of another N or
     another xi (degrees or weights) than the first.
     """
-    samples = list(samples)
-    if not samples:
+    disorders = list(disorders)
+    if not disorders:
         raise DomainError("no disorder to stack")
-    law = _law(samples[0])
-    if any(_law(d) != law for d in samples[1:]):
+    law = _law(disorders[0])
+    if any(_law(d) != law for d in disorders[1:]):
         raise DomainError("disorders of different n or xi do not stack")
-    tensors = {p: np.stack([d.tensors[p] for d in samples]) for p in samples[0].tensors}
-    seeds = np.array([d.seed for d in samples], dtype=np.uint64)
-    return DisorderBlock(samples[0].model, seeds, tensors)
+    tensors = {p: np.concatenate([d.tensors[p] for d in disorders])
+               for p in disorders[0].tensors}
+    seeds = np.concatenate([d.seeds for d in disorders])
+    return DisorderSample(disorders[0].model, seeds, tensors)
 
 
-def check_gibbs_parameters(d, f: ExternalField, beta: float) -> None:
-    """DomainError unless the field f has the dimension of the disorder d
-    (a sample or a block) and the inverse temperature beta is >= 0."""
+def _check_sample(d: DisorderSample) -> None:
+    """DomainError unless `d` holds one replica: the sample kernels and the
+    Gibbs measure of one disorder read that replica alone, so a block of
+    several would lose the rest."""
+    if d.replicas != 1:
+        raise DomainError(f"expected one disorder sample, not a block of "
+                          f"{d.replicas} replicas")
+
+
+def check_gibbs_parameters(d: DisorderSample, f: ExternalField, beta: float) -> None:
+    """DomainError unless d is one sample, the field f has its dimension and
+    the inverse temperature beta is >= 0."""
+    _check_sample(d)
     if f.n != d.n:
         raise DomainError(f"field of dimension {f.n} for a disorder "
                           f"of dimension {d.n}")
@@ -334,40 +321,36 @@ def _check_seed(seed) -> int:
 
 
 def sample_disorder(model: MixedModel, seed: int) -> DisorderSample:
-    """Draw coupling tensors; deterministic in (model, seed).
+    """Draw coupling tensors, as a block of one replica; deterministic in
+    (model, seed).
 
     Raises DomainError for a seed outside [0, 2**64), and
     ResourceBudgetError when a degree-p tensor of n^p doubles exceeds the
     model's budget.
     """
     seed = _check_seed(seed)
-    tensors = {}
-    for p in _checked_degrees(model):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
-        if p == 0:
-            tensors[p] = float(rng.standard_normal())
-        else:
-            tensors[p] = rng.standard_normal(size=(model.n,) * p)
-    return DisorderSample(model, seed, tensors)
+    states = [np.random.SeedSequence(seed, spawn_key=(p,)).generate_state(4, np.uint64)
+              for p in model.active_degrees]
+    return _fill_disorders(model, np.array([seed], dtype=np.uint64),
+                           np.reshape(states, (1, -1, 4)))
 
 
-def sample_disorders(model: MixedModel, seeds) -> DisorderBlock:
+def sample_disorders(model: MixedModel, seeds) -> DisorderSample:
     """`sample_disorder(model, s)` for every s in `seeds` (integers in
     [0, 2**64)), as one block.
 
-    The streams of all seeds are set up by one array hash, and each
-    replica's draw fills its slice of the stacked tensor, so no per-replica
-    sample is built. Raises as `sample_disorder` does.
+    The streams of all seeds are set up by one array hash. Raises as
+    `sample_disorder` does.
     """
     seeds = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
-    return _fill_disorders(model, seeds,
-                           _stream_states(_checked_degrees(model), seeds))
+    return _fill_disorders(model, seeds, _stream_states(model.active_degrees, seeds))
 
 
 def _stream_states(degrees: tuple, seeds: np.ndarray) -> np.ndarray:
     """The PCG64 states of the degree streams of every seed, by one array
     hash: shape (R, len(degrees), 4), each seed's words hashed once for all
-    its degrees."""
+    its degrees. Row (i, j) is SeedSequence(seeds[i], spawn_key=(degrees[j],))
+    .generate_state(4, np.uint64)."""
     # Imported here so that importing the package does not load numpy.random
     from .seeding import spawned_states
 
@@ -375,10 +358,11 @@ def _stream_states(degrees: tuple, seeds: np.ndarray) -> np.ndarray:
 
 
 def _fill_disorders(model: MixedModel, seeds: np.ndarray,
-                    states: np.ndarray) -> DisorderBlock:
-    """The block of `seeds`, drawn from their `_stream_states` for the model's
-    active degrees: each replica's draw fills its slice of the stacked
-    tensor. Raises ResourceBudgetError as `sample_disorder` does."""
+                    states: np.ndarray) -> DisorderSample:
+    """The disorder of `seeds`, drawn from their (R, degrees, 4) stream
+    states for the model's active degrees: each replica's draw fills its
+    slice of the stacked tensor. Raises ResourceBudgetError as
+    `sample_disorder` does."""
     from .seeding import pcg64
 
     tensors = {}
@@ -387,7 +371,7 @@ def _fill_disorders(model: MixedModel, seeds: np.ndarray,
         for out, state in zip(block.reshape(len(seeds), model.n ** p), states[:, j]):
             pcg64(state).standard_normal(out=out)
         tensors[p] = block
-    return DisorderBlock(model, seeds, tensors)
+    return DisorderSample(model, seeds, tensors)
 
 
 def _check_ball(sigma: np.ndarray, n: int, open_ball: bool = False) -> np.ndarray:
@@ -470,29 +454,20 @@ def _check_rows(X, n: int) -> np.ndarray:
     return X
 
 
-def _check_sample(d) -> None:
-    """DomainError unless `d` holds one replica: the sample kernels return
-    that replica's values alone, so a block of several would lose the rest."""
-    if d.replicas != 1:
-        raise DomainError(f"expected one disorder sample, not a block of "
-                          f"{d.replicas} replicas")
-
-
-def _energy_rows(d, X: np.ndarray) -> np.ndarray:
-    """H over the rows of X for each replica of `d` (a sample or a block):
-    shape (R, rows)."""
+def _energy_rows(d: DisorderSample, X: np.ndarray) -> np.ndarray:
+    """H over the rows of X for each replica of `d`: shape (R, rows)."""
     X = _check_rows(X, d.n)
     total = np.zeros((d.replicas, len(X)))
-    for p, scale, g in d.replica_terms:
+    for p, scale, g in d.terms:
         total += scale * (g[:, None] if p == 0
                           else _contract_rows(g[..., None], X)[..., 0])
     return total
 
 
-def _gradient_rows(d, X: np.ndarray) -> np.ndarray:
-    """grad H over the rows of X for each replica of `d` (a sample or a
-    block): shape (R, rows, N), the contraction of each `gradient_terms`
-    tensor with the row at all but its last axis."""
+def _gradient_rows(d: DisorderSample, X: np.ndarray) -> np.ndarray:
+    """grad H over the rows of X for each replica of `d`: shape
+    (R, rows, N), the contraction of each `gradient_terms` tensor with the
+    row at all but its last axis."""
     X = _check_rows(X, d.n)
     grad = np.zeros((d.replicas,) + X.shape)
     for p, scale, s in d.gradient_terms:
@@ -551,9 +526,9 @@ def hessian_many(d: DisorderSample, sigmas: np.ndarray) -> np.ndarray:
     return hess
 
 
-def recentered_energy(d, m: np.ndarray, S: np.ndarray) -> np.ndarray:
+def recentered_energy(d: DisorderSample, m: np.ndarray, S: np.ndarray) -> np.ndarray:
     """H^m(s) = H(m + s) - grad H(m) . s - H(m) at every row s of S, for each
-    replica of `d` (a sample or a block): shape (R, rows).
+    replica of `d`: shape (R, rows).
 
     DomainError unless m lies in the open ball, S is (rows, N) and every
     m + s lies in the closed ball; a NaN fails these checks. H and grad H at
@@ -563,7 +538,7 @@ def recentered_energy(d, m: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _recentered_rows(d, m, S)[0]
 
 
-def _recentered_rows(d, m: np.ndarray, S: np.ndarray) -> tuple:
+def _recentered_rows(d: DisorderSample, m: np.ndarray, S: np.ndarray) -> tuple:
     """The body of `recentered_energy`: (H^m over the rows of S, grad H(m),
     H(m)) for each replica of `d`, of shapes (R, rows), (R, N) and (R,). The
     one-row values at m are those that H^m subtracts."""

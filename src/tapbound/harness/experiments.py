@@ -5,8 +5,10 @@ returns an ExperimentReport; replica work is parallelizable with results
 reduced in replica order, so reports are identical for any worker count.
 
 Seed scheme: replica r of stream s uses the 64-bit integer drawn from
-SeedSequence(master_seed, spawn_key=(s, r)). Streams: 0 disorder, 1 probe
-points, 2 maximizer starts, 3 Monte Carlo, 4 atom picks.
+SeedSequence(master_seed, spawn_key=(s, r)) (`derive_seed`). Probe points
+and atom picks are drawn from the generator of a substream key, spawned from
+the master seed (`_stream_rng`). Streams: 0 disorder, 1 probe points,
+2 maximizer starts, 3 Monte Carlo, 4 atom picks.
 
 Models and fields are cached per process: every replica with the same n and
 xi samples its disorder for one shared, immutable MixedModel (the law of H),
@@ -97,6 +99,12 @@ REPLICA_BLOCK = 64
 def derive_seed(master: int, stream: int, index: int) -> int:
     ss = np.random.SeedSequence(master, spawn_key=(stream, index))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _stream_rng(cfg: ExperimentConfig, *key: int) -> np.random.Generator:
+    """The generator of the run's substream `key`, whose first entry names
+    the stream: default_rng(SeedSequence(cfg.seed, spawn_key=key))."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
 
 
 def derive_seeds(master: int, stream: int, indices) -> np.ndarray:
@@ -234,8 +242,7 @@ def _gaussian_law_probes(cfg: ExperimentConfig) -> tuple:
     contraction, and the (2, n) array of m and m', checked to lie in the
     open ball, at which a block takes both gradients in one call."""
     n = cfg.n
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE,)))
+    rng = _stream_rng(cfg, STREAM_PROBE)
     pairs = [(normalize(rng.standard_normal(n)), normalize(rng.standard_normal(n)))
              for _ in range(10)]
     m = 0.6 * normalize(rng.standard_normal(n))
@@ -323,8 +330,7 @@ def _recentering_probes(cfg: ExperimentConfig) -> tuple:
     points orthogonal to m on the slice shell, and a test functional w
     orthogonal to m."""
     n = cfg.n
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 1)))
+    rng = _stream_rng(cfg, STREAM_PROBE, 1)
     m = np.zeros(n)
     m[0] = math.sqrt(0.25 * n)  # ||m||^2 = 0.25
     radius = math.sqrt(1 - 0.25)
@@ -371,8 +377,7 @@ def run_recentering_law(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def run_gradient_check(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 2)))
+    rng = _stream_rng(cfg, STREAM_PROBE, 2)
     step = 1e-5
     rows = []
     for trial in range(cfg.replicas):
@@ -408,8 +413,7 @@ def _cover_sphere_replica(cfg, r):
     d = _disorder(cfg, r, cfg.xi, n)
     builder = CoverBuilder(d, sphere_uniform(n), _cover_field(cfg, n), cfg.epsilon,
                            cfg.delta)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, r)))
+    rng = _stream_rng(cfg, STREAM_PROBE, r)
     out = []
     for _ in range(max(1, cfg.points // cfg.replicas)):
         sigma = normalize(rng.standard_normal(n))
@@ -494,8 +498,7 @@ def _classified_atom(cfg, r):
     E = ising_uniform(n)
     builder = CoverBuilder(d, E, _cover_field(cfg, n), cfg.epsilon, cfg.delta)
     atoms, _ = E.atoms()
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_ATOM, r)))
+    rng = _stream_rng(cfg, STREAM_ATOM, r)
     sigma = atoms[int(rng.integers(len(atoms)))].astype(np.float64)
     alpha, node = builder.classify(sigma, cfg.eta)
     return builder, alpha, node
@@ -695,8 +698,7 @@ def run_bound_sphere(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def run_entropy_lemmas(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 3)))
+    rng = _stream_rng(cfg, STREAM_PROBE, 3)
     n = cfg.n
     rows = []
     # (a) binary entropy difference bound on 1e4 pairs
@@ -814,8 +816,7 @@ def run_tap_continuity(cfg: ExperimentConfig) -> ExperimentReport:
         problem = TapProblem(_disorder(cfg, r, cfg.xi, n), make_field("linear", h, n),
                              beta, "ising")
         L = max(beta, L_xi, 1.0)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 5, r)))
+        rng = _stream_rng(cfg, STREAM_PROBE, 5, r)
 
         def modulus(dist):
             return (1 + L ** 3) * n * dist * math.log(math.e + 1.0 / dist)
@@ -846,8 +847,7 @@ def run_tap_continuity(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def run_series_identities(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_PROBE, 4)))
+    rng = _stream_rng(cfg, STREAM_PROBE, 4)
     onsager_errs, comp_errs = [], []
     trials = 1000
     for _ in range(trials):

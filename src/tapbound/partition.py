@@ -149,8 +149,9 @@ def log_partition_exact_ising(d: DisorderSample, f: ExternalField,
     head and a tail part as well. A chunk of tail patterns is scored against
     every head pattern by one matrix product, at most `_PAIR_BLOCK` values
     at a time, and folded into a running log-sum-exp, so memory stays flat
-    in N. Raises DomainError for a field of another dimension or a beta that
-    is not >= 0, and ResourceBudgetError past `ENUM_WORK_BUDGET`.
+    in N. Raises DomainError for a disorder of several replicas, a field
+    of another dimension or a beta that is not >= 0, and ResourceBudgetError
+    past `ENUM_WORK_BUDGET`.
     """
     check_gibbs_parameters(d, f, beta)
     _check_enum_budget(d)
@@ -163,6 +164,7 @@ def log_partition_exact_ising(d: DisorderSample, f: ExternalField,
     weights = np.zeros((len(head), offsets[-1]))
     tail_energy = np.zeros(len(tail))
     for p, scale, g in d.terms:
+        g = g[0]  # the sample's one replica
         if p == 0:
             weights[:, 0] += scale * g
             continue
@@ -252,7 +254,8 @@ def log_partition_mc_sphere_many(problems, samples: int,
     `samples`. The merged estimate rounds differently from a two-pass
     log-mean-exp over all the log-weights, in the last bits. Raises
     DomainError for an empty block, for disorders of different N or xi, for
-    fewer than 100 samples and for a bad field or beta of any problem.
+    fewer than 100 samples and for a disorder of several replicas, a bad
+    field or a bad beta in any problem.
     """
     problems = list(problems)
     if not problems:

@@ -72,8 +72,9 @@ START_SHRINK = 0.9
 
 @dataclass(frozen=True)
 class TapProblem:
-    """The TAP functional of one disorder at inverse temperature `beta` with
-    external field `field`; n and xi are those of `disorder.model`."""
+    """The TAP functional of one disorder sample (DomainError for a block of
+    several replicas) at inverse temperature `beta` with external field
+    `field`; n and xi are those of `disorder.model`."""
 
     disorder: DisorderSample
     field: ExternalField
@@ -142,8 +143,7 @@ def tap_gradient_many(p: TapProblem, M: np.ndarray) -> np.ndarray:
     (a block-of-one `_gradient_block`).
 
     d/dm_i of the Onsager term is beta^2 On'(q) m_i with On'(q) = -(1-q) xi''(q);
-    the entropy gradients are -atanh(m_i) and -m_i / (1 - q). Custom fields
-    without a gradient callback fall back to central differences.
+    the entropy gradients are -atanh(m_i) and -m_i / (1 - q).
     """
     if p.flavor == "general":
         raise UnsupportedOperationError("general flavor exposes no gradient")

@@ -7,6 +7,10 @@ closed forms of the field kinds and entropies, and On(q) = xi(1) -
 (1-q) xi'(q) - xi(q) taken straight from the series coefficients; the field
 closed forms read only the kind, h and the first basis row. Only the general
 flavor's entropy surrogate, which has no closed form, is the package's own.
+The energy oracles read the one replica of a sample, `tensors[p][0]`. The
+per-degree disorder draw, one numpy SeedSequence generator per sample and
+degree at the tensor's own shape, is the bit-equality reference of the
+stacked fill that `sample_disorder` and `sample_disorders` share.
 The sequential TAP ascent runs one start at a time on `tap_energy` and
 `tap_gradient`, the one-row calls of the batched functionals. The exhaustive grid oracle of the maximizer,
 `brute_force_tap_max`, lives here: a mixed-radix walk of the Ising grid and
@@ -63,11 +67,25 @@ def _scale(d, p):
 _AXES = "abcdefgh"
 
 
+def oracle_sample_disorder(model, seed):
+    """{degree: tensor} of one sample, each degree p drawn by its own
+    default_rng(SeedSequence(seed, spawn_key=(p,))) at the shape (n,)*p
+    (a Python float at degree 0): the per-degree draw that the one fill body
+    of the stacked sampler replaced."""
+    tensors = {}
+    for p in model.active_degrees:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
+        tensors[p] = (float(rng.standard_normal()) if p == 0
+                      else rng.standard_normal(size=(model.n,) * p))
+    return tensors
+
+
 def oracle_energy(d, sigma):
     """H(sigma) by per-degree einsum contractions (any degree)."""
     s = np.asarray(sigma, dtype=np.float64)
     total = 0.0
     for p, g in d.tensors.items():
+        g = g[0]  # the sample's one replica
         if p == 0:
             contr = g
         elif p == 1:
@@ -86,6 +104,7 @@ def oracle_energy_many(d, sigmas):
     X = np.asarray(sigmas, dtype=np.float64)
     total = np.zeros(len(X))
     for p, g in d.tensors.items():
+        g = g[0]  # the sample's one replica
         if p == 0:
             contr = np.full(len(X), g)
         elif p == 1:
@@ -105,6 +124,7 @@ def oracle_gradient(d, sigma):
     s = np.asarray(sigma, dtype=np.float64)
     grad = np.zeros(d.n)
     for p, g in d.tensors.items():
+        g = g[0]  # the sample's one replica
         if p == 0:
             continue
         if p == 1:
@@ -147,6 +167,7 @@ def oracle_energy_many_blocked(d, sigmas):
     X = np.asarray(sigmas, dtype=np.float64)
     total = np.zeros(len(X))
     for p, scale, g in d.terms:
+        g = g[0]  # the sample's one replica
         total += scale * (g if p == 0 else _contract_rows(g[..., None], X)[:, 0])
     return total
 

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapbound.covariance import CovarianceSeries
+from tapbound.cover import CoverBuilder
+from tapbound.entropy import ising_uniform
 from tapbound.errors import DomainError, ResourceBudgetError
 from tapbound.geometry import inner, norm, normalize
 from tapbound.hamiltonian import (
@@ -27,6 +29,14 @@ from tapbound.hamiltonian import (
     sample_disorder,
     sample_disorders,
 )
+from tapbound.partition import (
+    PartitionEstimate,
+    log_partition_exact_ising,
+    log_partition_mc_sphere,
+    log_partition_mc_sphere_many,
+    restricted_log_partition,
+)
+from tapbound.tap import TapProblem
 
 from oracles import (
     oracle_energy,
@@ -86,7 +96,7 @@ class TestSampling:
         # degree-5 xi samples at n = 4 and its kernels match the einsum oracle
         model = MixedModel(4, CovarianceSeries((0.0,) * 5 + (1.0,)))
         d = sample_disorder(model, 0)
-        assert d.tensors[5].shape == (4,) * 5
+        assert d.tensors[5][0].shape == (4,) * 5
         X = ball_rows(np.random.default_rng(5), 6, 4, on_sphere=False)
         assert_rel_close(energy_many(d, X), oracle_energy_many(d, X))
         for sigma in X:
@@ -100,8 +110,8 @@ class TestEnergyAndGradient:
         d = sample_disorder(model, 3)
         rng = np.random.default_rng(0)
         sigma = unit_vector(rng, 8)
-        assert energy(d, sigma) == pytest.approx(float(d.tensors[1] @ sigma), rel=1e-14)
-        assert np.allclose(gradient(d, 0.5 * sigma), d.tensors[1])
+        assert energy(d, sigma) == pytest.approx(float(d.tensors[1][0] @ sigma), rel=1e-14)
+        assert np.allclose(gradient(d, 0.5 * sigma), d.tensors[1][0])
 
     def test_pure_p2_gradient_zero_at_origin(self):
         d = sample_disorder(MixedModel(8, XI23), 3)
@@ -209,7 +219,7 @@ class TestHessian:
     def test_degree_two_is_the_symmetrized_tensor(self):
         n = 5
         d = sample_disorder(MixedModel(n, XI2), 3)
-        g = d.tensors[2]
+        g = d.tensors[2][0]
         X = np.random.default_rng(4).uniform(-0.5, 0.5, (3, n))
         expect = d.model.scale(2) * (g + g.T)
         assert all(np.array_equal(h, expect) for h in hessian_many(d, X))
@@ -345,6 +355,27 @@ SAMPLE_KERNELS = {"energy": energy, "gradient": gradient, "energy_many": energy_
                   "gradient_many": gradient_many, "hessian_many": hessian_many}
 
 
+def _mc_block_with(d):
+    f = field_linear(0.3, d.n)
+    return log_partition_mc_sphere_many(
+        [(sample_disorder(d.model, 3), f, 0.5), (d, f, 0.5)], 100, 1)[-1]
+
+
+GIBBS_ENTRY_POINTS = {
+    "TapProblem": lambda d: TapProblem(d, field_linear(0.3, d.n), 0.5, "ising"),
+    "log_partition_exact_ising":
+        lambda d: log_partition_exact_ising(d, field_linear(0.3, d.n), 0.5),
+    "log_partition_mc_sphere":
+        lambda d: log_partition_mc_sphere(d, field_linear(0.3, d.n), 0.5, 100, 1),
+    "log_partition_mc_sphere_many": _mc_block_with,
+    "restricted_log_partition": lambda d: restricted_log_partition(
+        ising_uniform(d.n), d, field_linear(0.3, d.n), 0.5,
+        lambda X: np.ones(len(X), dtype=bool)),
+    "CoverBuilder": lambda d: CoverBuilder(d, ising_uniform(d.n),
+                                           field_linear(0.3, d.n), 0.5, 0.1),
+}
+
+
 class TestSampleKernelsTakeOneReplica:
     """The sample kernels return one replica's values, so a block of several
     replicas is a DomainError rather than its replica 0 alone."""
@@ -365,6 +396,22 @@ class TestSampleKernelsTakeOneReplica:
         model = MixedModel(4, XI23)
         got = self.call(name, sample_disorders(model, [7]))
         assert np.array_equal(got, self.call(name, sample_disorder(model, 7)))
+
+    @pytest.mark.parametrize("name", sorted(GIBBS_ENTRY_POINTS))
+    def test_gibbs_entry_point_rejects_a_block_of_two(self, name):
+        # each of these reads one sample's Gibbs measure; a block of two
+        # would otherwise be read as its replica 0, or be stacked into the
+        # Monte Carlo block as two problems
+        with pytest.raises(DomainError):
+            GIBBS_ENTRY_POINTS[name](sample_disorders(MixedModel(4, XI23), [1, 2]))
+
+    @pytest.mark.parametrize("name", sorted(GIBBS_ENTRY_POINTS))
+    def test_gibbs_entry_point_takes_a_block_of_one(self, name):
+        model = MixedModel(4, XI23)
+        got = GIBBS_ENTRY_POINTS[name](sample_disorders(model, [7]))
+        alone = GIBBS_ENTRY_POINTS[name](sample_disorder(model, 7))
+        if isinstance(got, PartitionEstimate):
+            assert got == alone
 
 
 class TestStackedKernelMatchesOracles:
@@ -464,7 +511,7 @@ class TestCovarianceLaw:
 
 class TestRecentering:
     """`recentered_energy`, the one body of H^m(s) = H(m + s) - grad H(m) . s
-    - H(m), over rows s and the replicas of a sample or a block."""
+    - H(m), over rows s and every replica of a disorder."""
 
     def test_zero_increment_gives_zero(self):
         d = sample_disorder(MixedModel(7, XI23), 21)
@@ -670,6 +717,20 @@ class TestExternalField:
         with pytest.raises(DomainError):
             ExternalField("linear", 4, h=0.3, basis=basis)
 
+    @pytest.mark.parametrize("kind", ["linear", "quadratic_spike"])
+    def test_field_of_one_direction_rejects_other_basis_sizes(self, kind):
+        # these kinds read u_1 alone, so a second row would give the cover a
+        # 2-D field subspace that the field itself never sees
+        n = 4
+        basis = np.zeros((2, n))
+        basis[0, 0] = basis[1, 1] = np.sqrt(n)
+        with pytest.raises(DomainError):
+            ExternalField(kind, n, h=0.3, basis=basis)
+        with pytest.raises(DomainError):
+            ExternalField(kind, n, h=0.3, basis=np.zeros((0, n)))
+        assert ExternalField(kind, n, h=0.3, basis=basis[:1]).K == 1
+        assert ExternalField("none", n, basis=basis).K == 2
+
     def test_basis_tolerance_is_absolute_1e_12(self):
         # a row scaled by 1 + 1e-8 moves its Gram diagonal by 2e-8, inside a
         # relative 1e-5 but far outside the promised 1e-12
@@ -715,7 +776,7 @@ class TestEffectiveFieldAndProbes:
         model = MixedModel(6, CovarianceSeries((0.0, 2.0)))
         d = sample_disorder(model, 77)
         max_grad_norm = max(norm(gradient(d, x)) for x in _ball_points(6, 5, 1))
-        assert max_grad_norm == pytest.approx(np.sqrt(2.0) * norm(d.tensors[1]), rel=1e-12)
+        assert max_grad_norm == pytest.approx(np.sqrt(2.0) * norm(d.tensors[1][0]), rel=1e-12)
 
     def test_gradient_tail_bound_frequency(self):
         # The max over probe points under-estimates the sup, so the Gaussian

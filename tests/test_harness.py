@@ -352,7 +352,7 @@ class TestRunAndArtifacts:
         model = _model(*cell)
         first, second = (_disorder(cfg, r, list(cell[1]), 8) for r in range(2))
         assert first.model is model and second.model is model
-        assert first.seed != second.seed
+        assert first.seeds[0] != second.seeds[0]
         others = [(9, (0.0, 0.0, 1.0)), (8, (0.0, 0.0, 1.0, 0.5))]
         models = [_model(*key) for key in others]
         assert len({id(m) for m in [model, *models]}) == len(others) + 1

@@ -15,6 +15,8 @@ from tapbound.hamiltonian import (
 from tapbound.harness.experiments import derive_seed, derive_seeds
 from tapbound.seeding import _State, pcg64, spawned_states
 
+from oracles import oracle_sample_disorder
+
 EDGE_MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 12345, 2 ** 64 - 1]
 INDICES = np.concatenate([np.arange(300), [2 ** 31, 2 ** 32 - 2, 2 ** 32 - 1]])
 
@@ -84,16 +86,24 @@ def test_fixed_state_answers_only_its_own_request():
 
 @pytest.mark.parametrize("coefficients", [(0.3, 0.5, 1.0, 0.25, 0.1), (0.0, 0.0, 1.0)])
 def test_sample_disorders_equal_sample_disorder(coefficients):
+    # both samplers against the per-degree numpy draw, bit for bit, on a
+    # block of 65 seeds that holds the edge masters (degree 0 included)
     model = MixedModel(5, CovarianceSeries(coefficients))
-    seeds = EDGE_MASTERS + [derive_seed(9, 0, r) for r in range(20)]
+    seeds = EDGE_MASTERS + [derive_seed(9, 0, r) for r in range(59)]
     block = sample_disorders(model, seeds)
-    assert block.replicas == len(seeds)
-    assert [int(s) for s in block.seeds] == seeds
-    for p in model.active_degrees:
-        stacked = block.tensors[p]
-        assert stacked.shape == (len(seeds),) + (5,) * p and stacked.flags.c_contiguous
-        for i, s in enumerate(seeds):
-            assert np.array_equal(stacked[i], sample_disorder(model, s).tensors[p])
+    assert block.replicas == len(seeds) == 65
+    assert block.seeds.dtype == np.uint64 and [int(s) for s in block.seeds] == seeds
+    assert sorted(block.tensors) == list(model.active_degrees)
+    for i, s in enumerate(seeds):
+        expect = oracle_sample_disorder(model, s)
+        one = sample_disorder(model, s)
+        assert one.replicas == 1 and one.seeds.tolist() == [s]
+        for p in model.active_degrees:
+            stacked = block.tensors[p]
+            assert stacked.shape == (len(seeds),) + (5,) * p and stacked.flags.c_contiguous
+            assert one.tensors[p].shape == (1,) + (5,) * p
+            assert stacked[i].tobytes() == np.asarray(expect[p]).tobytes()
+            assert one.tensors[p][0].tobytes() == np.asarray(expect[p]).tobytes()
 
 
 def test_sample_disorders_keep_the_budget_and_degree_checks():
@@ -118,6 +128,12 @@ def test_stacked_samples_equal_the_sampled_block(coefficients):
     assert block.seeds.tolist() == expect.seeds.tolist()
     assert sorted(block.tensors) == sorted(expect.tensors)
     for p, stacked in block.tensors.items():
+        assert np.array_equal(stacked, expect.tensors[p])
+    # blocks stack as their replicas do, in order
+    halves = stack_disorders([sample_disorders(model, seeds[:3]),
+                              sample_disorders(model, seeds[3:])])
+    assert halves.seeds.tolist() == expect.seeds.tolist()
+    for p, stacked in halves.tensors.items():
         assert np.array_equal(stacked, expect.tensors[p])
 
 
